@@ -16,13 +16,9 @@ import sys
 import time
 
 from . import __version__, verify as verify_mod
-from .errors import (
-    BudgetExceeded,
-    Ortho7Error,
-    ParseError,
-    UnsupportedOrder,
-)
-from .families import is_pp_by_table
+from .canon import canonicalize, solve_linear_relation
+from .errors import Ortho7Error, ParseError, UnsupportedOrder
+from .families import is_pp_by_table, table_for
 from .field import FieldSpec, build_field, field_for
 from .pairs import (
     count_ops,
@@ -38,8 +34,6 @@ from .perm import (
     is_orthomorphism,
     is_permutation,
 )
-from .canon import canonicalize
-from .families import table_for
 from .poly import format_poly, parse_poly
 
 
@@ -119,7 +113,11 @@ def resolve_field(args):
         raise ParseError("select the field with exactly one of --q or "
                          "--p/--r/--modulus")
     if has_q:
-        return field_for(args.q)
+        try:
+            return field_for(args.q)
+        except KeyError:
+            raise UnsupportedOrder(f"no preset field of order {args.q}; pass "
+                                   f"--p/--r/--modulus explicitly") from None
     if args.r > 1:
         if not args.modulus:
             raise ParseError("--modulus is required when --r > 1")
@@ -198,8 +196,6 @@ def cmd_classify(args) -> int:
         lines.append("characteristic 7: classification by linear-relation "
                      "search against the class table")
         if entry is not None:
-            from .canon import solve_linear_relation
-
             # same direction as canonicalize: transform sending the input
             # polynomial onto the stored class representative
             witness = solve_linear_relation(entry.poly(field), f)[0]
@@ -230,6 +226,9 @@ def cmd_pairs(args) -> int:
     t0 = time.perf_counter()
     table = table_for(field.q)
     entries = table.entries
+    if args.family is not None and not 1 <= args.family <= len(entries):
+        raise ParseError(f"--family must be in 1..{len(entries)} for "
+                         f"q={field.q}, got {args.family}")
     if args.family is not None and not args.all:
         entries = [table.entries[args.family - 1]]
     fmt = field.format_element
@@ -243,9 +242,6 @@ def cmd_pairs(args) -> int:
             recs["direct"] = search_pairs_direct(field, entry)
         if args.method in ("table", "both"):
             recs["table"] = search_pairs_table_based(field, entry)
-        if args.method == "both":
-            same = recs["direct"].pairs == recs["table"].pairs
-            agree &= same
         shown = recs.get("direct") or recs.get("table")
         pair_lits = [[fmt(a), fmt(b)] for a, b in shown.pairs]
         rec = {"ordinal": entry.ordinal, "exceptional": entry.exceptional,
@@ -253,6 +249,7 @@ def cmd_pairs(args) -> int:
                "pair_count": shown.pair_count, "pairs": pair_lits}
         if args.method == "both":
             rec["methods_agree"] = recs["direct"].pairs == recs["table"].pairs
+            agree &= rec["methods_agree"]
         results.append(rec)
         lines.append(f"family {entry.ordinal} ({', '.join(rec['tuple'])})"
                      f"{' [exceptional]' if entry.exceptional else ''}: "
@@ -296,8 +293,7 @@ def cmd_enumerate(args) -> int:
         n = 0
         with open(args.emit, "w") as fh:
             for poly in enumerate_ops(field.q, report):
-                coeffs = list(poly.coeffs) + [0] * (8 - len(poly.coeffs))
-                fh.write(",".join(field.format_element(c) for c in coeffs))
+                fh.write(format_poly(poly, "vector"))
                 fh.write("\n")
                 n += 1
         lines.append(f"wrote {n} coefficient vectors to {args.emit}")
@@ -388,12 +384,6 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except Ortho7Error as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -15,11 +15,16 @@ is an editorial reconstruction of a garbled line, validated as the
 unique completion that is a permutation polynomial and is not linearly
 related to any other entry.
 
+The class-image index of a table order holds the normalised code of
+every image e(bx+c) of every entry; it is built for any table order, and
+its per-entry image sets are pairwise disjoint exactly when no two
+entries are linearly related (the non-redundancy check).
+
 Membership testing dispatches on the order: fields with gcd(q, 7) = 1
 canonicalise and look the tuple up; q = 49 (characteristic 7) matches
-against precomputed normalised images of each entry under all x -> bx+c
-substitutions; orders q = 6 (mod 7) outside the tables use the rule that
-a degree-7 permutation polynomial must be linearly related to x^7.
+against the class-image index; orders q = 6 (mod 7) outside the tables
+use the rule that a degree-7 permutation polynomial must be linearly
+related to x^7.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from . import kernels
 from .canon import canonicalize, criteria_check_tuple
 from .errors import DegreeMismatch, UnsupportedOrder
 from .field import Field, field_for
-from .poly import LinearTransform, Poly, apply_transform
+from .poly import Poly
 from .perm import is_permutation
 
 EXPECTED_COUNTS = {
@@ -56,8 +61,7 @@ class FamilyEntry:
     ordinal: int
 
     def poly(self, field: Field) -> Poly:
-        f5, f4, f3, f2, f1 = self.coeffs
-        return Poly(field, (0, f1, f2, f3, f4, f5, 0, 1))
+        return Poly(field, self.coeff_row())
 
     def coeff_row(self) -> tuple[int, ...]:
         f5, f4, f3, f2, f1 = self.coeffs
@@ -170,10 +174,6 @@ def table_for(q: int) -> FamilyTable:
     return validate_table(q)
 
 
-def supported_table_orders() -> list[int]:
-    return sorted(load_family_tables())
-
-
 # ---------------------------------------------------------------------------
 # Lookup structures for the kernels.
 
@@ -190,31 +190,47 @@ def table_codes(q: int) -> np.ndarray:
     return _CODE_CACHE[q]
 
 
-def image_codes(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the characteristic-7 path: normalised codes of every linear
-    image e(bx+c) of every entry, with the matching ordinal per code.
-    Classes are disjoint, which is asserted during the build."""
-    if q in _IMAGE_CACHE:
-        return _IMAGE_CACHE[q]
-    field = field_for(q)
-    table = table_for(q)
+def class_images(field: Field, entries) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised codes of the images e(bx+c), (b, c) in F_q* x F_q, of
+    each entry (deduplicated per entry, sorted by code) with the entry's
+    ordinal per code.  They are the codes of the monic zero-constant
+    members of each class, since a and d of a*e(bx+c)+d are forced."""
+    q = field.q
+    bs = np.repeat(np.arange(1, q, dtype=np.int64), q)
+    cs = np.tile(np.arange(q, dtype=np.int64), q - 1)
     all_codes, all_ords = [], []
-    for e in table.entries:
-        base = e.poly(field)
-        rows = []
-        for b in field.nonzero():
-            for c in field.elements():
-                img = apply_transform(base, LinearTransform(1, b, c, 0))
-                rows.append(img.coeffs)
-        codes = np.unique(kernels.normalized_code_batch(field, np.asarray(rows)))
+    for e in entries:
+        rows = kernels.expand_shifts(field, e.coeff_row(), bs, cs)
+        codes = np.unique(kernels.normalized_code_batch(field, rows))
         all_codes.append(codes)
         all_ords.append(np.full(len(codes), e.ordinal, dtype=np.int64))
     codes = np.concatenate(all_codes)
     ords = np.concatenate(all_ords)
-    order = np.argsort(codes)
-    codes, ords = codes[order], ords[order]
-    if len(np.unique(codes)) != len(codes):
-        raise ValueError(f"q={q} class images overlap; table is inconsistent")
+    order = np.argsort(codes, kind="stable")
+    return codes[order], ords[order]
+
+
+def image_overlap(codes: np.ndarray, ords: np.ndarray) -> tuple[int, int] | None:
+    """Ordinals of two entries whose images share a code in the sorted
+    output of `class_images`, or None when the image sets are disjoint."""
+    dup = np.flatnonzero(codes[1:] == codes[:-1])
+    if dup.size == 0:
+        return None
+    return int(ords[dup[0]]), int(ords[dup[0] + 1])
+
+
+def image_codes(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class-image index of one table order: `class_images` of every
+    entry, cached.  Any table order works; the characteristic-7 lookups
+    use it because canonical forms are unavailable there.  Classes are
+    disjoint, which is asserted during the build."""
+    if q in _IMAGE_CACHE:
+        return _IMAGE_CACHE[q]
+    codes, ords = class_images(field_for(q), table_for(q).entries)
+    overlap = image_overlap(codes, ords)
+    if overlap is not None:
+        raise ValueError(f"q={q} class images of entries {overlap[0]} and "
+                         f"{overlap[1]} overlap; table is inconsistent")
     _IMAGE_CACHE[q] = (codes, ords)
     return _IMAGE_CACHE[q]
 
@@ -237,12 +253,10 @@ def is_pp_by_table(h: Poly) -> FamilyEntry | None:
     if q in tables:
         if field.p == 7:
             codes, ords = image_codes(q)
-            code = int(kernels.normalized_code_batch(field, [h.coeffs])[0])
-            pos = int(np.searchsorted(codes, code))
-            if pos < len(codes) and codes[pos] == code:
-                ordinal = int(ords[pos])
-                return table_for(q).entries[ordinal - 1]
-            return None
+            code = kernels.normalized_code_batch(field, h.coeffs)
+            pos = min(int(np.searchsorted(codes, code)), len(codes) - 1)
+            hit = codes[pos] == code
+            return table_for(q).entries[int(ords[pos]) - 1] if hit else None
         cf, _ = canonicalize(h)
         return table_for(q).by_tuple().get(cf.tuple5)
     if q % 7 == 6 and q not in (13, 27):

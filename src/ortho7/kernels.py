@@ -1,4 +1,5 @@
-"""Hot inner loops: candidate census, pair-grid scans, and batch checks.
+"""Hot inner loops: candidate census, pair-grid scans, batch checks and
+shift expansion.
 
 Two interchangeable backends. The default is a set of numba @njit scalar
 kernels with early exit (the census alone visits tens of millions of
@@ -26,6 +27,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+from .poly import _binomials
 
 try:
     from numba import njit
@@ -282,29 +285,18 @@ def tuple_code(q: int, g5, g4, g3, g2, g1):
     return (((g5 * q + g4) * q + g3) * q + g2) * q + g1
 
 
-def table_member_batch(field, C, table_codes, pascal=None):
+def table_member_batch(field, C, table_codes):
     """For each degree-7 row of C decide table membership via the
     normalise-then-rescale candidate scan (requires gcd(q, 7) = 1)."""
     q = field.q
-    mul, add, inv, neg = field.mul_t, field.add_t, field.inv_t, field.neg_t
+    mul, inv, neg = field.mul_t, field.inv_t, field.neg_t
     C = np.asarray(C, dtype=np.int64)
     lead = C[:, 7]
     if field.p == 7:
         raise ValueError("candidate scan needs gcd(q,7) = 1; use image sets")
     seven = field.from_int(7)
     cstar = neg[mul[C[:, 6], inv[mul[seven, lead]]]]
-    # hs = h(x + cstar), binomial expansion; rows of C stay untouched
-    cpow = np.ones((C.shape[0], 8), dtype=np.int64)
-    for j in range(1, 8):
-        cpow[:, j] = mul[cpow[:, j - 1], cstar]
-    if pascal is None:
-        pascal = pascal_rows(field, 7)
-    HS = np.zeros_like(C)
-    for i in range(8):
-        col = C[:, i]
-        for j in range(i + 1):
-            term = mul[col, mul[pascal[i][j], cpow[:, i - j]]]
-            HS[:, j] = add[HS[:, j], term]
+    HS = expand_shifts(field, C, 1, cstar)  # h(x + cstar), row by row
     inv_lead = inv[lead]
     member = np.zeros(C.shape[0], dtype=bool)
     for b in range(1, q):
@@ -312,32 +304,57 @@ def table_member_batch(field, C, table_codes, pascal=None):
         bm = [field.pow(b, i - 7) for i in range(6)]
         digs = [mul[mul[HS[:, i], bm[i]], inv_lead] for i in range(1, 6)]
         code = tuple_code(np.int64(q), digs[4], digs[3], digs[2], digs[1], digs[0])
-        pos = np.searchsorted(table_codes, code)
-        pos[pos == len(table_codes)] = 0
-        member |= table_codes[pos] == code
+        member |= code_member(table_codes, code)
     return member
 
 
-def pascal_rows(field, n):
-    rows = [[1]]
-    for i in range(1, n + 1):
-        prev = rows[-1]
-        row = [1] + [field.add(prev[j - 1], prev[j]) for j in range(1, i)] + [1]
-        rows.append(row)
-    return rows
+# ---------------------------------------------------------------------------
+# Shift expansion: the coefficient rows of f(b*x + c) by the binomial
+# expansion, for many (b, c) at once.
+
+
+def expand_shifts(field, C, bs, cs):
+    """Ascending coefficient rows of f(b*x + c) for each row f of C.
+
+    C is one coefficient row (shape (n,)) or a batch (shape (..., n)); its
+    leading axes broadcast with the arrays `bs` and `cs` like numpy
+    operands, and the result has shape broadcast + (n,).  Coefficient i of
+    f contributes binom(i, j) * f_i * b^j * c^(i-j) to coefficient j, with
+    the binomials reduced in the field (so 7 * f_7 = 0 when p = 7).
+    """
+    mul, add = field.mul_t, field.add_t
+    C = np.asarray(C, dtype=np.int64)
+    bs = np.asarray(bs, dtype=np.int64)
+    cs = np.asarray(cs, dtype=np.int64)
+    n = C.shape[-1]
+    binom = _binomials(field, n - 1)
+    bpow, cpow = [np.ones_like(bs)], [np.ones_like(cs)]
+    for _ in range(1, n):
+        bpow.append(mul[bpow[-1], bs])
+        cpow.append(mul[cpow[-1], cs])
+    shape = np.broadcast_shapes(C.shape[:-1], bs.shape, cs.shape)
+    out = np.zeros(shape + (n,), dtype=np.int64)
+    for i in range(n):
+        fi = C[..., i]
+        if not fi.any():
+            continue
+        for j in range(i + 1):
+            term = mul[mul[fi, binom[i][j]], mul[bpow[j], cpow[i - j]]]
+            out[..., j] = add[out[..., j], term]
+    return out
 
 
 def normalized_code_batch(field, C):
-    """Monic, zero-constant reduction of degree-7 rows, packed as a base-q
-    code over coefficients x^6..x^1 (characteristic-7 path: the x^6 term
-    cannot be cleared, so it stays part of the code)."""
+    """Monic, zero-constant reduction of degree-7 rows (last axis of C),
+    packed as a base-q code over coefficients x^6..x^1 (characteristic-7
+    path: the x^6 term cannot be cleared, so it stays part of the code)."""
     q = np.int64(field.q)
     mul, inv = field.mul_t, field.inv_t
     C = np.asarray(C, dtype=np.int64)
-    a = inv[C[:, 7]]
-    code = np.zeros(C.shape[0], dtype=np.int64)
+    a = inv[C[..., 7]]
+    code = np.zeros(C.shape[:-1], dtype=np.int64)
     for i in range(6, 0, -1):
-        code = code * q + mul[a, C[:, i]]
+        code = code * q + mul[a, C[..., i]]
     return code
 
 

@@ -41,7 +41,7 @@ from . import kernels
 from .errors import BudgetExceeded, UnsupportedOrder
 from .families import FamilyEntry, FamilyTable, image_codes, table_for
 from .field import Field, field_for
-from .poly import LinearTransform, Poly, apply_transform
+from .poly import Poly
 
 # Known discrepancies in the published tallies, reported alongside the
 # computed numbers rather than silently matched.
@@ -208,32 +208,14 @@ def _search_pairs_by_images(field: Field, family: FamilyEntry,
     """Characteristic-7 table route: alpha*f(beta*x) - x is a permutation
     polynomial iff its monic zero-constant reduction is one of the
     precomputed entry images (c != 0 substitutions included)."""
-    q = field.q
-    codes, ords = image_codes(q)
+    codes, ords = image_codes(field.q)
     f = family.poly(field)
-    mul = field.mul_t
-    s = np.arange(1, q, dtype=np.int64)
-    # build (q-1)^2 coefficient planes of h = alpha*f(beta x) - x
-    planes = []
-    tp = np.ones(q - 1, dtype=np.int64)
-    for i in range(8):
-        c = f.coeff(i)
-        if c:
-            sc = mul[s, c]
-            plane = mul[sc[:, None], tp[None, :]]
-        else:
-            plane = np.zeros((q - 1, q - 1), dtype=np.int64)
-        if i == 1:
-            plane = field.sub_t[plane, 1]
-        planes.append(plane)
-        tp = mul[tp, s]
-    inv_lead = field.inv_t[planes[7]]
-    code = np.zeros((q - 1, q - 1), dtype=np.int64)
-    for i in range(6, 0, -1):
-        code = code * np.int64(q) + mul[inv_lead, planes[i]]
-    member = kernels.code_member(codes, code)
-    matched = np.searchsorted(codes, code)
-    matched[matched >= len(codes)] = 0
+    # coefficient planes of h = alpha*f(beta x) - x over (F_q*)^2
+    planes = _pair_planes(field, f.coeffs)
+    planes[1] = field.sub_t[planes[1], 1]
+    code = kernels.normalized_code_batch(field, np.stack(planes, axis=-1))
+    matched = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+    member = codes[matched] == code
 
     per_target: dict[int, list] = {}
     for a, b in zip(*np.nonzero(member)):
@@ -336,13 +318,18 @@ def enumerate_ops(q: int, report: EnumerationReport | None = None,
         report = count_ops(q, backend=backend)
     for res in report.per_family:
         for sig in res.signatures:
-            g = Poly(field, sig)
-            for gamma in field.elements():
-                shifted = apply_transform(g, LinearTransform(1, 1, gamma, 0))
-                base = list(shifted.coeffs) + [0] * (8 - len(shifted.coeffs))
-                for delta in field.elements():
-                    out = tuple([field.add(base[0], delta)] + base[1:])
-                    yield Poly(field, out)
+            for row in _shift_rows(field, sig).tolist():
+                yield Poly(field, tuple(row))
+
+
+def _shift_rows(field: Field, sig) -> np.ndarray:
+    """The q^2 coefficient rows of g(x+gamma)+delta for the coefficient
+    vector `sig` of g, gamma-major then delta, as an array (q^2, 8)."""
+    elems = np.arange(field.q, dtype=np.int64)
+    shifted = kernels.expand_shifts(field, sig, 1, elems)
+    rows = np.repeat(shifted, field.q, axis=0)
+    rows[:, 0] = field.add_t[shifted[:, :1], elems].ravel()
+    return rows
 
 
 def verify_nonexistence(q: int, backend: str | None = None,

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UnsupportedOrder
 from .field import Field
 from .poly import Poly, eval_poly
 
@@ -102,6 +102,9 @@ def census(query: CensusQuery, workers: int = 1, budget: int = DEFAULT_BUDGET,
     Deterministic for fixed inputs regardless of `workers`: the candidate
     range is split into contiguous shards whose counts are summed.
     """
+    if (backend or kernels.BACKEND) == "numpy" and query.field.q > 63:
+        raise UnsupportedOrder(f"the numpy census packs hits in uint64 and "
+                               f"needs q <= 63, got q={query.field.q}")
     total = query.space()
     if total > budget:
         raise BudgetExceeded(

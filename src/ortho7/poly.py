@@ -57,13 +57,6 @@ class LinearTransform:
         return (self.a, self.b, self.c, self.d)
 
 
-IDENTITY = LinearTransform(1, 1, 0, 0)
-
-
-def poly_from_coeffs(field: Field, coeffs) -> Poly:
-    return Poly(field, tuple(coeffs))
-
-
 def eval_poly(f: Poly, x: int) -> int:
     """Horner evaluation; exact table arithmetic."""
     fld = f.field
@@ -81,13 +74,6 @@ def _check_same_field(f: Poly, g: Poly):
 def equal(f: Poly, g: Poly) -> bool:
     _check_same_field(f, g)
     return f.coeffs == g.coeffs
-
-
-def add_polys(f: Poly, g: Poly) -> Poly:
-    _check_same_field(f, g)
-    fld = f.field
-    n = max(len(f.coeffs), len(g.coeffs))
-    return Poly(fld, tuple(fld.add(f.coeff(i), g.coeff(i)) for i in range(n)))
 
 
 def sub_x(f: Poly) -> Poly:

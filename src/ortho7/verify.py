@@ -5,6 +5,7 @@ compares it against the golden fixtures in data/reference_results.json:
 
   family_tables     entry counts, permutation property, criteria compliance
   non_redundancy    no two table entries of one field are linearly related
+                    (their class-image sets are pairwise disjoint)
   pair_fixtures     per-family pair sets vs the published lists (compared
                     as the polynomials they name, so representative choice
                     cannot matter), per-system counts for q=25, and the
@@ -34,11 +35,13 @@ from math import ceil
 
 import numpy as np
 
-from .canon import canonicalize, ck_set, ci_set, solve_linear_relation
+from .canon import canonicalize, ck_set, ci_set
 from .families import (
     EXPECTED_COUNTS,
     audit_random,
     audit_support,
+    class_images,
+    image_overlap,
     load_family_tables,
     table_for,
 )
@@ -51,6 +54,7 @@ from .pairs import (
     search_pairs_table_based,
     verify_nonexistence,
     _scaled_coeffs,
+    _shift_rows,
 )
 from .perm import CensusQuery, census, is_orthomorphism
 from .poly import LinearTransform, Poly, apply_transform, eval_poly
@@ -120,21 +124,29 @@ def check_family_tables():
 
 @_timed("non-redundancy")
 def check_non_redundancy():
-    """Pairwise linear-relation search between distinct entries of one
-    field must come up empty."""
-    checked = 0
+    """No two entries of one field are linearly related, by class-image
+    disjointness.
+
+    For normalised entries (monic, zero constant term), e_j = a*e_i(bx+c)+d
+    holds exactly when the monic zero-constant reduction of e_i(bx+c) is
+    e_j, because a and d are forced by the leading and constant terms.
+    Each entry's image set under all (b, c) contains the entry itself
+    (b = 1, c = 0), and image sets are orbits, so two of them are equal or
+    disjoint.  Pairwise disjoint image sets per order are therefore
+    equivalent to no two entries being linearly related.
+    """
+    entries = images = 0
     for q in TABLE_ORDERS:
-        field = field_for(q)
-        entries = table_for(q).entries
-        polys = [e.poly(field) for e in entries]
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                rel = solve_linear_relation(polys[i], polys[j])
-                if rel:
-                    return False, (f"q={q}: entries {entries[i].ordinal} and "
-                                   f"{entries[j].ordinal} are linearly related")
-                checked += 1
-    return True, f"{checked} entry pairs, no linear relations"
+        table = table_for(q)
+        codes, ords = class_images(field_for(q), table.entries)
+        overlap = image_overlap(codes, ords)
+        if overlap is not None:
+            return False, (f"q={q}: entries {overlap[0]} and {overlap[1]} "
+                           f"are linearly related")
+        entries += len(table.entries)
+        images += len(codes)
+    return True, (f"{entries} entries, {images} class images, pairwise "
+                  f"disjoint per field: no linear relations")
 
 
 def _published_signature_sets(q: int):
@@ -171,11 +183,10 @@ def check_pair_fixtures(reports: dict[int, EnumerationReport] | None = None):
     q = 49 the per-family totals and the explicit a = 0 list are checked.
     """
     ref = load_reference()
-    reports = reports or {}
+    reports = {} if reports is None else reports
     problems = []
     for q in (11, 13, 17, 19, 25, 49):
-        rep = reports.get(q) or count_ops(q)
-        reports[q] = rep
+        rep = reports[q] = reports.get(q) or count_ops(q)
         by_ord = {r.family.ordinal: r for r in rep.per_family}
         published = _published_signature_sets(q)
         for ordinal, (sigs, defect) in published.items():
@@ -219,7 +230,7 @@ def check_pair_fixtures(reports: dict[int, EnumerationReport] | None = None):
 def check_totals(reports: dict[int, EnumerationReport] | None = None):
     """Orthomorphism totals, exceptional pair subtotals, nonexistence."""
     ref = load_reference()
-    reports = reports or {}
+    reports = {} if reports is None else reports
     problems = []
     for q_str, want in ref["op_totals"].items():
         q = int(q_str)
@@ -227,8 +238,7 @@ def check_totals(reports: dict[int, EnumerationReport] | None = None):
             if not verify_nonexistence(q):
                 problems.append(f"q={q}: expected empty pair search")
             continue
-        rep = reports.get(q) or count_ops(q)
-        reports[q] = rep
+        rep = reports[q] = reports.get(q) or count_ops(q)
         if rep.op_total != want:
             problems.append(f"q={q}: op_total {rep.op_total} != {want}")
         want_exc = ref["exceptional_pair_totals"].get(q_str)
@@ -277,21 +287,15 @@ def check_distinctness(seed: int = 2024,
     family's distinct count is pairs * q while op_total keeps the
     published parameterization count pairs * q^2.
     """
-    reports = reports or {}
+    reports = {} if reports is None else reports
     for q in (11, 13, 17, 19, 25):
-        rep = reports.get(q) or count_ops(q)
-        reports[q] = rep
-        seen = set()
-        n = 0
-        for p in enumerate_ops(q, rep):
-            seen.add(p.coeffs)
-            n += 1
-        if not (n == rep.op_total == len(seen)):
-            return False, f"q={q}: {len(seen)} distinct of {n} expanded"
+        rep = reports[q] = reports.get(q) or count_ops(q)
+        rows = [p.coeffs for p in enumerate_ops(q, rep)]
+        if not (len(rows) == rep.op_total == len(set(rows))):
+            return False, f"q={q}: {len(set(rows))} distinct of {len(rows)} expanded"
     field = field_for(49)
     q = 49
-    rep = reports.get(49) or count_ops(49)
-    reports[49] = rep
+    rep = reports[49] = reports.get(49) or count_ops(49)
     rng = np.random.default_rng(seed)
     for r in rep.per_family:
         if not r.pairs:
@@ -302,13 +306,7 @@ def check_distinctness(seed: int = 2024,
                sorted(rng.choice(len(r.signatures), take, replace=False)))
         family_seen = set()
         for i in idx:
-            g = Poly(field, r.signatures[i])
-            pair_seen = set()
-            for gamma in field.elements():
-                shifted = apply_transform(g, LinearTransform(1, 1, gamma, 0))
-                base = list(shifted.coeffs) + [0] * (8 - len(shifted.coeffs))
-                for delta in field.elements():
-                    pair_seen.add((field.add(base[0], delta),) + tuple(base[1:]))
+            pair_seen = set(map(tuple, _shift_rows(field, r.signatures[i]).tolist()))
             if len(pair_seen) != q:
                 return False, (f"q=49 family {r.family.ordinal}: pair "
                                f"expansion gave {len(pair_seen)} != q vectors")
@@ -329,7 +327,7 @@ def check_census(tier: str = "default", workers: int = 2,
     orders = [8, 11, 13]
     if tier == "deeper":
         orders.append(17)
-    reports = reports or {}
+    reports = {} if reports is None else reports
     details = []
     for q in orders:
         want = ref["canonical_census"][str(q)]
@@ -338,8 +336,7 @@ def check_census(tier: str = "default", workers: int = 2,
             return False, f"q={q}: canonical census {got} != {want}"
         details.append(f"{q}:{got}")
         if q in (11, 13, 17):
-            rep = reports.get(q) or count_ops(q)
-            reports[q] = rep
+            rep = reports[q] = reports.get(q) or count_ops(q)
             if rep.op_total != got * q:
                 return False, (f"q={q}: op_total {rep.op_total} != "
                                f"canonical {got} * q")

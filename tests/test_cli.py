@@ -128,3 +128,27 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     payload = json.loads(path.read_text())
     assert payload["results"]["verdict"] is True
+
+
+def _usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, (argv, code)
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def test_pairs_family_out_of_range(capsys):
+    assert "1..15" in _usage_error(capsys, "pairs", "--q", "13", "--family", "0")
+    assert "1..15" in _usage_error(capsys, "pairs", "--q", "13", "--family", "99")
+
+
+def test_unknown_order_is_unsupported(capsys):
+    assert "order 9" in _usage_error(capsys, "pairs", "--q", "9")
+
+
+def test_census_order_above_hit_mask(capsys, monkeypatch):
+    from ortho7 import kernels
+
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    assert "q <= 63" in _usage_error(capsys, "census", "--q", "67",
+                                     "--budget", str(10**15))

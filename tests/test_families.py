@@ -12,17 +12,22 @@ from importlib import resources
 
 from ortho7.canon import canonicalize, criteria_check_tuple, solve_linear_relation
 from ortho7.errors import DegreeMismatch, UnsupportedOrder
+from ortho7 import families
 from ortho7.families import (
     EXPECTED_COUNTS,
+    FamilyEntry,
+    FamilyTable,
     audit_random,
     audit_support,
+    class_images,
+    image_codes,
     is_pp_by_table,
     load_family_tables,
     serialize_family_tables,
     table_for,
 )
 from ortho7.field import field_for
-from ortho7.kernels import pp_batch
+from ortho7.kernels import code_member, normalized_code_batch, pp_batch
 from ortho7.perm import is_permutation
 from ortho7.poly import LinearTransform, apply_transform, parse_poly
 
@@ -96,6 +101,83 @@ def test_is_pp_by_table_on_transformed_entries():
                                 rnd.randrange(q), rnd.randrange(q))
             got = is_pp_by_table(apply_transform(e.poly(fld), t))
             assert got is not None and got.ordinal == e.ordinal
+
+
+def _planted_copy(fld, entry, b, c):
+    """The monic zero-constant reduction of entry(bx + c), as an extra
+    table entry: linearly related to `entry` by construction."""
+    img = apply_transform(entry.poly(fld), LinearTransform(1, b, c, 0))
+    a = fld.inv(img.coeff(7))
+    g = apply_transform(img, LinearTransform(a, 1, 0,
+                                             fld.neg(fld.mul(a, img.coeff(0)))))
+    assert g.coeff(6) == 0
+    n = len(table_for(fld.q).entries)
+    return FamilyEntry(fld.q, tuple(g.coeff(i) for i in (5, 4, 3, 2, 1)),
+                       entry.exceptional, n + 1)
+
+
+# (q, entry index, b, c); c != 0 only in characteristic 7, where a shift
+# keeps the x^6 coefficient zero
+_PLANTS = ((13, 3, 2, 0), (25, 1, 7, 0), (49, 9, 5, 11))
+
+
+def _image_verdict(fld, source, target):
+    """Image-disjointness verdict: target lies in the class of source."""
+    images = class_images(fld, [source])[0]
+    code = normalized_code_batch(fld, [target.coeff_row()])
+    return bool(code_member(images, code)[0])
+
+
+def test_image_verdict_agrees_with_linear_relation_search():
+    rng = np.random.default_rng(3)
+    for q in (11, 13, 25, 49):
+        fld = field_for(q)
+        entries = table_for(q).entries
+        for _ in range(4):
+            i, j = rng.choice(len(entries), 2, replace=False)
+            related = bool(solve_linear_relation(entries[j].poly(fld),
+                                                 entries[i].poly(fld)))
+            assert _image_verdict(fld, entries[i], entries[j]) == related
+            assert not related
+    for q, k, b, c in _PLANTS:
+        fld = field_for(q)
+        entry = table_for(q).entries[k]
+        copy = _planted_copy(fld, entry, b, c)
+        assert copy.coeffs != entry.coeffs
+        assert solve_linear_relation(copy.poly(fld), entry.poly(fld))
+        assert _image_verdict(fld, entry, copy)
+        assert _image_verdict(fld, copy, entry)
+
+
+def test_non_redundancy_flags_planted_related_pair(monkeypatch):
+    from ortho7 import verify
+
+    assert verify.check_non_redundancy().ok
+    for q, k, b, c in _PLANTS:
+        fld = field_for(q)
+        table = table_for(q)
+        copy = _planted_copy(fld, table.entries[k], b, c)
+        planted = FamilyTable(q, table.entries + (copy,))
+        monkeypatch.setattr(verify, "table_for",
+                            lambda n, q=q: planted if n == q else table_for(n))
+        result = verify.check_non_redundancy()
+        assert not result.ok
+        assert f"q={q}: entries {k + 1} and {copy.ordinal}" in result.detail
+
+
+def test_image_codes_cover_every_order_and_reject_overlap(monkeypatch):
+    for q in sorted(EXPECTED_COUNTS):
+        codes, ords = image_codes(q)
+        assert np.all(codes[1:] > codes[:-1])
+        assert set(ords.tolist()) == {e.ordinal for e in table_for(q).entries}
+    fld = field_for(13)
+    table = table_for(13)
+    planted = FamilyTable(13, table.entries + (
+        _planted_copy(fld, table.entries[0], 3, 0),))
+    monkeypatch.setattr(families, "_IMAGE_CACHE", {})
+    monkeypatch.setattr(families, "table_for", lambda q: planted)
+    with pytest.raises(ValueError, match="overlap"):
+        image_codes(13)
 
 
 def test_x7_rule_orders():
