@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
 
     sp = sub.add_parser("enumerate", help="count or emit all orthomorphisms")
-    sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--emit", help="write one coefficient vector per record "
                                    "to this path")
     add_common(sp)
@@ -91,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
 
     sp = sub.add_parser("verify", help="re-check the published results")
-    sp.add_argument("--suite", choices=("paper", "reference"), default="paper",
-                    help="verification suite (published-results fixtures)")
     sp.add_argument("--field", type=int,
                     help="restrict the totals check to one order")
     sp.add_argument("--deep", action="store_true",
@@ -121,7 +118,11 @@ def resolve_field(args):
     if args.r > 1:
         if not args.modulus:
             raise ParseError("--modulus is required when --r > 1")
-        modulus = tuple(int(v) for v in args.modulus.split(","))
+        try:
+            modulus = tuple(int(v) for v in args.modulus.split(","))
+        except ValueError:
+            raise ParseError(f"--modulus must be comma-separated integers, "
+                             f"got {args.modulus!r}") from None
     else:
         modulus = (0, 1)
     return build_field(FieldSpec(args.p, args.r, modulus))

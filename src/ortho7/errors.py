@@ -55,5 +55,10 @@ class BudgetExceeded(Ortho7Error):
     """Candidate space larger than the configured census budget."""
 
 
+class InvalidArgument(Ortho7Error, ValueError):
+    """Argument outside its valid range (also a ValueError, so callers that
+    catch ValueError keep working)."""
+
+
 class ParseError(Ortho7Error):
     """Malformed polynomial or field-element literal."""

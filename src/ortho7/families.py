@@ -297,8 +297,8 @@ class AuditReport:
         return not self.disagreements
 
 
-def audit_rows(field: Field, rows, report: AuditReport | None = None,
-               backend: str | None = None) -> AuditReport:
+def audit_rows(field: Field, rows,
+               report: AuditReport | None = None) -> AuditReport:
     """Assert is_pp_by_table agrees with the direct permutation check on
     each degree-7 coefficient row; disagreements are collected, not
     raised."""
@@ -307,7 +307,7 @@ def audit_rows(field: Field, rows, report: AuditReport | None = None,
     C = np.asarray(rows, dtype=np.int64)
     if C.size == 0:
         return report
-    direct = kernels.pp_batch(field, C, backend=backend).astype(bool)
+    direct = kernels.pp_batch(field, C).astype(bool)
     kind, codes = _audit_codes(field)
     if kind == "image":
         member = kernels.code_member(codes, kernels.normalized_code_batch(field, C))
@@ -322,7 +322,7 @@ def audit_rows(field: Field, rows, report: AuditReport | None = None,
 
 
 def audit_random(field: Field, n: int, seed: int = 0,
-                 batch: int = 1 << 14, backend: str | None = None) -> AuditReport:
+                 batch: int = 1 << 14) -> AuditReport:
     """n uniform random degree-7 polynomials (leading coefficient uniform
     over F_q*, the rest over F_q)."""
     rng = np.random.default_rng(seed)
@@ -332,13 +332,12 @@ def audit_random(field: Field, n: int, seed: int = 0,
         b = min(batch, left)
         C = rng.integers(0, field.q, size=(b, 8), dtype=np.int64)
         C[:, 7] = rng.integers(1, field.q, size=b, dtype=np.int64)
-        audit_rows(field, C, report, backend=backend)
+        audit_rows(field, C, report)
         left -= b
     return report
 
 
-def audit_support(field: Field, positions: tuple[int, ...],
-                  backend: str | None = None) -> AuditReport:
+def audit_support(field: Field, positions: tuple[int, ...]) -> AuditReport:
     """Exhaustive audit over monic x^7 + sum a_i x^i with the given
     support positions ranging over the whole field (zeros included)."""
     q = field.q
@@ -348,4 +347,4 @@ def audit_support(field: Field, positions: tuple[int, ...],
     C[:, 7] = 1
     for pos, vals in zip(positions, flat):
         C[:, pos] = vals
-    return audit_rows(field, C, backend=backend)
+    return audit_rows(field, C)

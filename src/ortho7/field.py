@@ -8,7 +8,7 @@ Index 0 is the additive identity and index 1 the multiplicative identity.
 Arithmetic is table-driven.  Construction precomputes exp/log tables for
 the pinned generator plus full q x q add/sub/mul tables, so the inner
 loops downstream (permutation checks, pair searches, the census) reduce
-to integer array lookups and can be handed to numba or numpy wholesale.
+to integer array lookups and can be handed to numpy wholesale.
 
 The generator choice is part of the field's identity, not an
 implementation detail: the coset-transversal sets used by the canonical
@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     DlogOfZero,
+    InvalidArgument,
     NonPrimeP,
     NonPrimitiveModulus,
     ParseError,
@@ -351,7 +352,7 @@ class Field:
 
 def _least_primitive_root(p: int) -> int:
     factors = prime_factors(p - 1)
-    for g in range(2, p):
+    for g in range(1, p):  # 1 generates F_2*; it is no root for p > 2
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
     raise NonPrimeP(f"no primitive root found for {p}")  # unreachable for prime p
@@ -369,7 +370,7 @@ def build_field(spec: FieldSpec) -> Field:
     if not is_prime(p):
         raise NonPrimeP(f"p={p} is not prime")
     if r < 1:
-        raise ValueError(f"extension degree r={r} must be >= 1")
+        raise InvalidArgument(f"extension degree r={r} must be >= 1")
     if r == 1:
         g = _least_primitive_root(p)
         exp = np.empty(q - 1, dtype=np.int64)
@@ -381,7 +382,8 @@ def build_field(spec: FieldSpec) -> Field:
 
     modulus = tuple(c % p for c in spec.modulus)
     if len(modulus) != r + 1 or modulus[-1] != 1:
-        raise ValueError(f"modulus must be monic of degree {r}, got {spec.modulus}")
+        raise InvalidArgument(f"modulus must be monic of degree {r}, "
+                              f"got {spec.modulus}")
     if not poly_is_irreducible(modulus, p):
         raise ReducibleModulus(f"{spec.modulus} is reducible over F_{p}")
 

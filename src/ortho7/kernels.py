@@ -1,22 +1,12 @@
 """Hot inner loops: candidate census, pair-grid scans, batch checks and
 shift expansion.
 
-Two interchangeable backends. The default is a set of numba @njit scalar
-kernels with early exit (the census alone visits tens of millions of
-candidate polynomials, so this is where the runtime lives). The fallback
-is pure-numpy vectorised code using uint64 hit bitmasks, selected with
-
-    ORTHO7_BACKEND=numpy     force the numpy path
-    ORTHO7_BACKEND=numba     require the JIT (raise if numba is missing)
-
-and anything else (or unset) picks numba when importable. Both paths
-must return identical results; the test suite compares them and
-benchmarks/bench_kernels.py measures the gap.
-
-All kernels operate on the integer element encoding and take the field's
-add/sub/mul tables as arrays, so they are field-agnostic. The numpy path
-packs evaluation hits into one uint64 per candidate and therefore
-requires q <= 63, which covers every supported order.
+Vectorised numpy throughout.  All kernels operate on the integer element
+encoding and take the field's add/sub/mul tables as arrays, so they are
+field-agnostic.  The three evaluating kernels (census, pair grid,
+pp_batch) share one Horner loop that packs the evaluation hits of each
+candidate into one uint64, and therefore require q <= 63; that covers
+every supported order.
 
 Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
 2 = complete mapping (f and f+x).
@@ -24,42 +14,52 @@ Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from .errors import UnsupportedOrder
 from .poly import _binomials
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via ORTHO7_BACKEND=numpy
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _pick_backend() -> str:
-    env = os.environ.get("ORTHO7_BACKEND", "auto").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("ORTHO7_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
 PROP_PP, PROP_OP, PROP_CPP = 0, 1, 2
+
+
+def check_hit_mask_order(q: int) -> None:
+    """Raise UnsupportedOrder unless one uint64 can hold a hit per element."""
+    if q > 63:
+        raise UnsupportedOrder(f"the evaluation kernels pack hits in uint64 "
+                               f"and need q <= 63, got q={q}")
+
+
+def _full_hits(field, coef, prop=PROP_PP):
+    """Evaluate polynomials at every x of the field and report which have
+    the property `prop`.
+
+    `coef[i]` is the array of x^i coefficients (one entry per candidate;
+    all of one shape).  Hits of f, and for op/cpp of f - x / f + x, are
+    ORed into uint64 masks; the result is the boolean array of candidates
+    whose masks are all full.
+    """
+    q = field.q
+    check_hit_mask_order(q)
+    mul, add, sub = field.mul_t, field.add_t, field.sub_t
+    deg = len(coef) - 1
+    m1 = np.zeros(coef[deg].shape, dtype=np.uint64)
+    m2 = np.zeros_like(m1)
+    one = np.uint64(1)
+    for x in range(q):
+        mx = mul[:, x]
+        acc = coef[deg]
+        for i in range(deg - 1, -1, -1):
+            acc = add[mx[acc], coef[i]]
+        m1 |= one << acc.astype(np.uint64)
+        if prop == PROP_OP:
+            m2 |= one << sub[acc, x].astype(np.uint64)
+        elif prop == PROP_CPP:
+            m2 |= one << add[acc, x].astype(np.uint64)
+    full = np.uint64((1 << q) - 1)
+    ok = m1 == full
+    if prop != PROP_PP:
+        ok &= m2 == full
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -71,97 +71,21 @@ PROP_PP, PROP_OP, PROP_CPP = 0, 1, 2
 # constant term), and the top digit is lead - 1 with lead in [1, q).
 
 
-@njit(cache=True, nogil=True)
-def _census_scan_jit(q, deg, lo, prop, mul, add, sub, start, stop):
-    c = np.zeros(deg + 1, dtype=np.int64)
-    v = start
-    for k in range(lo, deg):
-        c[k] = v % q
-        v //= q
-    c[deg] = v + 1
-    seen1 = np.full(q, -1, dtype=np.int64)
-    seen2 = np.full(q, -1, dtype=np.int64)
-    count = 0
-    stamp = 0
-    n = stop - start
-    for _ in range(n):
-        ok = True
-        for x in range(q):
-            acc = c[deg]
-            for i in range(deg - 1, -1, -1):
-                acc = add[mul[acc, x], c[i]]
-            if seen1[acc] == stamp:
-                ok = False
-                break
-            seen1[acc] = stamp
-            if prop == 1:
-                w = sub[acc, x]
-                if seen2[w] == stamp:
-                    ok = False
-                    break
-                seen2[w] = stamp
-            elif prop == 2:
-                w = add[acc, x]
-                if seen2[w] == stamp:
-                    ok = False
-                    break
-                seen2[w] = stamp
-        if ok:
-            count += 1
-        stamp += 1
-        k = lo
-        while k < deg:
-            c[k] += 1
-            if c[k] < q:
-                break
-            c[k] = 0
-            k += 1
-        if k == deg:
-            c[deg] += 1
-    return count
-
-
-def _census_scan_np(q, deg, lo, prop, mul, add, sub, start, stop, chunk=1 << 15):
-    if q > 63:
-        raise ValueError("numpy census backend packs hits in uint64; needs q <= 63")
-    full = np.uint64((1 << q) - 1)
-    one = np.uint64(1)
+def census_scan(field, deg, canonical, prop, start, stop, chunk=1 << 15):
+    """Count property-satisfying candidates in [start, stop) of the odometer."""
+    q = field.q
+    lo = 1 if canonical else 0
     count = 0
     for s in range(start, stop, chunk):
-        e = min(s + chunk, stop)
-        idx = np.arange(s, e, dtype=np.int64)
+        idx = np.arange(s, min(s + chunk, stop), dtype=np.int64)
         coef = np.zeros((deg + 1, idx.size), dtype=np.int64)
         v = idx
         for k in range(lo, deg):
             coef[k] = v % q
             v = v // q
         coef[deg] = v + 1
-        m1 = np.zeros(idx.size, dtype=np.uint64)
-        m2 = np.zeros(idx.size, dtype=np.uint64)
-        for x in range(q):
-            mx = mul[:, x]
-            acc = coef[deg]
-            for i in range(deg - 1, -1, -1):
-                acc = add[mx[acc], coef[i]]
-            m1 |= one << acc.astype(np.uint64)
-            if prop == 1:
-                m2 |= one << sub[acc, x].astype(np.uint64)
-            elif prop == 2:
-                m2 |= one << add[acc, x].astype(np.uint64)
-        ok = m1 == full
-        if prop != 0:
-            ok &= m2 == full
-        count += int(np.count_nonzero(ok))
+        count += int(np.count_nonzero(_full_hits(field, coef, prop)))
     return count
-
-
-def census_scan(field, deg, canonical, prop, start, stop, backend=None):
-    """Count property-satisfying candidates in [start, stop) of the odometer."""
-    lo = 1 if canonical else 0
-    b = backend or BACKEND
-    fn = _census_scan_jit if b == "numba" else _census_scan_np
-    return int(fn(field.q, deg, lo, prop, field.mul_t, field.add_t,
-                  field.sub_t, start, stop))
 
 
 # ---------------------------------------------------------------------------
@@ -171,35 +95,9 @@ def census_scan(field, deg, canonical, prop, start, stop, backend=None):
 # grid marks exactly the orthomorphism pairs.)
 
 
-@njit(cache=True, nogil=True)
-def _op_pair_grid_jit(q, f, mul, add, sub):
-    out = np.zeros((q - 1, q - 1), dtype=np.uint8)
-    g = np.zeros(8, dtype=np.int64)
-    seen = np.full(q, -1, dtype=np.int64)
-    stamp = 0
-    for ai in range(1, q):
-        for bi in range(1, q):
-            bp = 1
-            for i in range(8):
-                g[i] = mul[mul[ai, f[i]], bp]
-                bp = mul[bp, bi]
-            g[1] = sub[g[1], 1]
-            ok = True
-            for x in range(q):
-                acc = g[7]
-                for i in range(6, -1, -1):
-                    acc = add[mul[acc, x], g[i]]
-                if seen[acc] == stamp:
-                    ok = False
-                    break
-                seen[acc] = stamp
-            if ok:
-                out[ai - 1, bi - 1] = 1
-            stamp += 1
-    return out
-
-
-def _op_pair_grid_np(q, f, mul, add, sub):
+def op_pair_grid(field, coeffs8):
+    q, mul = field.q, field.mul_t
+    f = np.asarray(coeffs8, dtype=np.int64)
     al = np.arange(1, q, dtype=np.int64)
     be = np.arange(1, q, dtype=np.int64)
     af = mul[al][:, f]  # (q-1, 8): alpha * f_i
@@ -207,74 +105,22 @@ def _op_pair_grid_np(q, f, mul, add, sub):
     for i in range(1, 8):
         bp[:, i] = mul[bp[:, i - 1], be]
     planes = [mul[af[:, i][:, None], bp[None, :, i]] for i in range(8)]
-    planes[1] = sub[planes[1], 1]
-    m = np.zeros((q - 1, q - 1), dtype=np.uint64)
-    one = np.uint64(1)
-    for x in range(q):
-        mx = mul[:, x]
-        acc = planes[7]
-        for i in range(6, -1, -1):
-            acc = add[mx[acc], planes[i]]
-        m |= one << acc.astype(np.uint64)
-    return (m == np.uint64((1 << q) - 1)).astype(np.uint8)
-
-
-def op_pair_grid(field, coeffs8, backend=None):
-    f = np.asarray(coeffs8, dtype=np.int64)
-    b = backend or BACKEND
-    fn = _op_pair_grid_jit if b == "numba" else _op_pair_grid_np
-    return fn(field.q, f, field.mul_t, field.add_t, field.sub_t)
+    planes[1] = field.sub_t[planes[1], 1]
+    return _full_hits(field, planes).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
-# Batched direct permutation test (degree-7 coefficient rows).
+# Batched direct permutation test (coefficient rows, ascending).
 
 
-@njit(cache=True, nogil=True)
-def _pp_batch_jit(q, C, mul, add):
-    n = C.shape[0]
-    deg = C.shape[1] - 1
-    out = np.zeros(n, dtype=np.uint8)
-    seen = np.full(q, -1, dtype=np.int64)
-    for r in range(n):
-        ok = True
-        for x in range(q):
-            acc = C[r, deg]
-            for i in range(deg - 1, -1, -1):
-                acc = add[mul[acc, x], C[r, i]]
-            if seen[acc] == r:
-                ok = False
-                break
-            seen[acc] = r
-        if ok:
-            out[r] = 1
-    return out
-
-
-def _pp_batch_np(q, C, mul, add):
-    deg = C.shape[1] - 1
-    m = np.zeros(C.shape[0], dtype=np.uint64)
-    one = np.uint64(1)
-    for x in range(q):
-        mx = mul[:, x]
-        acc = C[:, deg]
-        for i in range(deg - 1, -1, -1):
-            acc = add[mx[acc], C[:, i]]
-        m |= one << acc.astype(np.uint64)
-    return (m == np.uint64((1 << q) - 1)).astype(np.uint8)
-
-
-def pp_batch(field, coeff_rows, backend=None):
+def pp_batch(field, coeff_rows):
     """Direct bijection check for each coefficient row (ascending)."""
-    C = np.ascontiguousarray(np.asarray(coeff_rows, dtype=np.int64))
-    b = backend or BACKEND
-    fn = _pp_batch_jit if b == "numba" else _pp_batch_np
-    return fn(field.q, C, field.mul_t, field.add_t)
+    C = np.asarray(coeff_rows, dtype=np.int64)
+    return _full_hits(field, C.T).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
-# Batched classification-route membership.  Array code shared by both
-# backends (it is gather-bound, not loop-bound).  Given degree-7 rows it
+# Batched classification-route membership.  Given degree-7 rows it
 # reduces each to the canonical-candidate scan and reports whether any
 # candidate hits the field's class-table codes.
 #

@@ -106,12 +106,11 @@ def _dedup(field: Field, f: Poly, pair_iter) -> tuple[tuple, tuple]:
     return pairs, tuple(sig_by_pair[p] for p in pairs)
 
 
-def search_pairs_direct(field: Field, family: FamilyEntry,
-                        backend: str | None = None) -> PairSearchResult:
+def search_pairs_direct(field: Field, family: FamilyEntry) -> PairSearchResult:
     """All deduplicated (alpha, beta) with alpha*f(beta*x) an orthomorphism,
     by direct evaluation of alpha*f(beta*x) - x over the field."""
     f = family.poly(field)
-    grid = kernels.op_pair_grid(field, f.coeffs, backend=backend)
+    grid = kernels.op_pair_grid(field, f.coeffs)
     q = field.q
     hits = ((a, b) for a in range(1, q) for b in range(1, q)
             if grid[a - 1, b - 1])
@@ -285,15 +284,14 @@ class EnumerationReport:
         }
 
 
-def count_ops(q: int, method: str = "direct",
-              backend: str | None = None) -> EnumerationReport:
+def count_ops(q: int, method: str = "direct") -> EnumerationReport:
     """Per-family pair sets and the derived totals for one field order."""
     field = field_for(q)
     table = table_for(q)
     per = []
     for entry in table.entries:
         if method == "direct":
-            per.append(search_pairs_direct(field, entry, backend=backend))
+            per.append(search_pairs_direct(field, entry))
         elif method == "table":
             per.append(search_pairs_table_based(field, entry))
         else:
@@ -302,8 +300,8 @@ def count_ops(q: int, method: str = "direct",
     return EnumerationReport(q, per, notes)
 
 
-def enumerate_ops(q: int, report: EnumerationReport | None = None,
-                  backend: str | None = None) -> Iterator[Poly]:
+def enumerate_ops(q: int,
+                  report: EnumerationReport | None = None) -> Iterator[Poly]:
     """Stream the degree-7 orthomorphisms over F_q: for each family, each
     deduplicated pair, each shift (gamma, delta) in F_q^2, the expanded
     alpha*f(beta*(x+gamma)) + delta.  The stream length equals op_total.
@@ -315,7 +313,7 @@ def enumerate_ops(q: int, report: EnumerationReport | None = None,
     q times (see FIELD_NOTES[49])."""
     field = field_for(q)
     if report is None:
-        report = count_ops(q, backend=backend)
+        report = count_ops(q)
     for res in report.per_family:
         for sig in res.signatures:
             for row in _shift_rows(field, sig).tolist():
@@ -332,8 +330,7 @@ def _shift_rows(field: Field, sig) -> np.ndarray:
     return rows
 
 
-def verify_nonexistence(q: int, backend: str | None = None,
-                        budget: int = 10**9) -> bool:
+def verify_nonexistence(q: int, budget: int = 10**9) -> bool:
     """True iff the pair search over the applicable families comes up
     empty.  Applies to the table orders {23, 27, 31} and to any
     q = 6 (mod 7) outside {13, 27}, where the only class is x^7."""
@@ -351,7 +348,7 @@ def verify_nonexistence(q: int, backend: str | None = None,
     if (q - 1) ** 2 * q > budget:
         raise BudgetExceeded(f"pair grid for q={q} exceeds budget {budget}")
     return all(
-        search_pairs_direct(field, e, backend=backend).pair_count == 0
+        search_pairs_direct(field, e).pair_count == 0
         for e in entries)
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import BudgetExceeded, UnsupportedOrder
+from .errors import BudgetExceeded, InvalidArgument
 from .field import Field
 from .poly import Poly, eval_poly
 
@@ -79,9 +79,9 @@ class CensusQuery:
 
     def __post_init__(self):
         if self.degree < 1:
-            raise ValueError("census degree must be >= 1")
+            raise InvalidArgument("census degree must be >= 1")
         if self.property not in _PROP_CODES:
-            raise ValueError(f"unknown property {self.property!r}")
+            raise InvalidArgument(f"unknown property {self.property!r}")
 
     def space(self) -> int:
         """Candidate count: (q-1)*q^(degree-1) restricted to zero constant
@@ -95,16 +95,15 @@ class CensusQuery:
 DEFAULT_BUDGET = 10**9
 
 
-def census(query: CensusQuery, workers: int = 1, budget: int = DEFAULT_BUDGET,
-           backend: str | None = None) -> int:
+def census(query: CensusQuery, workers: int = 1,
+           budget: int = DEFAULT_BUDGET) -> int:
     """Exact count of degree-`degree` polynomials with the property.
 
     Deterministic for fixed inputs regardless of `workers`: the candidate
     range is split into contiguous shards whose counts are summed.
     """
-    if (backend or kernels.BACKEND) == "numpy" and query.field.q > 63:
-        raise UnsupportedOrder(f"the numpy census packs hits in uint64 and "
-                               f"needs q <= 63, got q={query.field.q}")
+    # before the budget: no budget lets the kernels scan this order
+    kernels.check_hit_mask_order(query.field.q)
     total = query.space()
     if total > budget:
         raise BudgetExceeded(
@@ -114,8 +113,7 @@ def census(query: CensusQuery, workers: int = 1, budget: int = DEFAULT_BUDGET,
 
     def run(start: int, stop: int) -> int:
         return kernels.census_scan(query.field, query.degree,
-                                   query.canonical_only, prop, start, stop,
-                                   backend=backend)
+                                   query.canonical_only, prop, start, stop)
 
     if workers <= 1 or total < 1 << 16:
         return run(0, total)

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings, strategies as st
 
 from ortho7.cli import main
 
@@ -42,11 +46,11 @@ def test_cmd_pairs_both_methods(capsys):
 
 
 def test_cmd_enumerate_count_only(capsys):
-    code, out, _ = run(capsys, "enumerate", "--q", "13", "--count-only")
+    code, out, _ = run(capsys, "enumerate", "--q", "13")
     assert code == 0 and "op_total=6422" in out
-    code, out, _ = run(capsys, "enumerate", "--q", "25", "--count-only")
+    code, out, _ = run(capsys, "enumerate", "--q", "25")
     assert code == 0 and "op_total=60000" in out
-    code, out, _ = run(capsys, "enumerate", "--q", "23", "--count-only")
+    code, out, _ = run(capsys, "enumerate", "--q", "23")
     assert code == 0 and "op_total=0" in out
 
 
@@ -73,8 +77,8 @@ def test_census_budget_message(capsys):
 
 
 def test_json_and_text_numeric_agreement(capsys):
-    code, text_out, _ = run(capsys, "enumerate", "--q", "13", "--count-only")
-    code2, json_out, _ = run(capsys, "enumerate", "--q", "13", "--count-only",
+    code, text_out, _ = run(capsys, "enumerate", "--q", "13")
+    code2, json_out, _ = run(capsys, "enumerate", "--q", "13",
                              "--format", "json")
     assert code == code2 == 0
     payload = json.loads(json_out)
@@ -146,9 +150,80 @@ def test_unknown_order_is_unsupported(capsys):
     assert "order 9" in _usage_error(capsys, "pairs", "--q", "9")
 
 
-def test_census_order_above_hit_mask(capsys, monkeypatch):
-    from ortho7 import kernels
-
-    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+def test_census_order_above_hit_mask(capsys):
+    assert "q <= 63" in _usage_error(capsys, "census", "--q", "67")
     assert "q <= 63" in _usage_error(capsys, "census", "--q", "67",
                                      "--budget", str(10**15))
+
+
+def test_two_element_field(capsys):
+    code, out, _ = run(capsys, "test", "--q", "2", "x")
+    assert code == 0 and "pp = True" in out
+
+
+def test_bad_field_spec_is_a_usage_error(capsys):
+    assert "r=0" in _usage_error(capsys, "test", "--p", "5", "--r", "0", "x")
+    assert "monic" in _usage_error(capsys, "test", "--p", "5", "--r", "2",
+                                   "--modulus", "1,2", "x")
+    assert "--modulus" in _usage_error(capsys, "test", "--p", "5", "--r", "2",
+                                       "--modulus", "a,b", "x")
+
+
+def test_census_degree_zero_is_a_usage_error(capsys):
+    assert "degree" in _usage_error(capsys, "census", "--q", "13",
+                                    "--degree", "0")
+
+
+# argv fuzzing: cheap orders only, a census budget on every census (the
+# default budget admits minute-long scans) and a --field on every verify
+# (the full battery takes seconds); --out and --emit are left out so that
+# no example writes files.
+_FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
+    ["--p", "5", "--r", "2", "--modulus", "2,4,1"], ["--p", "13"],
+    # malformed selections
+    ["--q", "9"], ["--q", "-3"], ["--p", "4"], ["--r", "2"], [],
+    ["--p", "5", "--r", "0"], ["--p", "5", "--r", "2", "--modulus", "1,2"],
+    ["--p", "5", "--r", "2", "--modulus", "a,b"], ["--q", "13", "--p", "13"]]
+_POLYS = ["x", "x^7+2x", "3x^7+7x", "x^7+6x", "x^7", "x^3", "0", "1",
+          "0,2,0,0,0,0,0,1", "1,2,3", "x^^oops", "2t", ""]
+_COMMON = [["--format", v] for v in ("text", "json", "csv")] + [
+    ["--workers", v] for v in ("0", "1", "2")]
+_FLAGS = {
+    "test": [["--property", v] for v in ("pp", "op", "cpp", "no")],
+    "classify": [],
+    "pairs": [["--family", v] for v in ("-1", "0", "1", "3", "99")] + [
+        ["--method", v] for v in ("direct", "table", "both")] + [["--all"]],
+    "enumerate": [],
+    "census": [["--degree", v] for v in ("0", "1", "2", "7")] + [
+        ["--property", v] for v in ("pp", "op", "cpp")] + [["--canonical"]],
+    "verify": [["--audit-n", v] for v in ("0", "5")] + [["--deep"]],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command] + draw(st.sampled_from(_FIELDS))
+    if command in ("test", "classify"):
+        argv.append(draw(st.sampled_from(_POLYS)))
+    for flag in draw(st.lists(st.sampled_from(_FLAGS[command] + _COMMON),
+                              max_size=4)):
+        argv += flag
+    if command == "census":
+        argv += ["--budget", draw(st.sampled_from(["0", "100", "20000"]))]
+    if command == "verify":
+        argv += ["--field", draw(st.sampled_from(["13", "23", "29", "83"]))]
+    if draw(st.integers(0, 9)) == 0:  # an argparse-level usage error
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "nope", "--q"])))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+def test_cli_exit_codes_on_generated_argv(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

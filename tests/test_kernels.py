@@ -1,31 +1,17 @@
-"""Kernel tests: the numpy kernels against scalar references, and backend
-equivalence (the numba kernels and the numpy fallbacks must produce
-identical results on identical inputs; those comparisons skip when numba
-is not importable)."""
+"""Kernel tests: the numpy kernels against the scalar references in
+ortho7.perm and ortho7.poly on identical inputs, and the uint64 hit-mask
+order guard."""
 
 import numpy as np
 import pytest
 
 from ortho7 import kernels
+from ortho7.errors import UnsupportedOrder
+from ortho7.families import audit_random, table_codes, table_for
 from ortho7.field import field_for
-from ortho7.families import table_codes, table_for
-from ortho7.perm import CensusQuery, census
+from ortho7.pairs import verify_nonexistence
+from ortho7.perm import CensusQuery, is_orthomorphism, is_permutation
 from ortho7.poly import LinearTransform, Poly, apply_transform
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba unavailable; nothing to compare")
-
-
-@needs_numba
-def test_census_backend_equivalence():
-    for q, deg in ((5, 3), (8, 3), (11, 2), (25, 2)):
-        fld = field_for(q) if q != 5 else field_for(11)
-        for prop in ("pp", "op", "cpp"):
-            for canonical in (False, True):
-                query = CensusQuery(fld, deg, canonical, prop)
-                a = census(query, backend="numba")
-                b = census(query, backend="numpy")
-                assert a == b, (q, deg, prop, canonical)
 
 
 def test_census_range_sharding_consistency():
@@ -38,39 +24,36 @@ def test_census_range_sharding_consistency():
     assert whole == split
 
 
-@needs_numba
 @pytest.mark.parametrize("q", [11, 13, 25, 49])
-def test_op_pair_grid_equivalence(q):
+def test_op_pair_grid_agrees_with_scalar_check(q):
     fld = field_for(q)
+    mul = fld.mul
     for e in table_for(q).entries[:3]:
         f = e.poly(fld).coeffs
-        a = kernels.op_pair_grid(fld, f, backend="numba")
-        b = kernels.op_pair_grid(fld, f, backend="numpy")
-        assert np.array_equal(a, b)
+        grid = kernels.op_pair_grid(fld, f)
+        assert grid.shape == (q - 1, q - 1)
+        for a in range(1, q):
+            for b in range(1, q):
+                # alpha * f(beta x): coefficient i is alpha * f_i * beta^i
+                g = Poly(fld, tuple(mul(mul(a, c), fld.pow(b, i))
+                                    for i, c in enumerate(f)))
+                assert bool(grid[a - 1, b - 1]) == is_orthomorphism(g), (e, a, b)
 
 
-@needs_numba
-def test_pp_batch_equivalence():
+def test_pp_batch_agrees_with_scalar_check():
     rng = np.random.default_rng(5)
     for q in (13, 27, 49):
         fld = field_for(q)
         C = rng.integers(0, q, size=(500, 8), dtype=np.int64)
         C[:, 7] = rng.integers(1, q, size=500)
-        a = kernels.pp_batch(fld, C, backend="numba")
-        b = kernels.pp_batch(fld, C, backend="numpy")
-        assert np.array_equal(a, b)
-
-
-def test_pp_batch_agrees_with_scalar_check():
-    from ortho7.perm import is_permutation
-
-    rng = np.random.default_rng(6)
-    fld = field_for(13)
-    C = rng.integers(0, 13, size=(200, 8), dtype=np.int64)
-    C[:, 7] = rng.integers(1, 13, size=200)
-    bits = kernels.pp_batch(fld, C)
-    for row, bit in zip(C, bits):
-        assert bool(bit) == is_permutation(Poly(fld, tuple(int(v) for v in row)))
+        # random rows are almost never permutations; the class
+        # representatives are
+        C = np.vstack([C, [e.poly(fld).coeffs for e in table_for(q).entries]])
+        bits = kernels.pp_batch(fld, C)
+        assert bits[500:].all()
+        for row, bit in zip(C, bits):
+            want = is_permutation(Poly(fld, tuple(int(v) for v in row)))
+            assert bool(bit) == want, (q, row)
 
 
 def test_table_member_batch_matches_lookup(f13):
@@ -85,17 +68,22 @@ def test_table_member_batch_matches_lookup(f13):
         assert bool(m) == want
 
 
-def test_backend_selection_env(monkeypatch):
-    monkeypatch.setenv("ORTHO7_BACKEND", "numpy")
-    assert kernels._pick_backend() == "numpy"
-    monkeypatch.setenv("ORTHO7_BACKEND", "auto")
-    assert kernels._pick_backend() in ("numba", "numpy")
-
-
-def test_numpy_census_rejects_large_q():
-    # the uint64 hit mask caps the fallback at q <= 63
-    with pytest.raises(ValueError):
-        kernels._census_scan_np(64, 2, 0, 0, None, None, None, 0, 10)
+@pytest.mark.parametrize("q", [67, 83])
+def test_kernels_reject_orders_above_hit_mask(q):
+    # one uint64 holds the evaluation hits, so every kernel needs q <= 63
+    fld = field_for(q)
+    x7 = [0, 0, 0, 0, 0, 0, 0, 1]
+    with pytest.raises(UnsupportedOrder, match="q <= 63"):
+        kernels.census_scan(fld, 2, False, kernels.PROP_OP, 0, 10)
+    with pytest.raises(UnsupportedOrder, match="q <= 63"):
+        kernels.op_pair_grid(fld, x7)
+    with pytest.raises(UnsupportedOrder, match="q <= 63"):
+        kernels.pp_batch(fld, [x7])
+    with pytest.raises(UnsupportedOrder, match="q <= 63"):
+        audit_random(fld, 10)
+    if q % 7 == 6:  # an order the nonexistence result covers
+        with pytest.raises(UnsupportedOrder, match="q <= 63"):
+            verify_nonexistence(q)
 
 
 @pytest.mark.parametrize("q", [13, 25, 49])

@@ -68,7 +68,8 @@ def _brute_census(fld, deg, canonical, prop):
     return count
 
 
-@pytest.mark.parametrize("q,deg", [(5, 3), (8, 2), (11, 2)])
+@pytest.mark.parametrize("q,deg", [(5, 3), (8, 2), (11, 2), (8, 3), (11, 3),
+                                   (25, 2)])
 @pytest.mark.parametrize("prop", ["pp", "op", "cpp"])
 @pytest.mark.parametrize("canonical", [False, True])
 def test_census_against_bruteforce(q, deg, prop, canonical, f5):
@@ -105,9 +106,5 @@ def test_census_space_formula(f11):
 
 def test_full_even_characteristic_census_is_zero():
     # no degree-7 orthomorphisms over F_8, full coefficient space
-    from ortho7 import kernels
-
-    if kernels.BACKEND != "numba":
-        pytest.skip("14.7M-candidate sweep is sized for the jit backend")
     f8 = field_for(8)
     assert census(CensusQuery(f8, 7, False, "op"), workers=2) == 0
