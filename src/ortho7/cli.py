@@ -16,9 +16,9 @@ import sys
 import time
 
 from . import __version__, verify as verify_mod
-from .canon import canonicalize, solve_linear_relation
+from .canon import canonicalize
 from .errors import Ortho7Error, ParseError, UnsupportedOrder
-from .families import is_pp_by_table, table_for
+from .families import image_witness, is_pp_by_table, table_for
 from .field import FieldSpec, build_field, field_for
 from .pairs import (
     count_ops,
@@ -93,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", type=int,
                     help="restrict the totals check to one order")
     sp.add_argument("--deep", action="store_true",
-                    help="include census tiers q=8,11,13")
-    sp.add_argument("--deeper", action="store_true",
-                    help="census tiers incl. q=17 (hundreds of seconds)")
+                    help="add the canonical census for q=8,11,13,17,19 "
+                         "(about 40 s on 2 workers)")
     sp.add_argument("--audit-n", type=int, default=100_000)
     add_common(sp)
     return p
@@ -188,22 +187,16 @@ def cmd_classify(args) -> int:
         cf, t = canonicalize(f)
         tup = [field.format_element(c) for c in cf.tuple5]
         results["canonical_tuple"] = tup
-        results["transform"] = [field.format_element(v) for v in t.as_tuple()]
         lines.append(f"canonical form: ({', '.join(tup)})  [t-index {cf.t_index}]")
-        lines.append("witnessing transform (a, b, c, d): "
-                     f"({', '.join(results['transform'])})")
     else:
         results["canonical_tuple"] = None
-        lines.append("characteristic 7: classification by linear-relation "
-                     "search against the class table")
-        if entry is not None:
-            # same direction as canonicalize: transform sending the input
-            # polynomial onto the stored class representative
-            witness = solve_linear_relation(entry.poly(field), f)[0]
-            results["transform"] = [field.format_element(v)
-                                    for v in witness.as_tuple()]
-            lines.append("witnessing transform (a, b, c, d): "
-                         f"({', '.join(results['transform'])})")
+        lines.append("characteristic 7: classification by the class-image "
+                     "index of the table")
+        t = image_witness(f) if entry is not None else None
+    if t is not None:
+        results["transform"] = [field.format_element(v) for v in t.as_tuple()]
+        lines.append("witnessing transform (a, b, c, d): "
+                     f"({', '.join(results['transform'])})")
     if entry is None:
         results["family"] = None
         lines.append("not a permutation polynomial")
@@ -351,8 +344,8 @@ def cmd_verify(args) -> int:
               [[q, got, want, "pass" if ok else "fail"]])
         return 0 if ok else 1
 
-    results = verify_mod.run_suite(deep=args.deep, deeper=args.deeper,
-                                   workers=args.workers, audit_n=args.audit_n)
+    results = verify_mod.run_suite(deep=args.deep, workers=args.workers,
+                                   audit_n=args.audit_n)
     ok = all(r.ok for r in results)
     payload = {"q": None, "command": "verify",
                "results": [{"name": r.name, "ok": r.ok, "detail": r.detail,

@@ -38,7 +38,7 @@ from . import kernels
 from .canon import canonicalize, criteria_check_tuple
 from .errors import DegreeMismatch, UnsupportedOrder
 from .field import Field, field_for
-from .poly import Poly
+from .poly import LinearTransform, Poly, eval_poly
 from .perm import is_permutation
 
 EXPECTED_COUNTS = {
@@ -190,24 +190,26 @@ def table_codes(q: int) -> np.ndarray:
     return _CODE_CACHE[q]
 
 
-def class_images(field: Field, entries) -> tuple[np.ndarray, np.ndarray]:
+def class_images(field: Field, entries):
     """Normalised codes of the images e(bx+c), (b, c) in F_q* x F_q, of
     each entry (deduplicated per entry, sorted by code) with the entry's
-    ordinal per code.  They are the codes of the monic zero-constant
+    ordinal and first (b, c) per code: the codes of the monic zero-constant
     members of each class, since a and d of a*e(bx+c)+d are forced."""
     q = field.q
     bs = np.repeat(np.arange(1, q, dtype=np.int64), q)
     cs = np.tile(np.arange(q, dtype=np.int64), q - 1)
-    all_codes, all_ords = [], []
+    all_codes, all_ords, all_shifts = [], [], []
     for e in entries:
         rows = kernels.expand_shifts(field, e.coeff_row(), bs, cs)
-        codes = np.unique(kernels.normalized_code_batch(field, rows))
+        codes, first = np.unique(kernels.normalized_code_batch(field, rows),
+                                 return_index=True)
         all_codes.append(codes)
         all_ords.append(np.full(len(codes), e.ordinal, dtype=np.int64))
+        all_shifts.append(np.stack([bs[first], cs[first]], axis=1))
     codes = np.concatenate(all_codes)
-    ords = np.concatenate(all_ords)
     order = np.argsort(codes, kind="stable")
-    return codes[order], ords[order]
+    return (codes[order], np.concatenate(all_ords)[order],
+            np.concatenate(all_shifts)[order])
 
 
 def image_overlap(codes: np.ndarray, ords: np.ndarray) -> tuple[int, int] | None:
@@ -219,20 +221,34 @@ def image_overlap(codes: np.ndarray, ords: np.ndarray) -> tuple[int, int] | None
     return int(ords[dup[0]]), int(ords[dup[0] + 1])
 
 
-def image_codes(q: int) -> tuple[np.ndarray, np.ndarray]:
+def image_codes(q: int):
     """The class-image index of one table order: `class_images` of every
     entry, cached.  Any table order works; the characteristic-7 lookups
     use it because canonical forms are unavailable there.  Classes are
     disjoint, which is asserted during the build."""
     if q in _IMAGE_CACHE:
         return _IMAGE_CACHE[q]
-    codes, ords = class_images(field_for(q), table_for(q).entries)
-    overlap = image_overlap(codes, ords)
+    index = class_images(field_for(q), table_for(q).entries)
+    overlap = image_overlap(*index[:2])
     if overlap is not None:
         raise ValueError(f"q={q} class images of entries {overlap[0]} and "
                          f"{overlap[1]} overlap; table is inconsistent")
-    _IMAGE_CACHE[q] = (codes, ords)
-    return _IMAGE_CACHE[q]
+    _IMAGE_CACHE[q] = index
+    return index
+
+
+def image_witness(h: Poly) -> LinearTransform:
+    """A t with apply_transform(h, t) the class entry e matched for h (which
+    must be in a class): the index holds a (b, c) with e(bx+c) = u*h + v,
+    so e = u*h((x-c)/b) + v, with u and v forced by the x^7 and x^0 terms."""
+    fld = h.field
+    codes, ords, shifts = image_codes(fld.q)
+    pos = int(np.searchsorted(codes, kernels.normalized_code_batch(fld, h.coeffs)))
+    e = table_for(fld.q).entries[int(ords[pos]) - 1].poly(fld)
+    b, c = (int(v) for v in shifts[pos])
+    u = fld.mul(fld.mul(e.coeff(7), fld.pow(b, 7)), fld.inv(h.coeff(7)))
+    return LinearTransform(u, fld.inv(b), fld.neg(fld.mul(c, fld.inv(b))),
+                           fld.sub(eval_poly(e, c), fld.mul(u, h.coeff(0))))
 
 
 def _x7_rule_entry(q: int) -> FamilyEntry:
@@ -252,7 +268,7 @@ def is_pp_by_table(h: Poly) -> FamilyEntry | None:
     tables = load_family_tables()
     if q in tables:
         if field.p == 7:
-            codes, ords = image_codes(q)
+            codes, ords, _ = image_codes(q)
             code = kernels.normalized_code_batch(field, h.coeffs)
             pos = min(int(np.searchsorted(codes, code)), len(codes) - 1)
             hit = codes[pos] == code

@@ -3,10 +3,10 @@ shift expansion.
 
 Vectorised numpy throughout.  All kernels operate on the integer element
 encoding and take the field's add/sub/mul tables as arrays, so they are
-field-agnostic.  The three evaluating kernels (census, pair grid,
-pp_batch) share one Horner loop that packs the evaluation hits of each
-candidate into one uint64, and therefore require q <= 63; that covers
-every supported order.
+field-agnostic.  The evaluating kernels pack each candidate's hits into
+one integer of at most 64 bits, so they require q <= 63 (every supported
+order).  The pair grid and pp_batch share a Horner loop; the census
+evaluates low and high coefficient blocks once each (meet in the middle).
 
 Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
 2 = complete mapping (f and f+x).
@@ -29,37 +29,26 @@ def check_hit_mask_order(q: int) -> None:
                                f"and need q <= 63, got q={q}")
 
 
-def _full_hits(field, coef, prop=PROP_PP):
-    """Evaluate polynomials at every x of the field and report which have
-    the property `prop`.
+def _full_hits(field, coef):
+    """Evaluate polynomials at every x of the field by Horner and report
+    which are permutations.
 
     `coef[i]` is the array of x^i coefficients (one entry per candidate;
-    all of one shape).  Hits of f, and for op/cpp of f - x / f + x, are
-    ORed into uint64 masks; the result is the boolean array of candidates
-    whose masks are all full.
+    all of one shape).  The hits of each candidate are ORed into a uint64
+    mask; the result is the boolean array of candidates whose mask is full.
     """
     q = field.q
     check_hit_mask_order(q)
-    mul, add, sub = field.mul_t, field.add_t, field.sub_t
+    mul, add = field.mul_t, field.add_t
     deg = len(coef) - 1
-    m1 = np.zeros(coef[deg].shape, dtype=np.uint64)
-    m2 = np.zeros_like(m1)
-    one = np.uint64(1)
+    mask = np.zeros(coef[deg].shape, dtype=np.uint64)
     for x in range(q):
         mx = mul[:, x]
         acc = coef[deg]
         for i in range(deg - 1, -1, -1):
             acc = add[mx[acc], coef[i]]
-        m1 |= one << acc.astype(np.uint64)
-        if prop == PROP_OP:
-            m2 |= one << sub[acc, x].astype(np.uint64)
-        elif prop == PROP_CPP:
-            m2 |= one << add[acc, x].astype(np.uint64)
-    full = np.uint64((1 << q) - 1)
-    ok = m1 == full
-    if prop != PROP_PP:
-        ok &= m2 == full
-    return ok
+        mask |= np.uint64(1) << acc.astype(np.uint64)
+    return mask == np.uint64((1 << q) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -69,22 +58,57 @@ def _full_hits(field, coef, prop=PROP_PP):
 # coefficient, so ranges shard cleanly): the low `deg - lo` base-q digits
 # are the coefficients c[lo..deg-1] (lo = 1 when restricted to zero
 # constant term), and the top digit is lead - 1 with lead in [1, q).
+#
+# Meet in the middle: the lowest three digits form the low block L (it holds
+# the x^1 coefficient), the others the high block H, and f = L + H.  L's
+# values at every x are built once per call, H's once per step, and each
+# (candidate, x) costs one gather of 1 << (L(x) + H(x)) and one OR.  f -/+ x
+# differs from f only in its x^1 digit: its mask is a low-block sibling's.
 
 
-def census_scan(field, deg, canonical, prop, start, stop, chunk=1 << 15):
+def _digit_values(field, idx, digits):
+    """Values at every x, shape (q, len(idx)), of the sum of (d + off) * x^e
+    over the mixed-radix digits d of idx; digits = [(e, radix, off), ...]."""
+    val = np.zeros((field.q, idx.size), dtype=np.int64)
+    for e, radix, off in digits:
+        xe = np.array([field.pow(x, e) for x in range(field.q)])
+        val = field.add_t[val, field.mul_t[xe[:, None], idx % radix + off]]
+        idx = idx // radix
+    return val
+
+
+def census_scan(field, deg, canonical, prop, start, stop):
     """Count property-satisfying candidates in [start, stop) of the odometer."""
     q = field.q
+    check_hit_mask_order(q)
     lo = 1 if canonical else 0
+    digits = [(e, q, 0) for e in range(lo, deg)] + [(deg, q - 1, 1)]
+    nl = int(np.prod([radix for _, radix, _ in digits[:3]]))
+    L = _digit_values(field, np.arange(nl), digits[:3])
+    # the sibling has x^1 digit c1 -/+ 1; it is missing when x^1 is the lead
+    # (deg = 1) and that is 0, for then f -/+ x is constant
+    stride, (_, r1, o1) = q ** (1 - lo), digits[1 - lo]
+    c1 = np.arange(nl) // stride % r1 + o1
+    c1s = (field.sub_t if prop == PROP_OP else field.add_t)[c1, 1]
+    valid = c1s >= o1
+    sigma = np.arange(nl) + np.where(valid, c1s - c1, 0) * stride
+    # the smallest unsigned type that holds q hit bits: less memory traffic
+    bits = (1 << field.add_t).astype(np.min_scalar_type((1 << q) - 1))
+    # about 64k candidates per step bound the working set
+    nh, h_stop = max(1, (1 << 16) // nl), -(-stop // nl)
     count = 0
-    for s in range(start, stop, chunk):
-        idx = np.arange(s, min(s + chunk, stop), dtype=np.int64)
-        coef = np.zeros((deg + 1, idx.size), dtype=np.int64)
-        v = idx
-        for k in range(lo, deg):
-            coef[k] = v % q
-            v = v // q
-        coef[deg] = v + 1
-        count += int(np.count_nonzero(_full_hits(field, coef, prop)))
+    for h0 in range(start // nl, h_stop, nh):
+        H = _digit_values(field, np.arange(h0, min(h0 + nh, h_stop)), digits[3:])
+        mask = np.zeros((H.shape[1], nl), dtype=bits.dtype)
+        hits = np.empty_like(mask)
+        for x in range(q):
+            np.take(bits[H[x]], L[x], axis=1, out=hits)
+            mask |= hits
+        ok = mask == (1 << q) - 1
+        if prop != PROP_PP:
+            ok &= ok[:, sigma] & valid
+        base = h0 * nl  # a shard that cuts a block counts only its slice
+        count += int(np.count_nonzero(ok.ravel()[max(start - base, 0):stop - base]))
     return count
 
 

@@ -207,7 +207,7 @@ def _search_pairs_by_images(field: Field, family: FamilyEntry,
     """Characteristic-7 table route: alpha*f(beta*x) - x is a permutation
     polynomial iff its monic zero-constant reduction is one of the
     precomputed entry images (c != 0 substitutions included)."""
-    codes, ords = image_codes(field.q)
+    codes, ords, _ = image_codes(field.q)
     f = family.poly(field)
     # coefficient planes of h = alpha*f(beta x) - x over (F_q*)^2
     planes = _pair_planes(field, f.coeffs)

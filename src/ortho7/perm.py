@@ -4,8 +4,8 @@ The census is the independent oracle for everything the classification
 machinery produces: it iterates the full coefficient space of a degree
 (an odometer with the constant coefficient fastest, so index ranges can
 be sharded across workers) and counts polynomials whose evaluation map
-has the requested property.  Totals are sums over shards, hence
-independent of the worker count.
+has the requested property (by meet in the middle, `kernels.census_scan`).
+Totals are sums over shards, hence independent of the worker count.
 """
 
 from __future__ import annotations

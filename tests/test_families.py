@@ -21,6 +21,7 @@ from ortho7.families import (
     audit_support,
     class_images,
     image_codes,
+    image_witness,
     is_pp_by_table,
     load_family_tables,
     serialize_family_tables,
@@ -167,7 +168,7 @@ def test_non_redundancy_flags_planted_related_pair(monkeypatch):
 
 def test_image_codes_cover_every_order_and_reject_overlap(monkeypatch):
     for q in sorted(EXPECTED_COUNTS):
-        codes, ords = image_codes(q)
+        codes, ords, _ = image_codes(q)
         assert np.all(codes[1:] > codes[:-1])
         assert set(ords.tolist()) == {e.ordinal for e in table_for(q).entries}
     fld = field_for(13)
@@ -178,6 +179,22 @@ def test_image_codes_cover_every_order_and_reject_overlap(monkeypatch):
     monkeypatch.setattr(families, "table_for", lambda q: planted)
     with pytest.raises(ValueError, match="overlap"):
         image_codes(13)
+
+
+def test_image_witness_maps_related_polynomials_onto_their_entry():
+    fld = field_for(49)
+    rng = np.random.default_rng(49)
+    for entry in table_for(49).entries:
+        e = entry.poly(fld)
+        for _ in range(4):
+            a, b = (int(v) for v in rng.integers(1, 49, 2))
+            c, d = (int(v) for v in rng.integers(0, 49, 2))
+            f = apply_transform(e, LinearTransform(a, b, c, d))
+            assert is_pp_by_table(f) == entry
+            witness = image_witness(f)
+            assert apply_transform(f, witness) == e
+    # the scalar reference search finds the same transform among its own
+    assert witness in solve_linear_relation(e, f)
 
 
 def test_x7_rule_orders():

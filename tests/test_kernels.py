@@ -7,9 +7,9 @@ import pytest
 
 from ortho7 import kernels
 from ortho7.errors import UnsupportedOrder
-from ortho7.families import audit_random, table_codes, table_for
+from ortho7.families import EXPECTED_COUNTS, audit_random, table_codes, table_for
 from ortho7.field import field_for
-from ortho7.pairs import verify_nonexistence
+from ortho7.pairs import search_pairs_direct, verify_nonexistence
 from ortho7.perm import CensusQuery, is_orthomorphism, is_permutation
 from ortho7.poly import LinearTransform, Poly, apply_transform
 
@@ -22,6 +22,76 @@ def test_census_range_sharding_consistency():
                                     min(s + 997, total))
                 for s in range(0, total, 997))
     assert whole == split
+
+
+def _odometer_rows(fld, deg, canonical, start, stop):
+    """Ascending coefficient rows of candidates [start, stop) in the census
+    index layout: base-q digits c[lo..deg-1], then lead - 1."""
+    idx = np.arange(start, stop)
+    rows = np.zeros((idx.size, deg + 1), dtype=np.int64)
+    for i in range(int(canonical), deg):
+        rows[:, i], idx = idx % fld.q, idx // fld.q
+    rows[:, deg] = idx + 1
+    return rows
+
+
+def _odometer_index(fld, row, canonical):
+    lo, deg = int(canonical), len(row) - 1
+    return sum(int(c) * fld.q ** (i - lo) for i, c in enumerate(row[lo:deg], lo)) \
+        + (int(row[deg]) - 1) * fld.q ** (deg - lo)
+
+
+def _horner_count(fld, rows, prop):
+    """Candidates with the property, by the Horner evaluator: pp_batch of
+    the rows and, for op / cpp, of their f - x / f + x rows."""
+    ok = kernels.pp_batch(fld, rows).astype(bool)
+    if prop != kernels.PROP_PP:
+        shifted = rows.copy()
+        shift_t = fld.sub_t if prop == kernels.PROP_OP else fld.add_t
+        shifted[:, 1] = shift_t[rows[:, 1], 1]
+        ok &= kernels.pp_batch(fld, shifted).astype(bool)
+    return int(ok.sum())
+
+
+def _degree7_hits(fld):
+    """A zero-constant permutation polynomial, orthomorphism and complete
+    mapping of degree 7 (an orthomorphism f gives the complete mapping -f),
+    or nothing for orders without a class table."""
+    if fld.q not in EXPECTED_COUNTS:
+        return {}
+    entries = table_for(fld.q).entries
+    searches = (search_pairs_direct(fld, e) for e in entries)
+    op = next(r.signatures[0] for r in searches if r.pairs)
+    op = np.array((0,) + tuple(op[1:]))  # f + c is an orthomorphism iff f is
+    return {kernels.PROP_PP: np.array(entries[0].poly(fld).coeffs),
+            kernels.PROP_OP: op, kernels.PROP_CPP: fld.neg_t[op]}
+
+
+@pytest.mark.parametrize("q", [8, 11, 25, 49])
+@pytest.mark.parametrize("deg", [1, 2, 7])
+def test_census_scan_agrees_with_horner_rows(q, deg):
+    # random slices, and for degree 7 a slice around a known hit, start and
+    # end at arbitrary offsets, so they cut the census's low blocks
+    fld = field_for(q)
+    rng = np.random.default_rng(100 * q + deg)
+    hits = _degree7_hits(fld) if deg == 7 else {}
+    for canonical in (False, True):
+        total = CensusQuery(fld, deg, canonical, "pp").space()
+        for prop in (kernels.PROP_PP, kernels.PROP_OP, kernels.PROP_CPP):
+            slices = [(s, s + int(rng.integers(1, 3000)))
+                      for s in rng.integers(0, total, 2)]
+            if prop in hits:
+                at = _odometer_index(fld, hits[prop], canonical)
+                slices.append((at - int(rng.integers(0, 1500)),
+                               at + int(rng.integers(1, 1500))))
+            for start, stop in slices:
+                start, stop = max(int(start), 0), min(int(stop), total)
+                want = _horner_count(fld, _odometer_rows(fld, deg, canonical,
+                                                         start, stop), prop)
+                got = kernels.census_scan(fld, deg, canonical, prop, start, stop)
+                assert got == want, (canonical, prop, start, stop)
+            if prop in hits:
+                assert want >= 1  # the last slice holds the known hit
 
 
 @pytest.mark.parametrize("q", [11, 13, 25, 49])

@@ -68,8 +68,8 @@ def _brute_census(fld, deg, canonical, prop):
     return count
 
 
-@pytest.mark.parametrize("q,deg", [(5, 3), (8, 2), (11, 2), (8, 3), (11, 3),
-                                   (25, 2)])
+@pytest.mark.parametrize("q,deg", [(5, 1), (8, 1), (5, 3), (8, 2), (11, 2),
+                                   (8, 3), (11, 3), (25, 2)])
 @pytest.mark.parametrize("prop", ["pp", "op", "cpp"])
 @pytest.mark.parametrize("canonical", [False, True])
 def test_census_against_bruteforce(q, deg, prop, canonical, f5):
