@@ -52,13 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--modulus",
                         help="comma-separated ascending modulus coefficients")
 
-    def add_common(sp, field=True):
-        if field:
-            add_field_args(sp)
+    def add_common(sp):
+        add_field_args(sp)
         sp.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-        sp.add_argument("--workers", type=int, default=2)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--out", help="write output to this path")
 
     sp = sub.add_parser("test", help="property test for one polynomial")
@@ -87,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--canonical", action="store_true",
                     help="restrict to zero constant term")
     sp.add_argument("--property", choices=("pp", "op", "cpp"), default="op")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--workers", type=int, default=2)
     add_common(sp)
 
     sp = sub.add_parser("verify", help="re-check the published results")
@@ -96,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="add the canonical census for q=8,11,13,17,19 "
                          "(about 40 s on 2 workers)")
     sp.add_argument("--audit-n", type=int, default=100_000)
+    sp.add_argument("--workers", type=int, default=2)
     add_common(sp)
     return p
 

@@ -20,11 +20,14 @@ every image e(bx+c) of every entry; it is built for any table order, and
 its per-entry image sets are pairwise disjoint exactly when no two
 entries are linearly related (the non-redundancy check).
 
-Membership testing dispatches on the order: fields with gcd(q, 7) = 1
-canonicalise and look the tuple up; q = 49 (characteristic 7) matches
-against the class-image index; orders q = 6 (mod 7) outside the tables
-use the rule that a degree-7 permutation polynomial must be linearly
-related to x^7.
+The classes of an order are its table entries or, for orders q = 6
+(mod 7) outside the tables, the one class of x^7: a degree-7 permutation
+polynomial there must be linearly related to x^7 (`class_entries`).
+Membership in them has two routes.  `is_pp_by_table` canonicalises and
+looks the tuple up for table orders with gcd(q, 7) = 1, the paper's
+method.  Every other membership question (q = 49, the x^7 rule, the
+batched audit and the table-based pair route) is one lookup of the
+normalised code in the class-image index (`class_lookup`).
 """
 
 from __future__ import annotations
@@ -190,6 +193,17 @@ def table_codes(q: int) -> np.ndarray:
     return _CODE_CACHE[q]
 
 
+def class_entries(q: int) -> tuple[FamilyEntry, ...]:
+    """The class representatives of one order: the table entries, or the
+    single x^7 entry for q = 6 (mod 7) outside the tables."""
+    if q in load_family_tables():
+        return table_for(q).entries
+    if q % 7 == 6:
+        return (FamilyEntry(q, (0, 0, 0, 0, 0), True, 1),)
+    raise UnsupportedOrder(f"no class table for q={q} and the x^7 rule "
+                           f"does not apply")
+
+
 def class_images(field: Field, entries):
     """Normalised codes of the images e(bx+c), (b, c) in F_q* x F_q, of
     each entry (deduplicated per entry, sorted by code) with the entry's
@@ -222,13 +236,12 @@ def image_overlap(codes: np.ndarray, ords: np.ndarray) -> tuple[int, int] | None
 
 
 def image_codes(q: int):
-    """The class-image index of one table order: `class_images` of every
-    entry, cached.  Any table order works; the characteristic-7 lookups
-    use it because canonical forms are unavailable there.  Classes are
-    disjoint, which is asserted during the build."""
+    """The class-image index of one order: `class_images` of every entry
+    of `class_entries(q)`, cached.  Classes are disjoint, which is
+    asserted during the build."""
     if q in _IMAGE_CACHE:
         return _IMAGE_CACHE[q]
-    index = class_images(field_for(q), table_for(q).entries)
+    index = class_images(field_for(q), class_entries(q))
     overlap = image_overlap(*index[:2])
     if overlap is not None:
         raise ValueError(f"q={q} class images of entries {overlap[0]} and "
@@ -237,64 +250,44 @@ def image_codes(q: int):
     return index
 
 
+def class_lookup(field: Field, C):
+    """Look degree-7 coefficient rows (last axis of C) up in the class-image
+    index: the hit mask, and per row the ordinal of the matched entry of
+    `class_entries` and the (b, c) the index keeps for the matched code
+    (both meaningful only where the row hits)."""
+    codes, ords, shifts = image_codes(field.q)
+    hit, pos = kernels.code_member(codes, kernels.normalized_code_batch(field, C))
+    return hit, ords[pos], shifts[pos]
+
+
 def image_witness(h: Poly) -> LinearTransform:
     """A t with apply_transform(h, t) the class entry e matched for h (which
     must be in a class): the index holds a (b, c) with e(bx+c) = u*h + v,
     so e = u*h((x-c)/b) + v, with u and v forced by the x^7 and x^0 terms."""
     fld = h.field
-    codes, ords, shifts = image_codes(fld.q)
-    pos = int(np.searchsorted(codes, kernels.normalized_code_batch(fld, h.coeffs)))
-    e = table_for(fld.q).entries[int(ords[pos]) - 1].poly(fld)
-    b, c = (int(v) for v in shifts[pos])
+    _, ordv, (b, c) = class_lookup(fld, h.coeffs)
+    e = class_entries(fld.q)[int(ordv) - 1].poly(fld)
+    b, c = int(b), int(c)
     u = fld.mul(fld.mul(e.coeff(7), fld.pow(b, 7)), fld.inv(h.coeff(7)))
     return LinearTransform(u, fld.inv(b), fld.neg(fld.mul(c, fld.inv(b))),
                            fld.sub(eval_poly(e, c), fld.mul(u, h.coeff(0))))
 
 
-def _x7_rule_entry(q: int) -> FamilyEntry:
-    return FamilyEntry(q, (0, 0, 0, 0, 0), True, 1)
-
-
 def is_pp_by_table(h: Poly) -> FamilyEntry | None:
     """Table-based permutation test: the matching class entry, or None.
 
-    Supported orders are the table orders plus any q = 6 (mod 7) outside
-    {13, 27}, where membership reduces to being linearly related to x^7.
+    Supported orders are those of `class_entries`.  Table orders with
+    gcd(q, 7) = 1 canonicalise; the others use the class-image index.
     """
     field = h.field
-    q = field.q
     if h.degree != 7:
         raise DegreeMismatch(f"expected degree 7, got {h.degree}")
-    tables = load_family_tables()
-    if q in tables:
-        if field.p == 7:
-            codes, ords, _ = image_codes(q)
-            code = kernels.normalized_code_batch(field, h.coeffs)
-            pos = min(int(np.searchsorted(codes, code)), len(codes) - 1)
-            hit = codes[pos] == code
-            return table_for(q).entries[int(ords[pos]) - 1] if hit else None
+    entries = class_entries(field.q)
+    if field.q in load_family_tables() and field.p != 7:
         cf, _ = canonicalize(h)
-        return table_for(q).by_tuple().get(cf.tuple5)
-    if q % 7 == 6 and q not in (13, 27):
-        cf, _ = canonicalize(h)
-        if cf.tuple5 == (0, 0, 0, 0, 0):
-            return _x7_rule_entry(q)
-        return None
-    raise UnsupportedOrder(f"no class table for q={q} and the x^7 rule "
-                           f"does not apply")
-
-
-def _audit_codes(field: Field):
-    """Lookup codes for the batched table decision, per order group."""
-    q = field.q
-    tables = load_family_tables()
-    if q in tables:
-        if field.p == 7:
-            return ("image", image_codes(q)[0])
-        return ("scan", table_codes(q))
-    if q % 7 == 6 and q not in (13, 27):
-        return ("scan", np.asarray([0], dtype=np.int64))
-    raise UnsupportedOrder(f"no class table for q={q}")
+        return table_for(field.q).by_tuple().get(cf.tuple5)
+    hit, ordv, _ = class_lookup(field, h.coeffs)
+    return entries[int(ordv) - 1] if hit else None
 
 
 @dataclass
@@ -315,20 +308,16 @@ class AuditReport:
 
 def audit_rows(field: Field, rows,
                report: AuditReport | None = None) -> AuditReport:
-    """Assert is_pp_by_table agrees with the direct permutation check on
-    each degree-7 coefficient row; disagreements are collected, not
-    raised."""
+    """Assert that class membership by the class-image index agrees with
+    the direct permutation check on each degree-7 coefficient row;
+    disagreements are collected, not raised."""
     if report is None:
         report = AuditReport(field.q)
     C = np.asarray(rows, dtype=np.int64)
     if C.size == 0:
         return report
     direct = kernels.pp_batch(field, C).astype(bool)
-    kind, codes = _audit_codes(field)
-    if kind == "image":
-        member = kernels.code_member(codes, kernels.normalized_code_batch(field, C))
-    else:
-        member = kernels.table_member_batch(field, C, codes)
+    member, _, _ = class_lookup(field, C)
     report.total += len(C)
     report.pp_count += int(direct.sum())
     for i in np.nonzero(direct != member)[0]:

@@ -1,5 +1,5 @@
-"""Hot inner loops: candidate census, pair-grid scans, batch checks and
-shift expansion.
+"""Hot inner loops: candidate census, pair-grid scans, batch checks,
+shift expansion and class-image code lookups.
 
 Vectorised numpy throughout.  All kernels operate on the integer element
 encoding and take the field's add/sub/mul tables as arrays, so they are
@@ -7,6 +7,10 @@ field-agnostic.  The evaluating kernels pack each candidate's hits into
 one integer of at most 64 bits, so they require q <= 63 (every supported
 order).  The pair grid and pp_batch share a Horner loop; the census
 evaluates low and high coefficient blocks once each (meet in the middle).
+The pair grid's coefficient planes also feed the table-based pair route.
+The lookups evaluate nothing: `normalized_code_batch` packs degree-7 rows
+into codes and `code_member` finds them in a sorted code array, such as
+the class-image index of `families.image_codes`.
 
 Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
 2 = complete mapping (f and f+x).
@@ -119,18 +123,24 @@ def census_scan(field, deg, canonical, prop, start, stop):
 # grid marks exactly the orthomorphism pairs.)
 
 
-def op_pair_grid(field, coeffs8):
+def pair_planes(field, coeffs8):
+    """The coefficients of alpha*f(beta*x) - x over (alpha, beta) in
+    (F_q*)^2: eight (q-1) x (q-1) planes P[i][alpha-1, beta-1] =
+    alpha * coeffs8[i] * beta^i, less 1 in plane 1."""
     q, mul = field.q, field.mul_t
-    f = np.asarray(coeffs8, dtype=np.int64)
-    al = np.arange(1, q, dtype=np.int64)
-    be = np.arange(1, q, dtype=np.int64)
-    af = mul[al][:, f]  # (q-1, 8): alpha * f_i
-    bp = np.ones((q - 1, 8), dtype=np.int64)
-    for i in range(1, 8):
-        bp[:, i] = mul[bp[:, i - 1], be]
-    planes = [mul[af[:, i][:, None], bp[None, :, i]] for i in range(8)]
+    s = np.arange(1, q, dtype=np.int64)
+    planes = []
+    tp = np.ones(q - 1, dtype=np.int64)
+    for i in range(8):
+        c = coeffs8[i] if i < len(coeffs8) else 0
+        planes.append(mul[mul[s, c][:, None], tp[None, :]])
+        tp = mul[tp, s]
     planes[1] = field.sub_t[planes[1], 1]
-    return _full_hits(field, planes).astype(np.uint8)
+    return planes
+
+
+def op_pair_grid(field, coeffs8):
+    return _full_hits(field, pair_planes(field, coeffs8)).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -144,38 +154,11 @@ def pp_batch(field, coeff_rows):
 
 
 # ---------------------------------------------------------------------------
-# Batched classification-route membership.  Given degree-7 rows it
-# reduces each to the canonical-candidate scan and reports whether any
-# candidate hits the field's class-table codes.
-#
-# Tuple code: ((((g5*q + g4)*q + g3)*q + g2)*q + g1.
+# Tuple code of a class-table entry: ((((g5*q + g4)*q + g3)*q + g2)*q + g1.
 
 
 def tuple_code(q: int, g5, g4, g3, g2, g1):
     return (((g5 * q + g4) * q + g3) * q + g2) * q + g1
-
-
-def table_member_batch(field, C, table_codes):
-    """For each degree-7 row of C decide table membership via the
-    normalise-then-rescale candidate scan (requires gcd(q, 7) = 1)."""
-    q = field.q
-    mul, inv, neg = field.mul_t, field.inv_t, field.neg_t
-    C = np.asarray(C, dtype=np.int64)
-    lead = C[:, 7]
-    if field.p == 7:
-        raise ValueError("candidate scan needs gcd(q,7) = 1; use image sets")
-    seven = field.from_int(7)
-    cstar = neg[mul[C[:, 6], inv[mul[seven, lead]]]]
-    HS = expand_shifts(field, C, 1, cstar)  # h(x + cstar), row by row
-    inv_lead = inv[lead]
-    member = np.zeros(C.shape[0], dtype=bool)
-    for b in range(1, q):
-        # candidate digits g_i = hs_i * b^(i-7) / lead
-        bm = [field.pow(b, i - 7) for i in range(6)]
-        digs = [mul[mul[HS[:, i], bm[i]], inv_lead] for i in range(1, 6)]
-        code = tuple_code(np.int64(q), digs[4], digs[3], digs[2], digs[1], digs[0])
-        member |= code_member(table_codes, code)
-    return member
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +212,7 @@ def normalized_code_batch(field, C):
 
 
 def code_member(codes_sorted, code):
-    pos = np.searchsorted(codes_sorted, code)
-    pos = np.minimum(pos, len(codes_sorted) - 1)
-    return codes_sorted[pos] == code
+    """Look codes up in a sorted code array: the hit mask, and the position
+    of each code's match (a valid index, meaningful where it hits)."""
+    pos = np.minimum(np.searchsorted(codes_sorted, code), len(codes_sorted) - 1)
+    return codes_sorted[pos] == code, pos

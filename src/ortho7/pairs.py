@@ -13,15 +13,16 @@ Two independent routes produce the pair sets:
   direct      evaluate alpha*f(beta*x) - x over the whole field for all
               (alpha, beta) in (F_q*)^2 and keep the bijections;
   table_based never evaluate: alpha*f(beta*x) - x is a permutation
-              polynomial iff it is linearly related to a table entry.
-              For gcd(q, 7) = 1 the relation must have c = d = 0 (the
-              image is monic-normalisable with a zero x^6 term only
-              then), which turns membership into small coefficient-
-              matching systems brute-forced over (a, b, alpha, beta) in
-              (F_q*)^4, one system per compatible target family.  In
-              characteristic 7 the x^6 argument fails and shifts with
-              c != 0 stay in play, so membership is decided against the
-              precomputed normalised images of each entry instead.
+              polynomial iff it is linearly related to a class entry,
+              that is iff its monic zero-constant reduction is in the
+              class-image index.  The hits are grouped by target into
+              one system each.  For gcd(q, 7) = 1 the x^6 and constant
+              terms of alpha*f(beta*x) - x are zero, so a relation
+              a*e(bx+c)+d to a target forces c = d = 0: a coefficient-
+              matching system over (a, b, alpha, beta) in (F_q*)^4, which
+              needs the target's x^2..x^5 support to equal the source's.
+              Every such target gets a system, hit or not, so the
+              published per-equation pair counts can be checked.
 
 Agreement of the two routes per family is part of the acceptance suite.
 
@@ -39,7 +40,13 @@ import numpy as np
 
 from . import kernels
 from .errors import BudgetExceeded, UnsupportedOrder
-from .families import FamilyEntry, FamilyTable, image_codes, table_for
+from .families import (
+    FamilyEntry,
+    class_entries,
+    class_lookup,
+    load_family_tables,
+    table_for,
+)
 from .field import Field, field_for
 from .poly import Poly
 
@@ -122,109 +129,34 @@ def search_pairs_direct(field: Field, family: FamilyEntry) -> PairSearchResult:
 # Table-based route.
 
 
-def _pair_planes(field: Field, coeffs8) -> list[np.ndarray]:
-    """(q-1) x (q-1) planes P[i][s-1, t-1] = s * coeffs8[i] * t^i for
-    i = 0..7 (zero coefficients give zero planes)."""
-    q = field.q
-    mul = field.mul_t
-    s = np.arange(1, q, dtype=np.int64)
-    zero = np.zeros((q - 1, q - 1), dtype=np.int64)
-    planes = []
-    tp = np.ones(q - 1, dtype=np.int64)
-    for i in range(8):
-        c = coeffs8[i] if i < len(coeffs8) else 0
-        if c:
-            sc = mul[s, c]
-            planes.append(mul[sc[:, None], tp[None, :]])
-        else:
-            planes.append(zero)
-        tp = mul[tp, s]
-    return planes
-
-
-_SYSTEM_POSITIONS = (7, 5, 4, 3, 2)  # x^6 and constant are zero throughout
-
-
-def _system_codes(field: Field, planes):
-    """Base-q packing of the coefficient vector at the system positions."""
-    q = np.int64(field.q)
-    code = np.zeros_like(planes[7])
-    for i in _SYSTEM_POSITIONS:
-        code = code * q + planes[i]
-    return code
-
-
 def search_pairs_table_based(field: Field, family: FamilyEntry
                              ) -> PairSearchResult:
-    """Pair search that never evaluates the polynomial.
+    """Pair search that never evaluates the polynomial: class-image lookups
+    of alpha*f(beta*x) - x over (F_q*)^2, grouped by target entry.
 
-    For gcd(q, 7) = 1: one coefficient-matching system per target family
-    whose x^2..x^5 support equals the source's, brute-forced over the
-    full (a, b, alpha, beta) in (F_q*)^4 grid (factored as left/right
-    code sets).  Targets with a zero x-coefficient instead force the
-    image's x-coefficient to vanish.  Results are recorded per system so
-    the published per-equation pair counts can be checked.
+    For gcd(q, 7) = 1 every target with the source's x^2..x^5 support has
+    a system, and a target with a zero x-coefficient is marked vanishing
+    (the x-coefficient of alpha*f(beta*x) - x must vanish).
     """
-    q = field.q
-    table = table_for(q)
     f = family.poly(field)
-    if field.p == 7:
-        return _search_pairs_by_images(field, family, table)
-
-    support = tuple(i for i in (2, 3, 4, 5) if f.coeff(i) != 0)
-    lhs_planes = _pair_planes(field, f.coeffs)
-    lhs_x = field.sub_t[lhs_planes[1], 1]  # x-coefficient of alpha*f(beta x) - x
-    lhs_code = _system_codes(field, lhs_planes)
-    q64 = np.int64(q)
-
-    systems = []
-    all_pairs = []
-    for target in table.entries:
-        tpoly = target.poly(field)
-        tsupport = tuple(i for i in (2, 3, 4, 5) if tpoly.coeff(i) != 0)
-        if tsupport != support:
-            continue
-        rhs_planes = _pair_planes(field, tpoly.coeffs)
-        rhs_code = _system_codes(field, rhs_planes)
-        vanishing = tpoly.coeff(1) == 0
-        if vanishing:
-            member = (lhs_x == 0) & np.isin(lhs_code, np.unique(rhs_code))
-        else:
-            member = np.isin(lhs_code * q64 + lhs_x,
-                             np.unique(rhs_code * q64 + rhs_planes[1]))
-        hits = [(int(a) + 1, int(b) + 1) for a, b in zip(*np.nonzero(member))]
-        pairs, _ = _dedup(field, f, hits)
-        systems.append(SystemResult(target.ordinal, vanishing, pairs))
-        all_pairs.extend(pairs)
-
-    pairs, sigs = _dedup(field, f, sorted(all_pairs))
-    return PairSearchResult(family, "table_based", pairs, sigs,
-                            systems=tuple(systems))
-
-
-def _search_pairs_by_images(field: Field, family: FamilyEntry,
-                            table: FamilyTable) -> PairSearchResult:
-    """Characteristic-7 table route: alpha*f(beta*x) - x is a permutation
-    polynomial iff its monic zero-constant reduction is one of the
-    precomputed entry images (c != 0 substitutions included)."""
-    codes, ords, _ = image_codes(field.q)
-    f = family.poly(field)
-    # coefficient planes of h = alpha*f(beta x) - x over (F_q*)^2
-    planes = _pair_planes(field, f.coeffs)
-    planes[1] = field.sub_t[planes[1], 1]
-    code = kernels.normalized_code_batch(field, np.stack(planes, axis=-1))
-    matched = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-    member = codes[matched] == code
-
+    planes = np.stack(kernels.pair_planes(field, f.coeffs), axis=-1)
+    hit, ords, _ = class_lookup(field, planes)
     per_target: dict[int, list] = {}
-    for a, b in zip(*np.nonzero(member)):
-        ordv = int(ords[matched[a, b]])
-        per_target.setdefault(ordv, []).append((int(a) + 1, int(b) + 1))
+    for a, b in zip(*np.nonzero(hit)):
+        per_target.setdefault(int(ords[a, b]), []).append((int(a) + 1, int(b) + 1))
+    targets = class_entries(field.q)
+    if field.p != 7:
+        def support(row):
+            return [i for i in (2, 3, 4, 5) if row[i] != 0]
+        for t in targets:
+            if support(t.coeff_row()) == support(f.coeffs):
+                per_target.setdefault(t.ordinal, [])
     systems = []
     all_pairs = []
     for ordv in sorted(per_target):
-        pairs, _ = _dedup(field, f, sorted(per_target[ordv]))
-        systems.append(SystemResult(ordv, False, pairs))
+        pairs, _ = _dedup(field, f, per_target[ordv])
+        vanishing = field.p != 7 and targets[ordv - 1].coeff_row()[1] == 0
+        systems.append(SystemResult(ordv, vanishing, pairs))
         all_pairs.extend(pairs)
     pairs, sigs = _dedup(field, f, sorted(all_pairs))
     return PairSearchResult(family, "table_based", pairs, sigs,
@@ -334,17 +266,10 @@ def verify_nonexistence(q: int, budget: int = 10**9) -> bool:
     """True iff the pair search over the applicable families comes up
     empty.  Applies to the table orders {23, 27, 31} and to any
     q = 6 (mod 7) outside {13, 27}, where the only class is x^7."""
-    from .families import load_family_tables, _x7_rule_entry
-
-    tables = load_family_tables()
-    if q in (23, 27, 31):
-        field = field_for(q)
-        entries = tables[q].entries
-    elif q % 7 == 6 and q not in (13, 27):
-        field = field_for(q)
-        entries = [_x7_rule_entry(q)]
-    else:
+    if q in load_family_tables() and q not in (23, 27, 31):
         raise UnsupportedOrder(f"nonexistence result does not cover q={q}")
+    entries = class_entries(q)
+    field = field_for(q)
     if (q - 1) ** 2 * q > budget:
         raise BudgetExceeded(f"pair grid for q={q} exceeds budget {budget}")
     return all(

@@ -116,6 +116,8 @@ def test_parse_error_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["bogus-subcommand"]) == 2
+    # --budget belongs to census alone
+    assert main(["test", "--q", "13", "x", "--budget", "5"]) == 2
 
 
 def test_verify_single_field(capsys):
@@ -186,8 +188,8 @@ _FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
     ["--p", "5", "--r", "2", "--modulus", "a,b"], ["--q", "13", "--p", "13"]]
 _POLYS = ["x", "x^7+2x", "3x^7+7x", "x^7+6x", "x^7", "x^3", "0", "1",
           "0,2,0,0,0,0,0,1", "1,2,3", "x^^oops", "2t", ""]
-_COMMON = [["--format", v] for v in ("text", "json", "csv")] + [
-    ["--workers", v] for v in ("0", "1", "2")]
+_COMMON = [["--format", v] for v in ("text", "json", "csv")]
+_WORKERS = [["--workers", v] for v in ("0", "1", "2")]
 _FLAGS = {
     "test": [["--property", v] for v in ("pp", "op", "cpp", "no")],
     "classify": [],
@@ -195,8 +197,9 @@ _FLAGS = {
         ["--method", v] for v in ("direct", "table", "both")] + [["--all"]],
     "enumerate": [],
     "census": [["--degree", v] for v in ("0", "1", "2", "7")] + [
-        ["--property", v] for v in ("pp", "op", "cpp")] + [["--canonical"]],
-    "verify": [["--audit-n", v] for v in ("0", "5")] + [["--deep"]],
+        ["--property", v] for v in ("pp", "op", "cpp")] + [["--canonical"]]
+        + _WORKERS,
+    "verify": [["--audit-n", v] for v in ("0", "5")] + [["--deep"]] + _WORKERS,
 }
 
 

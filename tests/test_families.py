@@ -125,8 +125,8 @@ _PLANTS = ((13, 3, 2, 0), (25, 1, 7, 0), (49, 9, 5, 11))
 def _image_verdict(fld, source, target):
     """Image-disjointness verdict: target lies in the class of source."""
     images = class_images(fld, [source])[0]
-    code = normalized_code_batch(fld, [target.coeff_row()])
-    return bool(code_member(images, code)[0])
+    hit, _ = code_member(images, normalized_code_batch(fld, target.coeff_row()))
+    return bool(hit)
 
 
 def test_image_verdict_agrees_with_linear_relation_search():
@@ -198,11 +198,16 @@ def test_image_witness_maps_related_polynomials_onto_their_entry():
 
 
 def test_x7_rule_orders():
-    f41 = field_for(41)
-    assert is_pp_by_table(parse_poly(f41, "x^7")).exceptional
-    shifted = apply_transform(parse_poly(f41, "x^7"), LinearTransform(3, 5, 2, 9))
-    assert is_pp_by_table(shifted) is not None
-    assert is_pp_by_table(parse_poly(f41, "x^7+x")) is None
+    # the rule is a class-image lookup, so it needs no hit mask and q = 83
+    # works although the evaluation kernels stop at q = 63
+    for q in (41, 83):
+        fld = field_for(q)
+        x7 = parse_poly(fld, "x^7")
+        assert is_pp_by_table(x7).exceptional
+        shifted = apply_transform(x7, LinearTransform(3, 5, 2, 9))
+        assert is_pp_by_table(shifted) is not None
+        assert is_pp_by_table(parse_poly(fld, "x^7+x")) is None
+        assert len(image_codes(q)[0]) == q  # x^7 + 7c x^6 + ..., one per c
     with pytest.raises(UnsupportedOrder):
         is_pp_by_table(parse_poly(field_for(43), "x^7"))  # 43 = 1 (mod 7)
 

@@ -7,7 +7,15 @@ import pytest
 
 from ortho7 import kernels
 from ortho7.errors import UnsupportedOrder
-from ortho7.families import EXPECTED_COUNTS, audit_random, table_codes, table_for
+from ortho7.canon import canonicalize
+from ortho7.families import (
+    EXPECTED_COUNTS,
+    audit_random,
+    class_entries,
+    class_lookup,
+    is_pp_by_table,
+    table_for,
+)
 from ortho7.field import field_for
 from ortho7.pairs import search_pairs_direct, verify_nonexistence
 from ortho7.perm import CensusQuery, is_orthomorphism, is_permutation
@@ -126,16 +134,36 @@ def test_pp_batch_agrees_with_scalar_check():
             assert bool(bit) == want, (q, row)
 
 
-def test_table_member_batch_matches_lookup(f13):
-    from ortho7.families import is_pp_by_table
-
-    rng = np.random.default_rng(7)
-    C = rng.integers(0, 13, size=(300, 8), dtype=np.int64)
-    C[:, 7] = rng.integers(1, 13, size=300)
-    member = kernels.table_member_batch(f13, C, table_codes(13))
-    for row, m in zip(C, member):
-        want = is_pp_by_table(Poly(f13, tuple(int(v) for v in row))) is not None
-        assert bool(m) == want
+@pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 41])
+def test_class_lookup_agrees_with_canonical_route(q):
+    # the audit's class-image lookup against canonical forms: is_pp_by_table
+    # at the p != 7 table orders, and the canonical form of x^7 at q = 41
+    # (where is_pp_by_table uses the lookup itself)
+    fld = field_for(q)
+    rng = np.random.default_rng(q)
+    C = rng.integers(0, q, size=(300, 8), dtype=np.int64)
+    C[:, 7] = rng.integers(1, q, size=300)
+    # a*e(bx+c)+d of every entry, so that positives occur, and the same rows
+    # with the x coefficient moved by one, mostly near misses
+    related = []
+    for e in class_entries(q):
+        for _ in range(4):
+            a, b = (int(v) for v in rng.integers(1, q, 2))
+            c, d = (int(v) for v in rng.integers(0, q, 2))
+            t = LinearTransform(a, b, c, d)
+            related.append(apply_transform(e.poly(fld), t).coeffs)
+    near = np.array(related)
+    near[:, 1] = fld.add_t[near[:, 1], 1]
+    C = np.vstack([C, related, near])
+    hit, _, _ = class_lookup(fld, C)
+    assert hit[300:300 + len(related)].all()
+    for row, h in zip(C, hit):
+        poly = Poly(fld, tuple(int(v) for v in row))
+        if q in EXPECTED_COUNTS:
+            want = is_pp_by_table(poly) is not None
+        else:
+            want = canonicalize(poly)[0].tuple5 == (0, 0, 0, 0, 0)
+        assert bool(h) == want, (q, row)
 
 
 @pytest.mark.parametrize("q", [67, 83])
