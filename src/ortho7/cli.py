@@ -52,11 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--modulus",
                         help="comma-separated ascending modulus coefficients")
 
-    def add_common(sp):
-        add_field_args(sp)
+    def add_output(sp):
         sp.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
         sp.add_argument("--out", help="write output to this path")
+
+    def add_common(sp):
+        add_field_args(sp)
+        add_output(sp)
 
     sp = sub.add_parser("test", help="property test for one polynomial")
     sp.add_argument("poly", help="polynomial literal ('x^7+2x' or '0,2,...,1')")
@@ -96,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(about 40 s on 2 workers)")
     sp.add_argument("--audit-n", type=int, default=100_000)
     sp.add_argument("--workers", type=int, default=2)
-    add_common(sp)
+    add_output(sp)
     return p
 
 
@@ -158,8 +161,8 @@ def cmd_test(args) -> int:
     if args.property == "pp" and f.degree == 7:
         try:
             entry = is_pp_by_table(f)
-        except UnsupportedOrder:
-            lines.append("(no class table for this order; direct verdict only)")
+        except UnsupportedOrder as e:
+            lines.append(f"({e}; direct verdict only)")
         else:
             if entry is None:
                 results["family"] = None

@@ -24,10 +24,13 @@ The classes of an order are its table entries or, for orders q = 6
 (mod 7) outside the tables, the one class of x^7: a degree-7 permutation
 polynomial there must be linearly related to x^7 (`class_entries`).
 Membership in them has two routes.  `is_pp_by_table` canonicalises and
-looks the tuple up for table orders with gcd(q, 7) = 1, the paper's
-method.  Every other membership question (q = 49, the x^7 rule, the
-batched audit and the table-based pair route) is one lookup of the
-normalised code in the class-image index (`class_lookup`).
+looks the tuple up among the class entries whenever gcd(q, 7) = 1, the
+paper's method, which works in any field of an x^7-rule order.  Every
+other membership question (q = 49 in `is_pp_by_table`, the batched audit,
+the classify witness and the table-based pair route) is one lookup of the
+normalised code in the class-image index of the caller's field
+(`class_lookup`).  Table entries are encoded in the preset field of their
+order, so both routes refuse another field of a table order.
 """
 
 from __future__ import annotations
@@ -85,9 +88,6 @@ class FamilyTable:
 
     def exceptional(self):
         return [e for e in self.entries if e.exceptional]
-
-    def by_tuple(self):
-        return {e.coeffs: e for e in self.entries}
 
 
 _HEADER = """\
@@ -181,7 +181,7 @@ def table_for(q: int) -> FamilyTable:
 # Lookup structures for the kernels.
 
 _CODE_CACHE: dict[int, np.ndarray] = {}
-_IMAGE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_IMAGE_CACHE: dict[Field, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def table_codes(q: int) -> np.ndarray:
@@ -236,26 +236,42 @@ def image_overlap(codes: np.ndarray, ords: np.ndarray) -> tuple[int, int] | None
 
 
 def image_codes(q: int):
-    """The class-image index of one order: `class_images` of every entry
-    of `class_entries(q)`, cached.  Classes are disjoint, which is
-    asserted during the build."""
-    if q in _IMAGE_CACHE:
-        return _IMAGE_CACHE[q]
-    index = class_images(field_for(q), class_entries(q))
+    """The class-image index of one order in its preset field."""
+    return _class_index(field_for(q))
+
+
+def _field_entries(field: Field) -> tuple[FamilyEntry, ...]:
+    """`class_entries` of the field's order.  Table entries are encoded in
+    the preset field of their order, so a table order needs that field; the
+    x^7 entry reads the same in every field."""
+    entries = class_entries(field.q)
+    if field.q in load_family_tables() and field != field_for(field.q):
+        raise UnsupportedOrder(f"the q={field.q} class table is encoded in "
+                               f"the preset field {field_for(field.q)!r}")
+    return entries
+
+
+def _class_index(field: Field):
+    """`class_images` of every class entry in the given field, cached per
+    field.  Classes are disjoint, which is asserted during the build."""
+    if field in _IMAGE_CACHE:
+        return _IMAGE_CACHE[field]
+    q = field.q
+    index = class_images(field, _field_entries(field))
     overlap = image_overlap(*index[:2])
     if overlap is not None:
         raise ValueError(f"q={q} class images of entries {overlap[0]} and "
                          f"{overlap[1]} overlap; table is inconsistent")
-    _IMAGE_CACHE[q] = index
+    _IMAGE_CACHE[field] = index
     return index
 
 
 def class_lookup(field: Field, C):
     """Look degree-7 coefficient rows (last axis of C) up in the class-image
-    index: the hit mask, and per row the ordinal of the matched entry of
-    `class_entries` and the (b, c) the index keeps for the matched code
-    (both meaningful only where the row hits)."""
-    codes, ords, shifts = image_codes(field.q)
+    index of the field: the hit mask, and per row the ordinal of the matched
+    entry of `class_entries` and the (b, c) the index keeps for the matched
+    code (both meaningful only where the row hits)."""
+    codes, ords, shifts = _class_index(field)
     hit, pos = kernels.code_member(codes, kernels.normalized_code_batch(field, C))
     return hit, ords[pos], shifts[pos]
 
@@ -276,16 +292,17 @@ def image_witness(h: Poly) -> LinearTransform:
 def is_pp_by_table(h: Poly) -> FamilyEntry | None:
     """Table-based permutation test: the matching class entry, or None.
 
-    Supported orders are those of `class_entries`.  Table orders with
-    gcd(q, 7) = 1 canonicalise; the others use the class-image index.
+    Supported orders are those of `class_entries`, in any field for the
+    x^7 rule.  Orders with gcd(q, 7) = 1 canonicalise and look the tuple up
+    among the class entries; q = 49 uses the class-image index.
     """
     field = h.field
     if h.degree != 7:
         raise DegreeMismatch(f"expected degree 7, got {h.degree}")
-    entries = class_entries(field.q)
-    if field.q in load_family_tables() and field.p != 7:
+    entries = _field_entries(field)
+    if field.p != 7:
         cf, _ = canonicalize(h)
-        return table_for(field.q).by_tuple().get(cf.tuple5)
+        return {e.coeffs: e for e in entries}.get(cf.tuple5)
     hit, ordv, _ = class_lookup(field, h.coeffs)
     return entries[int(ordv) - 1] if hit else None
 

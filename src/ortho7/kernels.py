@@ -200,7 +200,10 @@ def expand_shifts(field, C, bs, cs):
 def normalized_code_batch(field, C):
     """Monic, zero-constant reduction of degree-7 rows (last axis of C),
     packed as a base-q code over coefficients x^6..x^1 (characteristic-7
-    path: the x^6 term cannot be cleared, so it stays part of the code)."""
+    path: the x^6 term cannot be cleared, so it stays part of the code).
+    Six base-q digits fit an int64 only while q^6 < 2^63."""
+    if field.q ** 6 >= 1 << 63:
+        raise UnsupportedOrder(f"normalised codes overflow int64 at q={field.q}")
     q = np.int64(field.q)
     mul, inv = field.mul_t, field.inv_t
     C = np.asarray(C, dtype=np.int64)

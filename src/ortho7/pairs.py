@@ -135,22 +135,25 @@ def search_pairs_table_based(field: Field, family: FamilyEntry
     of alpha*f(beta*x) - x over (F_q*)^2, grouped by target entry.
 
     For gcd(q, 7) = 1 every target with the source's x^2..x^5 support has
-    a system, and a target with a zero x-coefficient is marked vanishing
-    (the x-coefficient of alpha*f(beta*x) - x must vanish).
+    a system, and every hit falls in one of them: alpha*f(beta*x) - x has
+    no x^6 or constant term, so a relation to a target has c = d = 0 and
+    keeps the support.  A target with a zero x-coefficient is marked
+    vanishing (the x-coefficient of alpha*f(beta*x) - x must vanish).
     """
     f = family.poly(field)
     planes = np.stack(kernels.pair_planes(field, f.coeffs), axis=-1)
     hit, ords, _ = class_lookup(field, planes)
-    per_target: dict[int, list] = {}
-    for a, b in zip(*np.nonzero(hit)):
-        per_target.setdefault(int(ords[a, b]), []).append((int(a) + 1, int(b) + 1))
     targets = class_entries(field.q)
+    per_target: dict[int, list] = {}
     if field.p != 7:
         def support(row):
             return [i for i in (2, 3, 4, 5) if row[i] != 0]
-        for t in targets:
-            if support(t.coeff_row()) == support(f.coeffs):
-                per_target.setdefault(t.ordinal, [])
+        per_target = {t.ordinal: [] for t in targets
+                      if support(t.coeff_row()) == support(f.coeffs)}
+    for a, b in zip(*np.nonzero(hit)):
+        ordv = int(ords[a, b])
+        assert field.p == 7 or ordv in per_target, (family.ordinal, ordv)
+        per_target.setdefault(ordv, []).append((int(a) + 1, int(b) + 1))
     systems = []
     all_pairs = []
     for ordv in sorted(per_target):

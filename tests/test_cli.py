@@ -116,8 +116,9 @@ def test_parse_error_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["bogus-subcommand"]) == 2
-    # --budget belongs to census alone
+    # --budget belongs to census alone, and verify takes no field selection
     assert main(["test", "--q", "13", "x", "--budget", "5"]) == 2
+    assert main(["verify", "--field", "23", "--q", "9"]) == 2
 
 
 def test_verify_single_field(capsys):
@@ -177,9 +178,9 @@ def test_census_degree_zero_is_a_usage_error(capsys):
 
 
 # argv fuzzing: cheap orders only, a census budget on every census (the
-# default budget admits minute-long scans) and a --field on every verify
-# (the full battery takes seconds); --out and --emit are left out so that
-# no example writes files.
+# default budget admits minute-long scans) and a --field instead of a field
+# selection on every verify (the full battery takes seconds); --out and
+# --emit are left out so that no example writes files.
 _FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
     ["--p", "5", "--r", "2", "--modulus", "2,4,1"], ["--p", "13"],
     # malformed selections
@@ -206,7 +207,9 @@ _FLAGS = {
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
-    argv = [command] + draw(st.sampled_from(_FIELDS))
+    argv = [command]
+    if command != "verify":
+        argv += draw(st.sampled_from(_FIELDS))
     if command in ("test", "classify"):
         argv.append(draw(st.sampled_from(_POLYS)))
     for flag in draw(st.lists(st.sampled_from(_FLAGS[command] + _COMMON),

@@ -20,6 +20,7 @@ from ortho7.families import (
     audit_random,
     audit_support,
     class_images,
+    class_lookup,
     image_codes,
     image_witness,
     is_pp_by_table,
@@ -27,7 +28,7 @@ from ortho7.families import (
     serialize_family_tables,
     table_for,
 )
-from ortho7.field import field_for
+from ortho7.field import FieldSpec, build_field, field_for
 from ortho7.kernels import code_member, normalized_code_batch, pp_batch
 from ortho7.perm import is_permutation
 from ortho7.poly import LinearTransform, apply_transform, parse_poly
@@ -198,8 +199,8 @@ def test_image_witness_maps_related_polynomials_onto_their_entry():
 
 
 def test_x7_rule_orders():
-    # the rule is a class-image lookup, so it needs no hit mask and q = 83
-    # works although the evaluation kernels stop at q = 63
+    # is_pp_by_table canonicalises, and the class-image index needs no hit
+    # mask, so q = 83 works although the evaluation kernels stop at q = 63
     for q in (41, 83):
         fld = field_for(q)
         x7 = parse_poly(fld, "x^7")
@@ -208,8 +209,35 @@ def test_x7_rule_orders():
         assert is_pp_by_table(shifted) is not None
         assert is_pp_by_table(parse_poly(fld, "x^7+x")) is None
         assert len(image_codes(q)[0]) == q  # x^7 + 7c x^6 + ..., one per c
+        hit, _, _ = class_lookup(fld, [shifted.coeffs, (0, 1, 0, 0, 0, 0, 0, 1)])
+        assert hit.tolist() == [True, False]
     with pytest.raises(UnsupportedOrder):
         is_pp_by_table(parse_poly(field_for(43), "x^7"))  # 43 = 1 (mod 7)
+
+
+def test_x7_rule_in_a_field_without_preset():
+    # 125 = 6 (mod 7) has no preset field; both routes work in the
+    # caller's field
+    fld = build_field(FieldSpec(5, 3, (2, 0, 1, 1)))
+    x7 = parse_poly(fld, "x^7")
+    shifted = apply_transform(x7, LinearTransform(3, 7, 2, 9))
+    x7x = parse_poly(fld, "x^7+x")
+    assert is_pp_by_table(shifted).exceptional
+    assert is_pp_by_table(x7x) is None
+    hit, _, _ = class_lookup(fld, [shifted.coeffs, x7x.coeffs])
+    assert hit.tolist() == [True, False]
+
+
+def test_table_orders_need_the_preset_field():
+    # the q = 25 entries are encoded in the preset field; under another
+    # primitive modulus the same integers are other polynomials
+    fld = build_field(FieldSpec(5, 2, (2, 1, 1)))
+    assert fld != field_for(25)
+    h = parse_poly(fld, "x^7")
+    with pytest.raises(UnsupportedOrder, match="preset field"):
+        is_pp_by_table(h)
+    with pytest.raises(UnsupportedOrder, match="preset field"):
+        class_lookup(fld, h.coeffs)
 
 
 @pytest.mark.parametrize("q", [11, 13, 23, 25, 27, 41, 49])
