@@ -5,7 +5,7 @@ is selected either with --q (preset or prime order) or with the explicit
 --p/--r/--modulus triple.  Output formats: text (default), json, csv;
 json and text carry identical numeric content.  Exit codes: 0 all
 requested checks pass, 1 a verification mismatch, 2 usage or parse
-errors (including budget refusals).
+errors (including budget refusals and unwritable output paths).
 """
 
 from __future__ import annotations
@@ -35,6 +35,19 @@ from .perm import (
     is_permutation,
 )
 from .poly import format_poly, parse_poly
+
+
+def _int_at_least(low: int):
+    """An argparse `type` for integers >= `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to zero constant term")
     sp.add_argument("--property", choices=("pp", "op", "cpp"), default="op")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--workers", type=int, default=2)
+    sp.add_argument("--workers", type=_int_at_least(1), default=2)
     add_common(sp)
 
     sp = sub.add_parser("verify", help="re-check the published results")
@@ -97,15 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--deep", action="store_true",
                     help="add the canonical census for q=8,11,13,17,19 "
                          "(about 40 s on 2 workers)")
-    sp.add_argument("--audit-n", type=int, default=100_000)
-    sp.add_argument("--workers", type=int, default=2)
+    sp.add_argument("--audit-n", type=_int_at_least(0), default=100_000)
+    sp.add_argument("--workers", type=_int_at_least(1), default=2)
     add_output(sp)
     return p
 
 
 def resolve_field(args):
-    if getattr(args, "workers", 1) < 1:
-        raise ParseError("--workers must be >= 1")
     has_q = args.q is not None
     has_explicit = args.p is not None
     if has_q == has_explicit:
@@ -141,7 +152,7 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list]):
         out += "\n"
     else:
         out = "\n".join(text_lines) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(out)
     else:
@@ -286,7 +297,7 @@ def cmd_enumerate(args) -> int:
     csv_rows = [["q", "family", "pair_count"]]
     for r in report.per_family:
         csv_rows.append([field.q, r.family.ordinal, r.pair_count])
-    if args.emit:
+    if args.emit is not None:
         n = 0
         with open(args.emit, "w") as fh:
             for poly in enumerate_ops(field.q, report):
@@ -381,7 +392,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except Ortho7Error as e:
+    except (Ortho7Error, OSError) as e:  # OSError: an unwritable --out/--emit
         print(f"error: {e}", file=sys.stderr)
         return 2
 

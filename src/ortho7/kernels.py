@@ -5,9 +5,12 @@ Vectorised numpy throughout.  All kernels operate on the integer element
 encoding and take the field's add/sub/mul tables as arrays, so they are
 field-agnostic.  The evaluating kernels pack each candidate's hits into
 one integer of at most 64 bits, so they require q <= 63 (every supported
-order).  The pair grid and pp_batch share a Horner loop; the census
+order).  Every kernel given polynomials takes them as coefficient rows
+on the last axis (ascending powers).  One primitive, `scaled_rows`, gives
+every rescaling alpha*f(beta*x): the pair grid's rows, the pair dedup and
+the published pair lists all read it, and it is `expand_shifts` with a
+zero shift.  The pair grid and pp_batch share a Horner loop; the census
 evaluates low and high coefficient blocks once each (meet in the middle).
-The pair grid's coefficient planes also feed the table-based pair route.
 The lookups evaluate nothing: `normalized_code_batch` packs degree-7 rows
 into codes and `code_member` finds them in a sorted code array, such as
 the class-image index of `families.image_codes`.
@@ -33,24 +36,24 @@ def check_hit_mask_order(q: int) -> None:
                                f"and need q <= 63, got q={q}")
 
 
-def _full_hits(field, coef):
+def _full_hits(field, C):
     """Evaluate polynomials at every x of the field by Horner and report
     which are permutations.
 
-    `coef[i]` is the array of x^i coefficients (one entry per candidate;
-    all of one shape).  The hits of each candidate are ORed into a uint64
-    mask; the result is the boolean array of candidates whose mask is full.
+    `C[..., i]` is the array of x^i coefficients (coefficient rows on the
+    last axis).  The hits of each row are ORed into a uint64 mask; the
+    result is the boolean array, of shape C.shape[:-1], of full masks.
     """
     q = field.q
     check_hit_mask_order(q)
     mul, add = field.mul_t, field.add_t
-    deg = len(coef) - 1
-    mask = np.zeros(coef[deg].shape, dtype=np.uint64)
+    deg = C.shape[-1] - 1
+    mask = np.zeros(C.shape[:-1], dtype=np.uint64)
     for x in range(q):
         mx = mul[:, x]
-        acc = coef[deg]
+        acc = C[..., deg]
         for i in range(deg - 1, -1, -1):
-            acc = add[mx[acc], coef[i]]
+            acc = add[mx[acc], C[..., i]]
         mask |= np.uint64(1) << acc.astype(np.uint64)
     return mask == np.uint64((1 << q) - 1)
 
@@ -124,19 +127,12 @@ def census_scan(field, deg, canonical, prop, start, stop):
 
 
 def pair_planes(field, coeffs8):
-    """The coefficients of alpha*f(beta*x) - x over (alpha, beta) in
-    (F_q*)^2: eight (q-1) x (q-1) planes P[i][alpha-1, beta-1] =
-    alpha * coeffs8[i] * beta^i, less 1 in plane 1."""
-    q, mul = field.q, field.mul_t
-    s = np.arange(1, q, dtype=np.int64)
-    planes = []
-    tp = np.ones(q - 1, dtype=np.int64)
-    for i in range(8):
-        c = coeffs8[i] if i < len(coeffs8) else 0
-        planes.append(mul[mul[s, c][:, None], tp[None, :]])
-        tp = mul[tp, s]
-    planes[1] = field.sub_t[planes[1], 1]
-    return planes
+    """The coefficient rows of alpha*f(beta*x) - x over (alpha, beta) in
+    (F_q*)^2, as one array P[alpha-1, beta-1] of shape (q-1, q-1, 8)."""
+    s = np.arange(1, field.q, dtype=np.int64)
+    P = scaled_rows(field, coeffs8, s[:, None], s)
+    P[..., 1] = field.sub_t[P[..., 1], 1]
+    return P
 
 
 def op_pair_grid(field, coeffs8):
@@ -150,7 +146,7 @@ def op_pair_grid(field, coeffs8):
 def pp_batch(field, coeff_rows):
     """Direct bijection check for each coefficient row (ascending)."""
     C = np.asarray(coeff_rows, dtype=np.int64)
-    return _full_hits(field, C.T).astype(np.uint8)
+    return _full_hits(field, C).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +191,13 @@ def expand_shifts(field, C, bs, cs):
             term = mul[mul[fi, binom[i][j]], mul[bpow[j], cpow[i - j]]]
             out[..., j] = add[out[..., j], term]
     return out
+
+
+def scaled_rows(field, C, alphas, betas):
+    """Ascending coefficient rows of alpha*f(beta*x) for each row f of C;
+    C, `alphas` and `betas` broadcast as in `expand_shifts`."""
+    alphas = np.asarray(alphas, dtype=np.int64)
+    return field.mul_t[alphas[..., None], expand_shifts(field, C, betas, 0)]
 
 
 def normalized_code_batch(field, C):

@@ -28,7 +28,8 @@ Agreement of the two routes per family is part of the acceptance suite.
 
 Deduplication keeps, for each distinct coefficient vector of
 alpha*f(beta*x), the lexicographically smallest (alpha, beta) by element
-index; comparisons with published pair lists are by set.
+index.  Both routes run it once over their hit cells, as one array of
+`kernels.scaled_rows`; comparisons with published pair lists are by set.
 """
 
 from __future__ import annotations
@@ -90,38 +91,21 @@ class PairSearchResult:
         return len(self.pairs)
 
 
-def _scaled_coeffs(field: Field, f: Poly, alpha: int, beta: int):
-    """Coefficient tuple of alpha*f(beta*x)."""
-    out = []
-    bp = 1
-    for c in f.coeffs:
-        out.append(field.mul(field.mul(alpha, c), bp))
-        bp = field.mul(bp, beta)
-    return tuple(out)
-
-
-def _dedup(field: Field, f: Poly, pair_iter) -> tuple[tuple, tuple]:
-    """Keep the lex-smallest pair per distinct scaled coefficient vector.
-    `pair_iter` must already be in ascending (alpha, beta) order."""
-    seen = {}
-    for a, b in pair_iter:
-        sig = _scaled_coeffs(field, f, a, b)
-        if sig not in seen:
-            seen[sig] = (a, b)
-    pairs = tuple(sorted(seen.values()))
-    sig_by_pair = {p: s for s, p in seen.items()}
-    return pairs, tuple(sig_by_pair[p] for p in pairs)
+def _dedup(field: Field, f: Poly, hit) -> tuple[tuple, tuple]:
+    """The lex-smallest pair per distinct alpha*f(beta*x) among the cells
+    of the (q-1, q-1) hit mask, ascending, and their coefficient vectors."""
+    a, b = np.nonzero(hit)  # C order: ascending (alpha, beta)
+    rows = kernels.scaled_rows(field, f.coeffs, a + 1, b + 1)
+    first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    pairs = tuple(zip((a[first] + 1).tolist(), (b[first] + 1).tolist()))
+    return pairs, tuple(map(tuple, rows[first].tolist()))
 
 
 def search_pairs_direct(field: Field, family: FamilyEntry) -> PairSearchResult:
     """All deduplicated (alpha, beta) with alpha*f(beta*x) an orthomorphism,
     by direct evaluation of alpha*f(beta*x) - x over the field."""
     f = family.poly(field)
-    grid = kernels.op_pair_grid(field, f.coeffs)
-    q = field.q
-    hits = ((a, b) for a in range(1, q) for b in range(1, q)
-            if grid[a - 1, b - 1])
-    pairs, sigs = _dedup(field, f, hits)
+    pairs, sigs = _dedup(field, f, kernels.op_pair_grid(field, f.coeffs))
     return PairSearchResult(family, "direct", pairs, sigs)
 
 
@@ -141,8 +125,8 @@ def search_pairs_table_based(field: Field, family: FamilyEntry
     vanishing (the x-coefficient of alpha*f(beta*x) - x must vanish).
     """
     f = family.poly(field)
-    planes = np.stack(kernels.pair_planes(field, f.coeffs), axis=-1)
-    hit, ords, _ = class_lookup(field, planes)
+    hit, ords, _ = class_lookup(field, kernels.pair_planes(field, f.coeffs))
+    pairs, sigs = _dedup(field, f, hit)
     targets = class_entries(field.q)
     per_target: dict[int, list] = {}
     if field.p != 7:
@@ -150,18 +134,16 @@ def search_pairs_table_based(field: Field, family: FamilyEntry
             return [i for i in (2, 3, 4, 5) if row[i] != 0]
         per_target = {t.ordinal: [] for t in targets
                       if support(t.coeff_row()) == support(f.coeffs)}
-    for a, b in zip(*np.nonzero(hit)):
-        ordv = int(ords[a, b])
+    # a polynomial lies in one class: each system's pairs are the kept
+    # pairs whose image hits its target
+    for a, b in pairs:
+        ordv = int(ords[a - 1, b - 1])
         assert field.p == 7 or ordv in per_target, (family.ordinal, ordv)
-        per_target.setdefault(ordv, []).append((int(a) + 1, int(b) + 1))
+        per_target.setdefault(ordv, []).append((a, b))
     systems = []
-    all_pairs = []
     for ordv in sorted(per_target):
-        pairs, _ = _dedup(field, f, per_target[ordv])
         vanishing = field.p != 7 and targets[ordv - 1].coeff_row()[1] == 0
-        systems.append(SystemResult(ordv, vanishing, pairs))
-        all_pairs.extend(pairs)
-    pairs, sigs = _dedup(field, f, sorted(all_pairs))
+        systems.append(SystemResult(ordv, vanishing, tuple(per_target[ordv])))
     return PairSearchResult(family, "table_based", pairs, sigs,
                             systems=tuple(systems))
 

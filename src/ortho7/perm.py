@@ -19,22 +19,10 @@ from .field import Field
 from .poly import Poly, eval_poly
 
 
-def is_permutation(f: Poly) -> bool:
-    """True iff x -> f(x) hits every field element; early exit on the
-    first collision."""
-    fld = f.field
-    hit = bytearray(fld.q)
-    for x in fld.elements():
-        v = eval_poly(f, x)
-        if hit[v]:
-            return False
-        hit[v] = 1
-    return True
-
-
-def is_orthomorphism(f: Poly) -> bool:
-    """True iff f and f - x are both permutations.  Evaluates f once per
-    point and feeds two hit masks in a single pass."""
+def _bijective(f: Poly, partner=None) -> bool:
+    """True iff x -> f(x) is a bijection and, when a field operation
+    `partner` is given, so is x -> partner(f(x), x).  Evaluates f once per
+    point, feeds both hit masks, and exits on the first collision."""
     fld = f.field
     hit_f = bytearray(fld.q)
     hit_h = bytearray(fld.q)
@@ -43,28 +31,27 @@ def is_orthomorphism(f: Poly) -> bool:
         if hit_f[v]:
             return False
         hit_f[v] = 1
-        w = fld.sub(v, x)
-        if hit_h[w]:
-            return False
-        hit_h[w] = 1
+        if partner is not None:
+            w = partner(v, x)
+            if hit_h[w]:
+                return False
+            hit_h[w] = 1
     return True
+
+
+def is_permutation(f: Poly) -> bool:
+    """True iff x -> f(x) hits every field element."""
+    return _bijective(f)
+
+
+def is_orthomorphism(f: Poly) -> bool:
+    """True iff f and f - x are both permutations."""
+    return _bijective(f, f.field.sub)
 
 
 def is_complete_mapping(f: Poly) -> bool:
     """True iff f and f + x are both permutations."""
-    fld = f.field
-    hit_f = bytearray(fld.q)
-    hit_h = bytearray(fld.q)
-    for x in fld.elements():
-        v = eval_poly(f, x)
-        if hit_f[v]:
-            return False
-        hit_f[v] = 1
-        w = fld.add(v, x)
-        if hit_h[w]:
-            return False
-        hit_h[w] = 1
-    return True
+    return _bijective(f, f.field.add)
 
 
 _PROP_CODES = {"pp": kernels.PROP_PP, "op": kernels.PROP_OP, "cpp": kernels.PROP_CPP}

@@ -35,6 +35,7 @@ from math import ceil
 
 import numpy as np
 
+from . import kernels
 from .canon import canonicalize, ck_set, ci_set
 from .families import (
     EXPECTED_COUNTS,
@@ -53,10 +54,9 @@ from .pairs import (
     search_pairs_direct,
     search_pairs_table_based,
     verify_nonexistence,
-    _scaled_coeffs,
     _shift_rows,
 )
-from .perm import CensusQuery, census, is_orthomorphism
+from .perm import CensusQuery, census
 from .poly import LinearTransform, Poly, apply_transform, eval_poly
 
 TABLE_ORDERS = (11, 13, 17, 19, 23, 25, 27, 31, 49)
@@ -163,14 +163,10 @@ def _published_signature_sets(q: int):
         f = entry.poly(field)
         corrupt = {tuple(p) for p in
                    defects.get(ord_str, {}).get("corrupt", [])}
-        sigs = set()
-        for a_lit, b_lit in pair_lits:
-            if (a_lit, b_lit) in corrupt:
-                continue
-            a = field.parse_element(a_lit)
-            b = field.parse_element(b_lit)
-            sigs.add(_scaled_coeffs(field, f, a, b))
-        out[ordinal] = (sigs, defects.get(ord_str, {}))
+        ab = np.array([[field.parse_element(lit) for lit in p] for p in pair_lits
+                       if tuple(p) not in corrupt], dtype=np.int64).reshape(-1, 2)
+        rows = kernels.scaled_rows(field, f.coeffs, ab[:, 0], ab[:, 1])
+        out[ordinal] = (set(map(tuple, rows.tolist())), defects.get(ord_str, {}))
     return out
 
 
@@ -394,22 +390,19 @@ def check_properties(seed: int = 11):
             got = canonicalize(apply_transform(f, t))[0].tuple5
             if got != want:
                 return False, f"q={q}: class constancy fails under {t}"
-    # orthomorphism shift invariance, exhaustive over (gamma, delta)
+    # orthomorphism shift invariance, exhaustive over (gamma, delta): the
+    # q^2 rows g(x+gamma)+delta and their rows minus x, one batch each
     for q in (11, 13, 17, 19, 25, 49):
         field = field_for(q)
-        rep = None
-        for entry in table_for(q).entries:
-            r = search_pairs_direct(field, entry)
-            if r.pair_count:
-                rep = r
-                break
-        g = Poly(field, rep.signatures[0])
-        for gamma in field.elements():
-            shifted = apply_transform(g, LinearTransform(1, 1, gamma, 0))
-            for delta in field.elements():
-                s = apply_transform(shifted, LinearTransform(1, 1, 0, delta))
-                if not is_orthomorphism(s):
-                    return False, f"q={q}: shift ({gamma},{delta}) breaks OP"
+        rep = next(r for r in (search_pairs_direct(field, e)
+                               for e in table_for(q).entries) if r.pair_count)
+        rows = _shift_rows(field, rep.signatures[0])
+        minus_x = rows.copy()
+        minus_x[:, 1] = field.sub_t[rows[:, 1], 1]
+        op = kernels.pp_batch(field, rows) & kernels.pp_batch(field, minus_x)
+        if not op.all():
+            gamma, delta = divmod(int(np.argmin(op)), q)
+            return False, f"q={q}: shift ({gamma},{delta}) breaks OP"
     # pointwise transform identity on random data, exhaustive in x
     for q in (13, 25, 49):
         field = field_for(q)

@@ -20,6 +20,8 @@ Criteria and stated targets:
     constancy, orthomorphism shift invariance, pointwise transform law
 """
 
+from types import SimpleNamespace
+
 from ortho7 import verify
 from ortho7.pairs import EnumerationReport
 
@@ -66,3 +68,13 @@ def test_c8_classification_audit():
 
 def test_c9_property_suite():
     _criterion(verify.check_properties())
+
+
+def test_c9_property_suite_fails_on_a_non_orthomorphism(monkeypatch):
+    # the shift-invariance input replaced by x^7, a permutation of F_11
+    # whose x^7 - x is not one (it maps 0 and 1 to 0): every shift fails
+    fake = SimpleNamespace(pair_count=1, signatures=[(0,) * 7 + (1,)])
+    monkeypatch.setattr(verify, "search_pairs_direct", lambda field, e: fake)
+    result = verify.check_properties()
+    assert not result.ok
+    assert result.detail == "q=11: shift (0,0) breaks OP"

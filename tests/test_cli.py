@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
@@ -119,6 +120,14 @@ def test_usage_error_exit_code(capsys):
     # --budget belongs to census alone, and verify takes no field selection
     assert main(["test", "--q", "13", "x", "--budget", "5"]) == 2
     assert main(["verify", "--field", "23", "--q", "9"]) == 2
+    # --workers is positive and --audit-n non-negative, on every command
+    # that takes them; argparse rejects them before any work starts
+    for argv in (["verify", "--workers", "0"], ["verify", "--workers", "-4"],
+                 ["verify", "--audit-n", "-1"], ["verify", "--audit-n", "x"],
+                 ["census", "--q", "11", "--workers", "0"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err, argv
+        assert "Traceback" not in err, argv
 
 
 def test_verify_single_field(capsys):
@@ -135,6 +144,23 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     payload = json.loads(path.read_text())
     assert payload["results"]["verdict"] is True
+
+
+def test_unwritable_out_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.txt"
+    assert "No such file" in _usage_error(capsys, "test", "--q", "13", "x^7",
+                                          "--out", str(path))
+    assert "directory" in _usage_error(capsys, "test", "--q", "13", "x^7",
+                                       "--out", str(tmp_path))
+    # an empty path names no file, rather than asking for standard output
+    _usage_error(capsys, "test", "--q", "13", "x^7", "--out", "")
+
+
+def test_unwritable_emit_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "ops.txt"
+    assert "No such file" in _usage_error(capsys, "enumerate", "--q", "13",
+                                          "--emit", str(path))
+    _usage_error(capsys, "enumerate", "--q", "13", "--emit", "")
 
 
 def _usage_error(capsys, *argv):
@@ -179,8 +205,9 @@ def test_census_degree_zero_is_a_usage_error(capsys):
 
 # argv fuzzing: cheap orders only, a census budget on every census (the
 # default budget admits minute-long scans) and a --field instead of a field
-# selection on every verify (the full battery takes seconds); --out and
-# --emit are left out so that no example writes files.
+# selection on every verify (the full battery takes seconds).  --out and
+# --emit name a file in a fresh temporary directory, or one under a missing
+# subdirectory of it, whose OSError must end in exit code 2.
 _FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
     ["--p", "5", "--r", "2", "--modulus", "2,4,1"], ["--p", "13"],
     # malformed selections
@@ -189,14 +216,17 @@ _FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
     ["--p", "5", "--r", "2", "--modulus", "a,b"], ["--q", "13", "--p", "13"]]
 _POLYS = ["x", "x^7+2x", "3x^7+7x", "x^7+6x", "x^7", "x^3", "0", "1",
           "0,2,0,0,0,0,0,1", "1,2,3", "x^^oops", "2t", ""]
-_COMMON = [["--format", v] for v in ("text", "json", "csv")]
+_TMP = "<tmp>"
+_PATHS = (f"{_TMP}/out.txt", f"{_TMP}/missing/out.txt")
+_COMMON = [["--format", v] for v in ("text", "json", "csv")] + [
+    ["--out", v] for v in _PATHS]
 _WORKERS = [["--workers", v] for v in ("0", "1", "2")]
 _FLAGS = {
     "test": [["--property", v] for v in ("pp", "op", "cpp", "no")],
     "classify": [],
     "pairs": [["--family", v] for v in ("-1", "0", "1", "3", "99")] + [
         ["--method", v] for v in ("direct", "table", "both")] + [["--all"]],
-    "enumerate": [],
+    "enumerate": [["--emit", v] for v in _PATHS],
     "census": [["--degree", v] for v in ("0", "1", "2", "7")] + [
         ["--property", v] for v in ("pp", "op", "cpp")] + [["--canonical"]]
         + _WORKERS,
@@ -229,7 +259,8 @@ def _argv(draw):
 @given(_argv())
 def test_cli_exit_codes_on_generated_argv(argv):
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([a.replace(_TMP, tmp) for a in argv])
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv

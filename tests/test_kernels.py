@@ -196,23 +196,36 @@ def test_expand_shifts_matches_apply_transform(q):
     bs = rng.integers(1, q, size=30)
     cs = rng.integers(0, q, size=30)
 
-    def ref(row, b, c):
+    def ref(row, a, b, c):
         g = apply_transform(Poly(fld, tuple(int(v) for v in row)),
-                            LinearTransform(1, int(b), int(c), 0))
+                            LinearTransform(int(a), int(b), int(c), 0))
         return list(g.coeffs) + [0] * (8 - len(g.coeffs))
 
     # one row against arrays of (b, c)
     single = kernels.expand_shifts(fld, C[0], bs, cs)
     assert single.shape == (30, 8)
     for k in range(30):
-        assert single[k].tolist() == ref(C[0], bs[k], cs[k])
+        assert single[k].tolist() == ref(C[0], 1, bs[k], cs[k])
     # a batch of rows, one (b, c) per row
     batch = kernels.expand_shifts(fld, C[:30], bs, cs)
     assert batch.shape == (30, 8)
     for k in range(30):
-        assert batch[k].tolist() == ref(C[k], bs[k], cs[k])
+        assert batch[k].tolist() == ref(C[k], 1, bs[k], cs[k])
     # a batch of rows against every (b, c): broadcast to (rows, shifts, 8)
     grid = kernels.expand_shifts(fld, C[:, None, :], bs, cs)
     assert grid.shape == (40, 30, 8)
     for r, k in zip(rng.integers(0, 40, 25), rng.integers(0, 30, 25)):
-        assert grid[r, k].tolist() == ref(C[r], bs[k], cs[k])
+        assert grid[r, k].tolist() == ref(C[r], 1, bs[k], cs[k])
+    # alpha*f(beta*x): a batch of rows, one (alpha, beta) per row
+    alphas = rng.integers(1, q, size=30)
+    scaled = kernels.scaled_rows(fld, C[:30], alphas, bs)
+    assert scaled.shape == (30, 8)
+    for k in range(30):
+        assert scaled[k].tolist() == ref(C[k], alphas[k], bs[k], 0)
+    # the pair planes: alpha*f(beta*x) - x at every (alpha, beta) in (F_q*)^2
+    planes = kernels.pair_planes(fld, C[0])
+    assert planes.shape == (q - 1, q - 1, 8)
+    for a, b in rng.integers(1, q, size=(25, 2)):
+        want = ref(C[0], a, b, 0)
+        want[1] = fld.sub(want[1], 1)
+        assert planes[a - 1, b - 1].tolist() == want

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ortho7 import kernels
 from ortho7.errors import UnsupportedOrder
 from ortho7.field import field_for
 from ortho7.families import table_for
@@ -71,11 +72,11 @@ def test_dedup_keeps_smallest_representative(f13):
     fam = _family(13, (0, 0, 0, 0, 6))
     res = search_pairs_direct(f13, fam)
     assert (2, 9) in res.pairs and (5, 1) not in res.pairs
-    f = fam.poly(f13)
-    from ortho7.pairs import _scaled_coeffs
-
-    assert _scaled_coeffs(f13, f, 5, 1) == _scaled_coeffs(f13, f, 2, 9)
+    rows = kernels.scaled_rows(f13, fam.poly(f13).coeffs, [5, 2], [1, 9])
+    assert rows[0].tolist() == rows[1].tolist()
+    assert res.signatures[res.pairs.index((2, 9))] == tuple(rows[1].tolist())
     assert len(set(res.signatures)) == len(res.pairs)
+    assert list(res.pairs) == sorted(res.pairs)
 
 
 @pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 49])
