@@ -106,12 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="re-check the published results")
     sp.add_argument("--field", type=int,
-                    help="restrict the totals check to one order")
-    sp.add_argument("--deep", action="store_true",
+                    help="run only the totals check, for one order")
+    # None defaults: cmd_verify refuses these next to --field
+    sp.add_argument("--deep", action="store_true", default=None,
                     help="add the canonical census for q=8,11,13,17,19 "
                          "(about 40 s on 2 workers)")
-    sp.add_argument("--audit-n", type=_int_at_least(0), default=100_000)
-    sp.add_argument("--workers", type=_int_at_least(1), default=2)
+    sp.add_argument("--audit-n", type=_int_at_least(0),
+                    help="rows in the classification audit (default 100000)")
+    sp.add_argument("--workers", type=_int_at_least(1),
+                    help="census workers (default 2)")
     add_output(sp)
     return p
 
@@ -207,14 +210,13 @@ def cmd_classify(args) -> int:
         lines.append("characteristic 7: classification by the class-image "
                      "index of the table")
         t = image_witness(f) if entry is not None else None
-    if t is not None:
+    if entry is None:
+        results["transform"] = results["family"] = None
+        lines.append("not a permutation polynomial")
+    else:
         results["transform"] = [field.format_element(v) for v in t.as_tuple()]
         lines.append("witnessing transform (a, b, c, d): "
                      f"({', '.join(results['transform'])})")
-    if entry is None:
-        results["family"] = None
-        lines.append("not a permutation polynomial")
-    else:
         results["family"] = {"ordinal": entry.ordinal,
                              "exceptional": entry.exceptional,
                              "tuple": [field.format_element(c)
@@ -334,7 +336,12 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    suite_opts = {name: getattr(args, name) for name in ("deep", "audit_n", "workers")
+                  if getattr(args, name) is not None}
     if args.field is not None:
+        if suite_opts:
+            flags = ", ".join("--" + name.replace("_", "-") for name in suite_opts)
+            raise ParseError(f"--field runs the totals check alone; it takes no {flags}")
         from .pairs import verify_nonexistence
         from .verify import load_reference
 
@@ -358,8 +365,7 @@ def cmd_verify(args) -> int:
               [[q, got, want, "pass" if ok else "fail"]])
         return 0 if ok else 1
 
-    results = verify_mod.run_suite(deep=args.deep, workers=args.workers,
-                                   audit_n=args.audit_n)
+    results = verify_mod.run_suite(**suite_opts)
     ok = all(r.ok for r in results)
     payload = {"q": None, "command": "verify",
                "results": [{"name": r.name, "ok": r.ok, "detail": r.detail,

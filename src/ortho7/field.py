@@ -8,7 +8,8 @@ Index 0 is the additive identity and index 1 the multiplicative identity.
 Arithmetic is table-driven.  Construction precomputes exp/log tables for
 the pinned generator plus full q x q add/sub/mul tables, so the inner
 loops downstream (permutation checks, pair searches, the census) reduce
-to integer array lookups and can be handed to numpy wholesale.
+to integer array lookups and can be handed to numpy wholesale.  The q
+element literals are built once too, so formatting is a tuple lookup.
 
 The generator choice is part of the field's identity, not an
 implementation detail: the coset-transversal sets used by the canonical
@@ -193,14 +194,10 @@ class Field:
         self.log_t = log_t
 
         # Digit-wise add/neg; mul through exp/log.
-        idx = np.arange(q, dtype=np.int64)
-        digits = np.empty((q, self.r), dtype=np.int64)
-        v = idx.copy()
-        for k in range(self.r):
-            digits[:, k] = v % p
-            v //= p
-        self._digits = digits
         pw = p ** np.arange(self.r, dtype=np.int64)
+        digits = (np.arange(q, dtype=np.int64)[:, None] // pw) % p
+        # literals[a] is the canonical literal of element a (format_element).
+        self.literals = tuple(_literal(row) for row in digits.tolist())
         add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pw
         self.add_t = add.astype(np.int64)
         self.neg_t = (((-digits) % p) @ pw).astype(np.int64)
@@ -261,24 +258,10 @@ class Field:
 
     # -- element literals --------------------------------------------------
 
-    def element_digits(self, a: int) -> tuple[int, ...]:
-        return tuple(int(d) for d in self._digits[a])
-
     def format_element(self, a: int) -> str:
         """Canonical literal: ascending basis terms, e.g. '0', '3', '2t',
         '3+2t', 't^2'.  This exact form is what the parsers round-trip."""
-        if self.r == 1:
-            return str(a)
-        parts = []
-        for k, d in enumerate(self.element_digits(a)):
-            if d == 0:
-                continue
-            if k == 0:
-                parts.append(str(d))
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                parts.append(var if d == 1 else f"{d}{var}")
-        return "+".join(parts) if parts else "0"
+        return self.literals[a]
 
     def parse_element(self, s: str) -> int:
         """Parse an element literal.
@@ -348,6 +331,16 @@ class Field:
 
     def __hash__(self):
         return hash(self.spec)
+
+
+def _literal(digits) -> str:
+    """Ascending basis terms of one base-p digit row, '0' for no term."""
+    parts = []
+    for k, d in enumerate(digits):
+        if d:
+            var = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+            parts.append(var if d == 1 and k else f"{d}{var}")
+    return "+".join(parts) or "0"
 
 
 def _least_primitive_root(p: int) -> int:

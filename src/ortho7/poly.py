@@ -21,7 +21,7 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(map(int, self.coeffs))
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -257,9 +257,9 @@ def _parse_symbolic(field: Field, s: str) -> Poly:
 
 
 def format_poly(f: Poly, form: str = "symbolic") -> str:
-    fld = f.field
+    lits = f.field.literals
     if form == "vector":
-        return ",".join(fld.format_element(c) for c in f.coeffs)
+        return ",".join([lits[c] for c in f.coeffs])
     if not f.coeffs:
         return "0"
     parts = []
@@ -267,7 +267,7 @@ def format_poly(f: Poly, form: str = "symbolic") -> str:
         c = f.coeff(i)
         if c == 0:
             continue
-        lit = fld.format_element(c)
+        lit = lits[c]
         if "+" in lit:
             lit = f"({lit})"
         if i == 0:

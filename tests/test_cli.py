@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -39,6 +40,18 @@ def test_cmd_classify(capsys):
     assert code == 0 and "family 3" in out
 
 
+def test_classify_without_class_prints_no_witness(capsys):
+    # x^7 is the only class at q = 41, so x^7 + x lies in none
+    code, out, _ = run(capsys, "classify", "--q", "41", "x^7+x")
+    assert code == 0 and "not a permutation polynomial" in out
+    assert "witnessing transform" not in out
+    code, out, _ = run(capsys, "classify", "--q", "41", "x^7+x", "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["transform"] is None and results["family"] is None
+    code, out, _ = run(capsys, "classify", "--q", "41", "x^7", "--format", "json")
+    assert code == 0 and json.loads(out)["results"]["transform"] is not None
+
+
 def test_cmd_pairs_both_methods(capsys):
     code, out, _ = run(capsys, "pairs", "--q", "13", "--family", "1",
                        "--method", "both")
@@ -63,6 +76,15 @@ def test_cmd_enumerate_emit(capsys, tmp_path):
     assert len(lines) == 4332
     assert len(set(lines)) == 4332
     assert all(len(line.split(",")) == 8 for line in lines[:50])
+
+
+def test_cmd_enumerate_emit_bytes_are_pinned(capsys, tmp_path):
+    # the digest of every q = 25 row, as `enumerate --q 25 --emit` writes them
+    path = tmp_path / "ops.csv"
+    code, _, _ = run(capsys, "enumerate", "--q", "25", "--emit", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4708cbb13787765efceca3cdfc93bf15d1244e7909eb20ae859413869437ddf7")
 
 
 def test_cmd_census(capsys):
@@ -124,7 +146,14 @@ def test_usage_error_exit_code(capsys):
     # that takes them; argparse rejects them before any work starts
     for argv in (["verify", "--workers", "0"], ["verify", "--workers", "-4"],
                  ["verify", "--audit-n", "-1"], ["verify", "--audit-n", "x"],
-                 ["census", "--q", "11", "--workers", "0"]):
+                 ["census", "--q", "11", "--workers", "0"],
+                 # --field runs the totals check alone; the suite options
+                 # would otherwise be dropped without a word
+                 ["verify", "--field", "13", "--deep"],
+                 ["verify", "--field", "13", "--audit-n", "5"],
+                 ["verify", "--field", "23", "--workers", "1"],
+                 ["verify", "--field", "13", "--deep", "--audit-n", "5",
+                  "--workers", "1"]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error:" in err, argv
         assert "Traceback" not in err, argv

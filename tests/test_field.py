@@ -128,10 +128,32 @@ def test_non_preset_prime_field_on_demand():
         field_for(12)
 
 
-def test_element_litererrs_and_roundtrip(f25, f49):
-    for f in (f25, f49):
+def _reference_literal(f, a):
+    """The canonical literal of element a, from its base-p digits: the
+    nonzero basis terms in ascending order, coefficient 1 left implicit."""
+    digits = [(a // f.p ** k) % f.p for k in range(f.r)]
+    parts = []
+    for k, d in enumerate(digits):
+        if d == 0:
+            continue
+        if k == 0:
+            parts.append(str(d))
+        else:
+            var = "t" if k == 1 else f"t^{k}"
+            parts.append(var if d == 1 else f"{d}{var}")
+    return "+".join(parts) if parts else "0"
+
+
+def test_element_literals_and_roundtrip(f25):
+    fields = [field_for(q) for q in preset_orders()]
+    fields.append(build_field(FieldSpec(5, 3, (2, 0, 1, 1))))  # q = 125, no preset
+    for f in fields:
+        assert len(f.literals) == f.q
         for a in f.elements():
+            assert f.format_element(a) == _reference_literal(f, a), (f, a)
             assert f.parse_element(f.format_element(a)) == a
+    f125 = fields[-1]
+    assert f125.format_element(5) == "t" and f125.format_element(124) == "4+4t+4t^2"
     assert f25.parse_element("t^5") == f25.pow(f25.theta, 5)
     assert f25.parse_element("4t^3") == f25.mul(4, f25.pow(f25.theta, 3))
     assert f25.parse_element("3+2t") == f25.add(3, f25.mul(2, f25.theta))
