@@ -213,24 +213,31 @@ class Field:
         inv[nz] = exp_table[(-(li)) % (q - 1)]
         self.inv_t = inv  # inv_t[0] stays 0; inv() guards
 
+        # Python-list twins for the scalar operations: a list read returns a
+        # plain int, without the numpy scalar a table read makes.
+        self._add, self._sub, self._mul = (self.add_t.tolist(), self.sub_t.tolist(),
+                                           self.mul_t.tolist())
+        self._neg, self._inv = self.neg_t.tolist(), self.inv_t.tolist()
+        self._exp, self._log = exp_table.tolist(), log_t.tolist()
+
     # -- scalar operations ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_t[a, b])
+        return self._add[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.sub_t[a, b])
+        return self._sub[a][b]
 
     def neg(self, a: int) -> int:
-        return int(self.neg_t[a])
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_t[a, b])
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inv(0) in F_{self.q}")
-        return int(self.inv_t[a])
+        return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -239,7 +246,7 @@ class Field:
             if n < 0:
                 raise DivisionByZero(f"0**{n} in F_{self.q}")
             return 0
-        return int(self.exp_t[(int(self.log_t[a]) * n) % (self.q - 1)])
+        return self._exp[(self._log[a] * n) % (self.q - 1)]
 
     def dlog(self, x: int) -> int:
         if x == 0:

@@ -9,11 +9,13 @@ order).  Every kernel given polynomials takes them as coefficient rows
 on the last axis (ascending powers).  One primitive, `scaled_rows`, gives
 every rescaling alpha*f(beta*x): the pair grid's rows, the pair dedup and
 the published pair lists all read it, and it is `expand_shifts` with a
-zero shift.  The pair grid and pp_batch share a Horner loop; the census
-evaluates low and high coefficient blocks once each (meet in the middle).
-The lookups evaluate nothing: `normalized_code_batch` packs degree-7 rows
-into codes and `code_member` finds them in a sorted code array, such as
-the class-image index of `families.image_codes`.
+zero shift.  The pair grid and pp_batch share one evaluator, `_full_hits`:
+Horner with one gather per step from an int16 step table, and a collision
+sieve that stops evaluating a row once one of its values repeats.  The
+census evaluates low and high coefficient blocks once each (meet in the
+middle).  The lookups evaluate nothing: `normalized_code_batch` packs
+degree-7 rows into codes and `code_member` finds them in a sorted code
+array, such as the class-image index of `families.image_codes`.
 
 Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
 2 = complete mapping (f and f+x).
@@ -41,21 +43,38 @@ def _full_hits(field, C):
     which are permutations.
 
     `C[..., i]` is the array of x^i coefficients (coefficient rows on the
-    last axis).  The hits of each row are ORed into a uint64 mask; the
-    result is the boolean array, of shape C.shape[:-1], of full masks.
+    last axis, any length).  The hits of each row are ORed into a uint64
+    mask; the result is the boolean array, of shape C.shape[:-1], of full
+    masks.  A row whose value repeats can never fill its mask, so it is
+    sieved out: once at least half of the rows still carried have
+    collided, only the live ones are kept.  A random row lives about
+    sqrt(pi*q/2) points rather than q.  The accumulator is carried times
+    q, so each Horner step is one gather of acc*q + c from the int16 table
+    step[x, a*q + c] = (a*x + c)*q (q^2 <= 3969 fits).
     """
     q = field.q
     check_hit_mask_order(q)
-    mul, add = field.mul_t, field.add_t
+    step = (field.add_t.astype(np.int16) * q)[field.mul_t.T].reshape(q, q * q)
     deg = C.shape[-1] - 1
-    mask = np.zeros(C.shape[:-1], dtype=np.uint64)
+    cols = C.reshape(-1, deg + 1).T.astype(np.int16)  # one contiguous row per power
+    cols[deg] *= q
+    pos = np.arange(cols.shape[1])
+    mask = np.zeros(pos.size, dtype=np.uint64)
+    clash = np.zeros(pos.size, dtype=bool)
+    bits = np.uint64(1) << (np.arange(q * q) // q).astype(np.uint64)  # [v*q] = 1 << v
     for x in range(q):
-        mx = mul[:, x]
-        acc = C[..., deg]
+        sx, acc = step[x], cols[deg]
         for i in range(deg - 1, -1, -1):
-            acc = add[mx[acc], C[..., i]]
-        mask |= np.uint64(1) << acc.astype(np.uint64)
-    return mask == np.uint64((1 << q) - 1)
+            acc = sx.take(acc + cols[i])
+        seen = mask | bits.take(acc)
+        clash |= seen == mask
+        mask = seen
+        if 2 * np.count_nonzero(clash) >= max(clash.size, 1):
+            live = ~clash
+            cols, pos, mask, clash = cols[:, live], pos[live], mask[live], clash[live]
+    out = np.zeros(C.shape[:-1], dtype=bool)
+    out.flat[pos] = mask == np.uint64((1 << q) - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -342,18 +342,18 @@ def check_audit(n_random: int = 100_000, seed: int = 7):
     """Zero disagreements between the table route and direct evaluation:
     n_random random degree-7 polynomials per supported field plus the
     exhaustive x^7 + a3 x^3 + a1 x sweep."""
-    total = 0
+    total = pps = 0
     for q in TABLE_ORDERS:
         field = field_for(q)
         rep = audit_random(field, n_random, seed=seed + q)
         if not rep.ok:
             return False, f"q={q}: {len(rep.disagreements)} disagreements"
-        total += rep.total
+        total, pps = total + rep.total, pps + rep.pp_count
         rep = audit_support(field, (3, 1))
         if not rep.ok:
             return False, f"q={q}: shape audit disagreements"
-        total += rep.total
-    return True, f"{total} polynomials audited, zero disagreements"
+        total, pps = total + rep.total, pps + rep.pp_count
+    return True, f"{total} polynomials audited, {pps} permutations, zero disagreements"
 
 
 @_timed("property-suite")

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,29 @@ def test_inverse_and_fermat_all_presets():
             assert f.mul(a, f.inv(a)) == 1
         for a in f.elements():
             assert f.pow(a, q) == a
+
+
+@pytest.mark.parametrize("q", preset_orders())
+def test_scalar_operations_match_the_tables(q):
+    # the scalar operations read list twins of the kernels' numpy tables:
+    # the same values, as exact ints, also for numpy integer arguments
+    f = field_for(q)
+
+    def table_pow(a, n):
+        return int(f.exp_t[f.log_t[a] * n % (q - 1)]) if a else int(n == 0)
+
+    for a in range(q):
+        ops = [(f.neg, (a,), f.neg_t[a])]
+        if a:
+            ops.append((f.inv, (a,), f.inv_t[a]))
+        for b in range(q):
+            ops += [(f.add, (a, b), f.add_t[a, b]), (f.sub, (a, b), f.sub_t[a, b]),
+                    (f.mul, (a, b), f.mul_t[a, b]), (f.pow, (a, b), table_pow(a, b))]
+        for op, args, want in ops:
+            got = op(*args)
+            assert type(got) is int and got == want, (op.__name__, args)
+            got = op(*map(np.int64, args))
+            assert type(got) is int and got == want, (op.__name__, args)
 
 
 def test_inv_zero_raises(f13):

@@ -135,6 +135,32 @@ def test_pp_batch_agrees_with_scalar_check():
             assert bool(bit) == want, (q, row)
 
 
+@pytest.mark.parametrize("q", [11, 13, 49])
+def test_pp_batch_catches_a_repeat_at_the_last_element(q):
+    # e + c*(1 - (x - a)^(q-1)) moves the value of the class entry e at
+    # a = q-1 alone, so the row's one repeat shows at the last element
+    # evaluated.  Three random rows to each such row make the evaluator
+    # compact the batch while these rows are still live.
+    fld = field_for(q)
+    a, xq1 = q - 1, Poly(fld, (0,) * (q - 1) + (1,))
+    entries = [np.pad(e.poly(fld).coeffs, (0, q - 8)) for e in table_for(q).entries]
+    # c*(1 - (x - a)^(q-1)) is -c*(x - a)^(q-1) + c
+    bumps = [apply_transform(xq1, LinearTransform(fld.neg(c), 1, fld.neg(a), c)).coeffs
+             for c in range(1, q)]
+    late = [fld.add_t[e, bump] for e in entries for bump in bumps]
+    rng = np.random.default_rng(q)
+    n = len(entries) + len(late)  # random rows fill up to a multiple of 20 >= 4n
+    C = np.vstack(entries + late + [rng.integers(0, q, size=(20 * -(-4 * n // 20) - n, q))])
+    order = rng.permutation(len(C))
+    bits = kernels.pp_batch(fld, C[order].reshape(4, 5, -1, q))
+    assert bits.shape == (4, 5, len(C) // 20)
+    got = np.empty(len(C), dtype=bool)
+    got[order] = bits.ravel()
+    assert np.array_equal(np.nonzero(got)[0], np.arange(len(entries)))
+    for row, bit in zip(C, got):
+        assert bit == is_permutation(Poly(fld, tuple(int(v) for v in row))), (q, row)
+
+
 @pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 41])
 def test_class_lookup_agrees_with_canonical_route(q):
     # the audit's class-image lookup against the canonical route of
