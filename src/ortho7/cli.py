@@ -18,11 +18,11 @@ import time
 from . import __version__, verify as verify_mod
 from .canon import canonicalize
 from .errors import Ortho7Error, ParseError, UnsupportedOrder
-from .families import image_witness, is_pp_by_table, table_for
+from .families import check_table_field, image_witness, is_pp_by_table, table_for
 from .field import FieldSpec, build_field, field_for
 from .pairs import (
+    _shift_rows,
     count_ops,
-    enumerate_ops,
     search_pairs_direct,
     search_pairs_table_based,
 )
@@ -235,6 +235,7 @@ def cmd_pairs(args) -> int:
     field = resolve_field(args)
     t0 = time.perf_counter()
     table = table_for(field.q)
+    check_table_field(field)
     entries = table.entries
     if args.family is not None and not 1 <= args.family <= len(entries):
         raise ParseError(f"--family must be in 1..{len(entries)} for "
@@ -285,11 +286,13 @@ def cmd_pairs(args) -> int:
 
 def cmd_enumerate(args) -> int:
     field = resolve_field(args)
+    check_table_field(field)
     t0 = time.perf_counter()
     report = count_ops(field.q)
+    summary = report.to_dict(field)
     payload = {"q": field.q, "command": "enumerate",
-               "results": report.to_dict(field)["families"],
-               "totals": report.to_dict(field)["totals"],
+               "results": summary["families"],
+               "totals": summary["totals"],
                "timings": {}}
     payload["results_notes"] = report.notes
     lines = [f"q={field.q}: pair_total={report.pair_total} "
@@ -300,12 +303,16 @@ def cmd_enumerate(args) -> int:
     for r in report.per_family:
         csv_rows.append([field.q, r.family.ordinal, r.pair_count])
     if args.emit is not None:
+        lits = field.literals
         n = 0
         with open(args.emit, "w") as fh:
-            for poly in enumerate_ops(field.q, report):
-                fh.write(format_poly(poly, "vector"))
-                fh.write("\n")
-                n += 1
+            # one write per pair: its q^2 shift rows as vector literals
+            for r in report.per_family:
+                for sig in r.signatures:
+                    rows = _shift_rows(field, sig).tolist()
+                    fh.write("".join([",".join([lits[c] for c in row]) + "\n"
+                                      for row in rows]))
+                    n += len(rows)
         lines.append(f"wrote {n} coefficient vectors to {args.emit}")
         payload["results_emitted"] = n
     payload["timings"]["elapsed_s"] = time.perf_counter() - t0

@@ -25,10 +25,6 @@ class DlogOfZero(Ortho7Error):
     """Discrete logarithm of zero requested."""
 
 
-class FieldMismatch(Ortho7Error):
-    """Operands belong to different fields."""
-
-
 class DegreeMismatch(Ortho7Error):
     """Polynomial degree does not match the operation's requirement."""
 

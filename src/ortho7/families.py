@@ -240,14 +240,19 @@ def image_codes(q: int):
     return _class_index(field_for(q))
 
 
-def _field_entries(field: Field) -> tuple[FamilyEntry, ...]:
-    """`class_entries` of the field's order.  Table entries are encoded in
-    the preset field of their order, so a table order needs that field; the
-    x^7 entry reads the same in every field."""
-    entries = class_entries(field.q)
+def check_table_field(field: Field) -> None:
+    """Raise UnsupportedOrder for a table order outside its preset field:
+    table entries are encoded in the preset field of their order."""
     if field.q in load_family_tables() and field != field_for(field.q):
         raise UnsupportedOrder(f"the q={field.q} class table is encoded in "
                                f"the preset field {field_for(field.q)!r}")
+
+
+def _field_entries(field: Field) -> tuple[FamilyEntry, ...]:
+    """`class_entries` of the field's order, refused for a table order
+    outside its preset field; the x^7 entry reads the same in every field."""
+    entries = class_entries(field.q)
+    check_table_field(field)
     return entries
 
 

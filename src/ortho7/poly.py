@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DegreeMismatch, FieldMismatch, ParseError
+from .errors import DegreeMismatch, ParseError
 from .field import Field
 
 
@@ -66,34 +66,6 @@ def eval_poly(f: Poly, x: int) -> int:
     return acc
 
 
-def _check_same_field(f: Poly, g: Poly):
-    if f.field != g.field:
-        raise FieldMismatch(f"{f.field!r} vs {g.field!r}")
-
-
-def equal(f: Poly, g: Poly) -> bool:
-    _check_same_field(f, g)
-    return f.coeffs == g.coeffs
-
-
-def sub_x(f: Poly) -> Poly:
-    """f(x) - x."""
-    fld = f.field
-    n = max(len(f.coeffs), 2)
-    out = list(f.coeffs) + [0] * (n - len(f.coeffs))
-    out[1] = fld.sub(out[1], 1)
-    return Poly(fld, tuple(out))
-
-
-def add_x(f: Poly) -> Poly:
-    """f(x) + x."""
-    fld = f.field
-    n = max(len(f.coeffs), 2)
-    out = list(f.coeffs) + [0] * (n - len(f.coeffs))
-    out[1] = fld.add(out[1], 1)
-    return Poly(fld, tuple(out))
-
-
 def _binomials(field: Field, n: int):
     """Pascal rows 0..n as field elements (entries reduced mod p, so
     characteristic effects like 7*h7 = 0 when p = 7 come out right)."""
@@ -140,17 +112,6 @@ def compose_transforms(field: Field, first: LinearTransform,
         field.mul(b1, b2),
         field.add(field.mul(b1, c2), c1),
         field.add(field.mul(a2, d1), d2),
-    )
-
-
-def invert_transform(field: Field, t: LinearTransform) -> LinearTransform:
-    """Transform u with apply_transform(apply_transform(f, t), u) = f."""
-    a, b, c, d = t.as_tuple()
-    ai, bi = field.inv(a), field.inv(b)
-    return LinearTransform(
-        ai, bi,
-        field.neg(field.mul(c, bi)),
-        field.neg(field.mul(d, ai)),
     )
 
 

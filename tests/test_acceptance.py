@@ -20,10 +20,11 @@ Criteria and stated targets:
     constancy, orthomorphism shift invariance, pointwise transform law
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 from ortho7 import verify
-from ortho7.pairs import EnumerationReport
+from ortho7.pairs import EnumerationReport, count_ops
 
 _reports: dict[int, EnumerationReport] = {}
 
@@ -56,6 +57,41 @@ def test_c5_method_agreement():
 
 def test_c6_distinctness():
     _criterion(verify.check_distinctness(reports=_reports))
+
+
+def _planted_q11(plant):
+    """The q = 11 report with the second family that has pairs replaced by
+    `plant(first, second)`, as a `reports` memo, and that family's ordinal."""
+    rep = count_ops(11)
+    per = list(rep.per_family)
+    i, j = [k for k, r in enumerate(per) if r.pairs][:2]
+    per[j] = plant(per[i], per[j])
+    return {11: EnumerationReport(11, per, list(rep.notes))}, per[j].family.ordinal
+
+
+def test_c6_distinctness_fails_on_a_pair_shared_by_two_families():
+    # a signature of one family repeated in another: every pair still
+    # expands to q^2 vectors, but two pairs' expansions coincide
+    def plant(src, dst):
+        return replace(dst, pairs=dst.pairs + src.pairs[:1],
+                       signatures=dst.signatures + src.signatures[:1])
+
+    result = verify.check_distinctness(reports=_planted_q11(plant)[0])
+    assert not result.ok
+    assert result.detail == "q=11: expansions of distinct pairs overlap"
+
+
+def test_c6_distinctness_fails_on_a_short_pair_expansion():
+    # the zero signature: its shifts are the q constants, not q^2 vectors
+    def plant(src, dst):
+        return replace(dst, pairs=dst.pairs + ((1, 1),),
+                       signatures=dst.signatures + ((0,) * 8,))
+
+    reports, ordinal = _planted_q11(plant)
+    result = verify.check_distinctness(reports=reports)
+    assert not result.ok
+    assert result.detail == (f"q=11 family {ordinal}: pair expansion gave "
+                             f"11 != 121 vectors")
 
 
 def test_c7_census_oracle():

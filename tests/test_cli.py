@@ -79,12 +79,40 @@ def test_cmd_enumerate_emit(capsys, tmp_path):
 
 
 def test_cmd_enumerate_emit_bytes_are_pinned(capsys, tmp_path):
-    # the digest of every q = 25 row, as `enumerate --q 25 --emit` writes them
+    # the digest and row count of every row `enumerate --emit` writes for
+    # q = 25 and for q = 49 (89 MB, read back in chunks)
+    pinned = {
+        25: ("4708cbb13787765efceca3cdfc93bf15d1244e7909eb20ae859413869437ddf7",
+             60_000),
+        49: ("b430eed1c8639936be6ec10253b57bdec758cf939f2f5dcdb7371e4e0e348ffd",
+             3_937_640),
+    }
+    for q, (digest, n_rows) in pinned.items():
+        path = tmp_path / f"ops{q}.csv"
+        code, out, _ = run(capsys, "enumerate", "--q", str(q), "--emit", str(path))
+        assert code == 0 and f"wrote {n_rows} coefficient vectors" in out
+        sha, rows = hashlib.sha256(), 0
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 22):
+                sha.update(chunk)
+                rows += chunk.count(b"\n")
+        path.unlink()
+        assert (sha.hexdigest(), rows) == (digest, n_rows), q
+
+
+def test_table_order_in_a_foreign_field_is_refused(capsys, tmp_path):
+    # the class tables are encoded in the preset fields: F_25 built on
+    # another modulus must be refused, not searched with misread entries
+    foreign = ["--p", "5", "--r", "2", "--modulus", "2,1,1"]
+    assert "preset field" in _usage_error(capsys, "pairs", *foreign)
     path = tmp_path / "ops.csv"
-    code, _, _ = run(capsys, "enumerate", "--q", "25", "--emit", str(path))
-    assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "4708cbb13787765efceca3cdfc93bf15d1244e7909eb20ae859413869437ddf7")
+    assert "preset field" in _usage_error(capsys, "enumerate", *foreign,
+                                          "--emit", str(path))
+    assert not path.exists()
+    # the preset field's own modulus is accepted
+    code, out, _ = run(capsys, "pairs", "--p", "5", "--r", "2",
+                       "--modulus", "2,4,1")
+    assert code == 0 and "pair total: 96" in out
 
 
 def test_cmd_census(capsys):
