@@ -13,11 +13,15 @@ suitable rescaling can always move a leading nonzero coefficient into it;
 ci_set(m) then pins down the residual scaling freedom.  Uniqueness of the
 representative is asserted at runtime on every call rather than trusted.
 
+Since theta^i has discrete log i, membership is a threshold on the log:
+a nonzero v lies in ck_set(m) exactly when dlog(v) < gcd(m, q-1), and in
+ci_set(m) exactly when dlog(v) < (q-1)/gcd(m, q-1).  The criteria read
+these comparisons; the lists themselves stay as the definitions.
+
 The reduction itself is cheap: after normalisation (monic, zero constant,
 zero x^6 coefficient) the only transforms preserving that shape are
-x -> b*x rescalings, so canonicalisation scans q-1 candidates.  The
-equivalence with the full (b, c) enumeration is exposed via
-`exhaustive=True` and covered by tests.
+x -> b*x rescalings, so canonicalisation scans q-1 candidates.  The tests
+compare it with the literal (b, c) enumeration.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .poly import (
     Poly,
     apply_transform,
     compose_transforms,
-    eval_poly,
     is_normalized_deg7,
     normalize_deg7,
 )
@@ -69,43 +72,12 @@ class CanonicalForm:
         return tuple(self.poly.coeff(i) for i in (5, 4, 3, 2, 1))
 
 
-def support_index(coeffs_or_poly) -> int:
-    get = (coeffs_or_poly.coeff if isinstance(coeffs_or_poly, Poly)
-           else lambda i, c=coeffs_or_poly: c[5 - i])
+def support_index(g: tuple[int, int, int, int, int]) -> int:
+    """Largest i in [1, 5] with g_i != 0 in the tuple (g5, ..., g1); 0 if none."""
     for i in (5, 4, 3, 2, 1):
-        if get(i) != 0:
+        if g[5 - i] != 0:
             return i
     return 0
-
-
-class _CriteriaSets:
-    """Per-field membership masks for the criteria clauses, cached."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        q = field.q
-        self.ck = {}
-        self.ci = {}
-        for m in range(2, 7):
-            ckm = bytearray(q)
-            for e in ck_set(field, m):
-                ckm[e] = 1
-            cim = bytearray(q)
-            for e in ci_set(field, m):
-                cim[e] = 1
-            self.ck[m] = bytes(ckm)
-            self.ci[m] = bytes(cim)
-
-
-_CRITERIA_CACHE: dict[int, _CriteriaSets] = {}
-
-
-def _criteria_sets(field: Field) -> _CriteriaSets:
-    cs = _CRITERIA_CACHE.get(field.q)
-    if cs is None or cs.field != field:
-        cs = _CriteriaSets(field)
-        _CRITERIA_CACHE[field.q] = cs
-    return cs
 
 
 def criteria_check_tuple(field: Field, g5, g4, g3, g2, g1) -> bool:
@@ -114,27 +86,29 @@ def criteria_check_tuple(field: Field, g5, g4, g3, g2, g1) -> bool:
     Clause (1) reads membership of g_{t-1} as {0} union ci_set: the zero
     coefficient always passes, which matches how the canonical tables use
     the criteria (entries such as (0,0,2,0,8) carry g_{t-1} = 0).
+    Membership is the log threshold of the module docstring, read in
+    `field` itself.
     """
     g = (g5, g4, g3, g2, g1)
     t = support_index(g)
     if t == 0:
         return True
-    cs = _criteria_sets(field)
+    n = field.q - 1
+    dlog = field.dlog
     m = 7 - t
-    gt = g[5 - t]
-    if not cs.ck[m][gt]:
+    if dlog(g[5 - t]) >= gcd(m, n):
         return False
     gt1 = g[5 - (t - 1)] if t >= 2 else 0
-    if gt1 != 0 and not cs.ci[m][gt1]:
+    if gt1 != 0 and dlog(gt1) >= n // gcd(m, n):
         return False
     if field.q % 7 == 0 and gt1 != 0:
         return False
-    if t == 5 and g4 == 0 and g2 != 0 and not cs.ci[2][g2]:
+    if t == 5 and g4 == 0 and g2 != 0 and dlog(g2) >= n // gcd(2, n):
         return False
-    if t == 4 and g3 == 0 and g2 != 0 and not cs.ci[3][g2]:
+    if t == 4 and g3 == 0 and g2 != 0 and dlog(g2) >= n // gcd(3, n):
         return False
     if (t == 3 and g2 == 0 and field.q % 4 == 1
-            and g1 != 0 and not cs.ci[2][g1]):
+            and g1 != 0 and dlog(g1) >= n // gcd(2, n)):
         return False
     return True
 
@@ -148,28 +122,14 @@ def criteria_check(g) -> bool:
                                 poly.coeff(3), poly.coeff(2), poly.coeff(1))
 
 
-def _candidate_scan(field: Field, hn: Poly):
-    """All rescalings b^-7 * hn(bx) of a normalised polynomial, as
-    ((g5..g1) tuple, transform-relative-to-hn) pairs."""
-    out = []
-    for b in field.nonzero():
-        a = field.inv(field.pow(b, 7))
-        tup = tuple(
-            field.mul(field.mul(hn.coeff(i), field.pow(b, i)), a)
-            for i in (5, 4, 3, 2, 1))
-        out.append((tup, LinearTransform(a, b, 0, 0)))
-    return out
-
-
-def canonicalize(h: Poly, exhaustive: bool = False
-                 ) -> tuple[CanonicalForm, LinearTransform]:
+def canonicalize(h: Poly) -> tuple[CanonicalForm, LinearTransform]:
     """Unique criteria-passing representative of h's linear class.
 
-    Normalises once, then scans the q-1 monic-preserving rescalings (the
-    x^6-cancelling shift c is independent of b, so these are exactly the
-    candidate transforms (b, c) whose image survives the zero-x^6 filter).
-    With `exhaustive=True` the literal (b, c) in F_q* x F_q enumeration is
-    used instead; both must agree.
+    Normalises once, then scans the q-1 monic-preserving rescalings
+    b^-7 * hn(bx) (the x^6-cancelling shift c is independent of b, so these
+    are exactly the candidate transforms (b, c) whose image survives the
+    zero-x^6 filter).  The returned transform is the one for the first
+    passing b.
 
     Raises UniquenessViolation if the passing images are not all
     identical: that is the central correctness claim of the table
@@ -183,42 +143,30 @@ def canonicalize(h: Poly, exhaustive: bool = False
             "the x^6 coefficient cannot be cleared in characteristic 7; "
             "use the linear-relation search against the order-49 table")
 
-    if exhaustive:
-        candidates = []
-        for b in field.nonzero():
-            for c in field.elements():
-                img = apply_transform(h, LinearTransform(1, b, c, 0))
-                a = field.inv(img.coeff(7))
-                d = field.neg(field.mul(a, img.coeff(0)))
-                g = apply_transform(img, LinearTransform(a, 1, 0, d))
-                if g.coeff(6) != 0:
-                    continue
-                tup = tuple(g.coeff(i) for i in (5, 4, 3, 2, 1))
-                candidates.append((tup, LinearTransform(a, b, c, d)))
-    else:
-        hn, t0 = normalize_deg7(h)
-        candidates = [
-            (tup, compose_transforms(field, t0, rel))
-            for tup, rel in _candidate_scan(field, hn)
-        ]
-
-    passing = [(tup, t) for tup, t in candidates
-               if criteria_check_tuple(field, *tup)]
+    hn, t0 = normalize_deg7(h)
+    hc = [(hn.coeff(i), i) for i in (5, 4, 3, 2, 1)]
+    passing = []
+    for b in field.nonzero():
+        a = field.inv(field.pow(b, 7))
+        tup = tuple(field.mul(field.mul(c, field.pow(b, i)), a) for c, i in hc)
+        if criteria_check_tuple(field, *tup):
+            passing.append((tup, b))
     if not passing:
         raise UniquenessViolation(
             f"no criteria-passing form in the class of {h} (criteria bug?)")
-    first = passing[0][0]
+    first, b = passing[0]
     for tup, _ in passing[1:]:
         if tup != first:
             raise UniquenessViolation(
                 f"distinct criteria-passing forms {first} and {tup} "
                 f"in one linear class over F_{field.q}")
     g5, g4, g3, g2, g1 = first
-    tform = passing[0][1]
+    tform = compose_transforms(
+        field, t0, LinearTransform(field.inv(field.pow(b, 7)), b, 0, 0))
     poly = Poly(field, (0, g1, g2, g3, g4, g5, 0, 1))
     # re-derive the exact transform witnessing h -> poly
     assert apply_transform(h, tform).coeffs == poly.coeffs
-    return CanonicalForm(poly, support_index(poly)), tform
+    return CanonicalForm(poly, support_index(first)), tform
 
 
 def solve_linear_relation(h: Poly, f: Poly) -> list[LinearTransform]:

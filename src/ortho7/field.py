@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -251,7 +251,7 @@ class Field:
     def dlog(self, x: int) -> int:
         if x == 0:
             raise DlogOfZero(f"dlog(0) in F_{self.q}")
-        return int(self.log_t[x])
+        return self._log[x]
 
     def elements(self) -> range:
         return range(self.q)

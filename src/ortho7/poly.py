@@ -189,6 +189,8 @@ def _split_terms(s: str):
             sign = sign * (1 if ch == "+" else -1)
         else:
             cur += ch
+    if not cur and s:
+        raise ParseError(f"sign without a term in {s!r}")
     if cur:
         terms.append((sign, cur))
     return terms

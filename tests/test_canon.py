@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
+from ortho7 import canon
 from ortho7.canon import (
     CanonicalForm,
     canonicalize,
     ci_set,
     ck_set,
     criteria_check,
+    criteria_check_tuple,
     solve_linear_relation,
     support_index,
 )
@@ -15,8 +18,9 @@ from ortho7.errors import (
     CharacteristicSeven,
     DegreeMismatch,
     NotNormalised,
+    UniquenessViolation,
 )
-from ortho7.field import field_for
+from ortho7.field import FieldSpec, build_field, field_for
 from ortho7.poly import LinearTransform, Poly, apply_transform, parse_poly
 
 
@@ -48,10 +52,51 @@ def test_criteria_fixtures(f13):
         criteria_check(parse_poly(f13, "2x^7+x"))
 
 
-def test_support_index(f13):
-    assert support_index(parse_poly(f13, "x^7")) == 0
-    assert support_index(parse_poly(f13, "x^7+2x")) == 1
-    assert support_index(parse_poly(f13, "x^7+x^5+x^2")) == 5
+def _criteria_by_sets(fld, g5, g4, g3, g2, g1):
+    """The criteria clauses read as membership in the ck_set/ci_set lists."""
+    g = (g5, g4, g3, g2, g1)
+    t = support_index(g)
+    if t == 0:
+        return True
+    m = 7 - t
+    gt1 = g[6 - t] if t >= 2 else 0
+    return (g[5 - t] in ck_set(fld, m)
+            and (gt1 == 0 or gt1 in ci_set(fld, m))
+            and not (fld.q % 7 == 0 and gt1 != 0)
+            and not (t == 5 and g4 == 0 and g2 != 0 and g2 not in ci_set(fld, 2))
+            and not (t == 4 and g3 == 0 and g2 != 0 and g2 not in ci_set(fld, 3))
+            and not (t == 3 and g2 == 0 and fld.q % 4 == 1
+                     and g1 != 0 and g1 not in ci_set(fld, 2)))
+
+
+def test_criteria_read_the_field_they_are_given(f25):
+    # two fields of order 25 with different generators: the verdicts must
+    # come from each field's own transversals, whatever was asked before
+    other = build_field(FieldSpec(5, 2, (2, 1, 1)))
+    disagree = 0
+    for g in itertools.product(range(25), repeat=3):
+        tup = (0, 0) + g
+        got = []
+        for fld in (f25, other):
+            got.append(criteria_check_tuple(fld, *tup))
+            assert got[-1] == _criteria_by_sets(fld, *tup), (fld.spec, tup)
+        disagree += got[0] != got[1]
+    assert disagree == 806
+
+
+def test_criteria_match_the_set_definitions():
+    rnd = random.Random(5)
+    for q in (11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 49):
+        fld = field_for(q)
+        for _ in range(2000):
+            tup = tuple(rnd.choice((0, rnd.randrange(q))) for _ in range(5))
+            assert criteria_check_tuple(fld, *tup) == _criteria_by_sets(fld, *tup)
+
+
+def test_support_index():
+    assert support_index((0, 0, 0, 0, 0)) == 0
+    assert support_index((0, 0, 0, 0, 2)) == 1
+    assert support_index((1, 0, 0, 1, 0)) == 5
 
 
 def test_canonicalize_identity_and_known_class(f13):
@@ -79,6 +124,23 @@ def test_canonicalize_roundtrip_under_random_transforms(f13):
         assert apply_transform(h, tw).coeffs == base.coeffs
 
 
+def _exhaustive_forms(h):
+    """Criteria-passing (g5..g1) over the literal (b, c) in F_q* x F_q
+    enumeration: a and d make h(bx+c) monic with zero constant."""
+    fld = h.field
+    forms = set()
+    for b in fld.nonzero():
+        for c in fld.elements():
+            img = apply_transform(h, LinearTransform(1, b, c, 0))
+            a = fld.inv(img.coeff(7))
+            d = fld.neg(fld.mul(a, img.coeff(0)))
+            g = apply_transform(img, LinearTransform(a, 1, 0, d))
+            tup = tuple(g.coeff(i) for i in (5, 4, 3, 2, 1))
+            if g.coeff(6) == 0 and criteria_check_tuple(fld, *tup):
+                forms.add(tup)
+    return forms
+
+
 @pytest.mark.parametrize("q", [11, 13, 17])
 def test_canonicalize_matches_exhaustive_enumeration(q):
     fld = field_for(q)
@@ -87,8 +149,17 @@ def test_canonicalize_matches_exhaustive_enumeration(q):
         h = Poly(fld, tuple(rnd.randrange(q) for _ in range(7))
                  + (rnd.randrange(1, q),))
         fast, _ = canonicalize(h)
-        slow, _ = canonicalize(h, exhaustive=True)
-        assert fast.poly.coeffs == slow.poly.coeffs
+        assert _exhaustive_forms(h) == {fast.tuple5}
+
+
+def test_canonicalize_reproves_uniqueness(f13, monkeypatch):
+    h = parse_poly(f13, "x^7+2x")
+    monkeypatch.setattr(canon, "criteria_check_tuple", lambda *a: True)
+    with pytest.raises(UniquenessViolation, match="distinct criteria-passing forms"):
+        canonicalize(h)
+    monkeypatch.setattr(canon, "criteria_check_tuple", lambda *a: False)
+    with pytest.raises(UniquenessViolation, match="no criteria-passing form"):
+        canonicalize(h)
 
 
 def test_canonicalize_guards(f13, f49):

@@ -163,6 +163,10 @@ def test_field_selection_forms(capsys):
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "test", "--q", "13", "x^^oops")
     assert code == 2 and "error" in err
+    # a trailing or lone sign is a parse error, not a dropped term
+    for text in ("+", "-", "x^7+", "x^7-"):
+        _usage_error(capsys, "test", "--q", "13", text, "--property", "pp")
+    _usage_error(capsys, "classify", "--q", "13", "x^7+2x+")
 
 
 def test_usage_error_exit_code(capsys):

@@ -26,6 +26,11 @@ def test_parse_both_literal_forms(f13):
     assert parse_poly(f13, "x^7 - x^3 + x").coeffs == (0, 1, 0, 12, 0, 0, 0, 1)
     with pytest.raises(ParseError):
         parse_poly(f13, "x^")
+    # a sign must carry a term; a doubled sign still reads as one sign
+    for text in ("x^7+", "x^7-", "+", "-", "x^7+2x+", " - "):
+        with pytest.raises(ParseError):
+            parse_poly(f13, text)
+    assert parse_poly(f13, "x^7+-x").coeffs == (0, 12, 0, 0, 0, 0, 0, 1)
 
 
 def test_format_roundtrip(f13, f25):
