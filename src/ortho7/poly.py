@@ -151,10 +151,13 @@ def is_normalized_deg7(f: Poly) -> bool:
 #   vector form:   "0,2,0,0,0,0,0,1"            (ascending coefficients)
 #   symbolic form: "x^7+2x", "(3+2t)x^3+tx"     (descending or any order)
 
-_TERM_RE = re.compile(
-    r"^(?:\((?P<paren>[^()]+)\)|(?P<plain>[0-9]+|[0-9]*t(?:\^[0-9]+)?))?"
-    r"\*?(?P<var>x(?:\^(?P<exp>[0-9]+))?)?$"
+_TERM_RE = re.compile(  # a '*' needs a coefficient before it and x after it
+    r"^(?:(?:\((?P<paren>[^()]+)\)|(?P<plain>[0-9]+|[0-9]*t(?:\^[0-9]+)?))"
+    r"(?:\*(?=x))?)?(?P<var>x(?:\^0*(?P<exp>[0-9]+))?)?$"
 )
+# a bound far above any degree the package evaluates; the parser checks it
+# before it builds a coefficient tuple as long as the largest exponent
+MAX_EXPONENT = 4096
 
 
 def parse_poly(field: Field, text: str) -> Poly:
@@ -208,12 +211,10 @@ def _parse_symbolic(field: Field, s: str) -> Poly:
         coef = field.parse_element(coef_text) if coef_text else 1
         if sign < 0:
             coef = field.neg(coef)
-        if m.group("var") is None:
-            e = 0
-        elif m.group("exp") is None:
-            e = 1
-        else:
-            e = int(m.group("exp"))
+        exp = m.group("exp")  # without leading zeros: 12 digits exceed any bound
+        e = 0 if m.group("var") is None else 1 if exp is None else int(exp[:12])
+        if e > MAX_EXPONENT:
+            raise ParseError(f"exponent above the limit {MAX_EXPONENT} in {term[:24]!r}")
         coeffs[e] = field.add(coeffs.get(e, 0), coef)
     n = max(coeffs) + 1 if coeffs else 0
     return Poly(field, tuple(coeffs.get(i, 0) for i in range(n)))

@@ -167,6 +167,13 @@ def test_parse_error_exit_code(capsys):
     for text in ("+", "-", "x^7+", "x^7-"):
         _usage_error(capsys, "test", "--q", "13", text, "--property", "pp")
     _usage_error(capsys, "classify", "--q", "13", "x^7+2x+")
+    # so is a dangling '*': "x^7+2*" is not x^7 + 2
+    for text in ("x^7+2*", "*x", "2*"):
+        _usage_error(capsys, "test", "--q", "13", text, "--property", "pp")
+    # an exponent above the parser's bound is refused before any allocation
+    assert "limit" in _usage_error(capsys, "test", "--q", "13", "x^99999999")
+    code, out, _ = run(capsys, "test", "--q", "13", "x^7", "--property", "pp")
+    assert code == 0 and "x^7 over F_13: pp = True" in out
 
 
 def test_usage_error_exit_code(capsys):

@@ -65,22 +65,27 @@ def _horner_count(fld, rows, prop):
 def _degree7_hits(fld):
     """A zero-constant permutation polynomial, orthomorphism and complete
     mapping of degree 7 (an orthomorphism f gives the complete mapping -f),
-    or nothing for orders without a class table."""
+    the first alone at orders without degree-7 orthomorphisms, or nothing
+    for orders without a class table."""
     if fld.q not in EXPECTED_COUNTS:
         return {}
     entries = table_for(fld.q).entries
+    hits = {kernels.PROP_PP: np.array(entries[0].poly(fld).coeffs)}
     searches = (search_pairs_direct(fld, e) for e in entries)
-    op = next(r.signatures[0] for r in searches if r.pairs)
-    op = np.array((0,) + tuple(op[1:]))  # f + c is an orthomorphism iff f is
-    return {kernels.PROP_PP: np.array(entries[0].poly(fld).coeffs),
-            kernels.PROP_OP: op, kernels.PROP_CPP: fld.neg_t[op]}
+    op = next((r.signatures[0] for r in searches if r.pairs), None)
+    if op is not None:
+        op = np.array((0,) + tuple(op[1:]))  # f + c is an orthomorphism iff f is
+        hits.update({kernels.PROP_OP: op, kernels.PROP_CPP: fld.neg_t[op]})
+    return hits
 
 
-@pytest.mark.parametrize("q", [8, 11, 25, 49])
+@pytest.mark.parametrize("q", [8, 11, 16, 25, 31, 41, 49])
 @pytest.mark.parametrize("deg", [1, 2, 7])
 def test_census_scan_agrees_with_horner_rows(q, deg):
     # random slices, and for degree 7 a slice around a known hit, start and
-    # end at arbitrary offsets, so they cut the census's low blocks
+    # end at arbitrary offsets, so they cut the census's low blocks.  The
+    # scan reads points in pairs up to q = 41 (hits in uint16 at 16, uint32
+    # at 31, uint64 at 41) and one at a time at 49
     fld = field_for(q)
     rng = np.random.default_rng(100 * q + deg)
     hits = _degree7_hits(fld) if deg == 7 else {}
@@ -101,6 +106,35 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
                 assert got == want, (canonical, prop, start, stop)
             if prop in hits:
                 assert want >= 1  # the last slice holds the known hit
+
+
+@pytest.mark.parametrize("q", [8, 11, 13, 16])
+def test_census_scan_rejects_planted_near_misses(q):
+    # x with its value at point a moved to that of point b repeats exactly
+    # one value and misses a.  The scan pairs points (0, 1), (2, 3), ...
+    # and, at odd q, the last point with itself; the repeat sits inside one
+    # pair, spans two pairs, or meets the self-paired last point.  A pair
+    # table built with + or ^ in place of | agrees with | wherever the two
+    # points of a pair have different values, so only the self pair tells
+    # them apart: with +, the last move (b = a - 1) fills its mask, and with
+    # ^, the permutation x^(q-2) loses its last point's hit.  The rows have
+    # a zero constant and degree q-1 or q-2: their canonical odometer index
+    # fits an int64 up to q = 16.
+    fld = field_for(q)
+    assert q <= kernels.PAIR_TABLE_MAX_Q
+    xq1 = Poly(fld, (0,) * (q - 1) + (1,))
+    moves = [(3, 2), (2, 5)] + ([(q - 1, q - 2)] if q % 2 else [])
+    for a, b in moves:
+        c = fld.sub(b, a)  # c*(1 - (x - a)^(q-1)) moves only the value at a
+        t = LinearTransform(fld.neg(c), 1, fld.neg(a), c)
+        row = list(apply_transform(xq1, t).coeffs)
+        row[1] = fld.add(row[1], 1)
+        assert row[0] == 0 and not kernels.pp_batch(fld, [row])[0]
+        at = _odometer_index(fld, row, True)
+        assert kernels.census_scan(fld, q - 1, True, kernels.PROP_PP, at, at + 1) == 0, (a, b)
+    inverse = [0] * (q - 2) + [1]  # x^(q-2): gcd(q-2, q-1) = 1
+    at = _odometer_index(fld, inverse, True)
+    assert kernels.census_scan(fld, q - 2, True, kernels.PROP_PP, at, at + 1) == 1
 
 
 @pytest.mark.parametrize("q", [11, 13, 25, 49])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ortho7.errors import DegreeMismatch, ParseError
 from ortho7.field import field_for
 from ortho7.poly import (
+    MAX_EXPONENT,
     LinearTransform,
     Poly,
     apply_transform,
@@ -19,7 +20,7 @@ from ortho7.poly import (
 )
 
 
-def test_parse_both_literal_forms(f13):
+def test_parse_both_literal_forms(f13, f25):
     f = parse_poly(f13, "x^7+2x")
     assert f.coeffs == (0, 2, 0, 0, 0, 0, 0, 1)
     assert parse_poly(f13, "0,2,0,0,0,0,0,1").coeffs == f.coeffs
@@ -31,6 +32,19 @@ def test_parse_both_literal_forms(f13):
         with pytest.raises(ParseError):
             parse_poly(f13, text)
     assert parse_poly(f13, "x^7+-x").coeffs == (0, 12, 0, 0, 0, 0, 0, 1)
+    # a '*' joins a coefficient to x: with either one missing it dangles
+    for text in ("2*", "*x", "x^7+2*", "*", "x*", "2**x", "*2x"):
+        with pytest.raises(ParseError):
+            parse_poly(f13, text)
+    assert parse_poly(f13, "2*x").coeffs == parse_poly(f13, "2x").coeffs == (0, 2)
+    assert parse_poly(f25, "(t+1)*x^3").coeffs == parse_poly(f25, "(t+1)x^3").coeffs
+    assert parse_poly(f25, "t*x").coeffs == parse_poly(f25, "tx").coeffs
+    # exponents are bounded before the coefficient tuple is built
+    assert parse_poly(f13, f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
+    assert parse_poly(f13, "x^007").coeffs == parse_poly(f13, "x^7").coeffs
+    for text in (f"x^{MAX_EXPONENT + 1}", "x^99999999", "x^" + "9" * 5000):
+        with pytest.raises(ParseError, match=f"limit {MAX_EXPONENT}"):
+            parse_poly(f13, text)
 
 
 def test_format_roundtrip(f13, f25):
