@@ -13,10 +13,10 @@ zero shift.  The pair grid and pp_batch share one evaluator, `_full_hits`:
 Horner with one gather per step from an int16 step table, and a collision
 sieve that stops evaluating a row once one of its values repeats.  The
 census evaluates low and high coefficient blocks once each (meet in the
-middle), and up to PAIR_TABLE_MAX_Q reads two points per gather from one
-(q^2, q^2) table.  The lookups evaluate nothing: `normalized_code_batch`
-packs degree-7 rows into codes and `code_member` finds them in a sorted
-code array, such as the class-image index of `families.image_codes`.
+middle) and reads two points per gather from one (q^2, q^2) table.  The
+lookups evaluate nothing: `normalized_code_batch` packs degree-7 rows into
+codes and `code_member` finds them in a sorted code array, such as the
+class-image index of `families.image_codes`.
 
 Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
 2 = complete mapping (f and f+x).
@@ -30,7 +30,6 @@ from .errors import UnsupportedOrder
 from .poly import _binomials
 
 PROP_PP, PROP_OP, PROP_CPP = 0, 1, 2
-PAIR_TABLE_MAX_Q = 41  # census_scan pairs points up to here; its table has q^4 entries
 
 
 def check_hit_mask_order(q: int) -> None:
@@ -90,9 +89,9 @@ def _full_hits(field, C):
 # Meet in the middle: the lowest three digits form the low block L (it holds
 # the x^1 coefficient), the others the high block H, and f = L + H.  L's
 # values at every x are built once per call, H's once per step, and each
-# (candidate, x0, x1) costs one gather of the hits of L + H at x0 and x1 (a
-# pair up to PAIR_TABLE_MAX_Q, else x0 alone) and one OR.  f -/+ x
-# differs from f only in its x^1 digit: its mask is a low-block sibling's.
+# (candidate, x0, x1) costs one gather of the hits of L + H at x0 and x1
+# and one OR.  f -/+ x differs from f only in its x^1 digit: its mask is a
+# low-block sibling's.
 
 
 def _digit_values(field, powers, idx, digits):
@@ -124,24 +123,23 @@ def census_scan(field, deg, canonical, prop, start, stop):
     sigma = np.arange(nl) + np.where(valid, c1s - c1, 0) * stride
     # the smallest unsigned type that holds q hit bits: less memory traffic
     bits = (1 << field.add_t).astype(np.min_scalar_type((1 << q) - 1))
-    # a gather reads the hits at one point x from row H(x), column L(x) of
-    # bits, or up to PAIR_TABLE_MAX_Q at two points x0, x1 from row
-    # H(x0)*q + H(x1), column L(x0)*q + L(x1) of the pair table
-    paired = q <= PAIR_TABLE_MAX_Q
-    if paired:  # odd q pairs its last point with itself
-        bits = (bits[:, None, :, None] | bits[None, :, None, :]).reshape(q * q, q * q)
-        x0 = np.arange(0, q, 2)
-        x1 = np.minimum(x0 + 1, q - 1)
-    lc = L[x0] * q + L[x1] if paired else L
+    # a gather reads the hits at two points x0, x1 from row H(x0)*q + H(x1),
+    # column L(x0)*q + L(x1) of the pair table (q^4 entries, 110 MB at
+    # q = 61); a block reads only its own rows.  Odd q pairs its last point
+    # with itself.
+    pairs = (bits[:, None, :, None] | bits[None, :, None, :]).reshape(q * q, q * q)
+    x0 = np.arange(0, q, 2)
+    x1 = np.minimum(x0 + 1, q - 1)
+    lc = L[x0] * q + L[x1]
     # about 128k candidates per step bound the working set
     nh, h_stop = max(1, (1 << 17) // nl), -(-stop // nl)
     count = 0
     for h0 in range(start // nl, h_stop, nh):
         H = _digit_values(field, powers, np.arange(h0, min(h0 + nh, h_stop)), digits[3:])
-        mask = np.zeros((H.shape[1], nl), dtype=bits.dtype)
+        mask = np.zeros((H.shape[1], nl), dtype=pairs.dtype)
         hits = np.empty_like(mask)
-        for h, l in zip(H[x0] * q + H[x1] if paired else H, lc):
-            np.take(bits[h], l, axis=1, out=hits)
+        for h, l in zip(H[x0] * q + H[x1], lc):
+            np.take(pairs[h], l, axis=1, out=hits)
             mask |= hits
         ok = mask == (1 << q) - 1
         if prop != PROP_PP:

@@ -153,7 +153,7 @@ def is_normalized_deg7(f: Poly) -> bool:
 
 _TERM_RE = re.compile(  # a '*' needs a coefficient before it and x after it
     r"^(?:(?:\((?P<paren>[^()]+)\)|(?P<plain>[0-9]+|[0-9]*t(?:\^[0-9]+)?))"
-    r"(?:\*(?=x))?)?(?P<var>x(?:\^0*(?P<exp>[0-9]+))?)?$"
+    r"(?:\*(?=x))?)?(?P<var>x(?:\^(?P<exp>[0-9]+))?)?$"
 )
 # a bound far above any degree the package evaluates; the parser checks it
 # before it builds a coefficient tuple as long as the largest exponent
@@ -211,9 +211,9 @@ def _parse_symbolic(field: Field, s: str) -> Poly:
         coef = field.parse_element(coef_text) if coef_text else 1
         if sign < 0:
             coef = field.neg(coef)
-        exp = m.group("exp")  # without leading zeros: 12 digits exceed any bound
-        e = 0 if m.group("var") is None else 1 if exp is None else int(exp[:12])
-        if e > MAX_EXPONENT:
+        digits = (m.group("exp") or "1").lstrip("0")
+        e = 0 if m.group("var") is None else int(digits[:12] or "0")
+        if e > MAX_EXPONENT:  # 12 digits already exceed it
             raise ParseError(f"exponent above the limit {MAX_EXPONENT} in {term[:24]!r}")
         coeffs[e] = field.add(coeffs.get(e, 0), coef)
     n = max(coeffs) + 1 if coeffs else 0

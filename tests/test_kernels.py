@@ -84,8 +84,8 @@ def _degree7_hits(fld):
 def test_census_scan_agrees_with_horner_rows(q, deg):
     # random slices, and for degree 7 a slice around a known hit, start and
     # end at arbitrary offsets, so they cut the census's low blocks.  The
-    # scan reads points in pairs up to q = 41 (hits in uint16 at 16, uint32
-    # at 31, uint64 at 41) and one at a time at 49
+    # scan reads points in pairs, with hits in uint8 at 8, uint16 at 16,
+    # uint32 at 31 and uint64 at 41 and 49
     fld = field_for(q)
     rng = np.random.default_rng(100 * q + deg)
     hits = _degree7_hits(fld) if deg == 7 else {}
@@ -121,7 +121,6 @@ def test_census_scan_rejects_planted_near_misses(q):
     # a zero constant and degree q-1 or q-2: their canonical odometer index
     # fits an int64 up to q = 16.
     fld = field_for(q)
-    assert q <= kernels.PAIR_TABLE_MAX_Q
     xq1 = Poly(fld, (0,) * (q - 1) + (1,))
     moves = [(3, 2), (2, 5)] + ([(q - 1, q - 2)] if q % 2 else [])
     for a, b in moves:

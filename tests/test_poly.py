@@ -42,9 +42,14 @@ def test_parse_both_literal_forms(f13, f25):
     # exponents are bounded before the coefficient tuple is built
     assert parse_poly(f13, f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
     assert parse_poly(f13, "x^007").coeffs == parse_poly(f13, "x^7").coeffs
+    assert parse_poly(f13, "x^" + "0" * 100_000 + "7").coeffs == parse_poly(f13, "x^7").coeffs
     for text in (f"x^{MAX_EXPONENT + 1}", "x^99999999", "x^" + "9" * 5000):
         with pytest.raises(ParseError, match=f"limit {MAX_EXPONENT}"):
             parse_poly(f13, text)
+    # a long exponent that fails to match fails at once (no backtracking
+    # over the split of its zeros)
+    with pytest.raises(ParseError, match="bad term"):
+        parse_poly(f13, "x^" + "0" * 100_000 + "y")
 
 
 def test_format_roundtrip(f13, f25):
