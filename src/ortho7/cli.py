@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     # None defaults: cmd_verify refuses these next to --field
     sp.add_argument("--deep", action="store_true", default=None,
                     help="add the canonical census for q=8,11,13,17,19 "
-                         "(about 40 s on 2 workers)")
+                         "(about 20 s on 2 workers)")
     sp.add_argument("--audit-n", type=_int_at_least(0),
                     help="rows in the classification audit (default 100000)")
     sp.add_argument("--workers", type=_int_at_least(1),

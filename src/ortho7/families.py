@@ -187,8 +187,7 @@ _IMAGE_CACHE: dict[Field, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 def table_codes(q: int) -> np.ndarray:
     """Sorted base-q codes of the (f5..f1) tuples, for batch lookups."""
     if q not in _CODE_CACHE:
-        table = table_for(q)
-        codes = sorted(kernels.tuple_code(q, *e.coeffs) for e in table.entries)
+        codes = sorted(np.polyval(e.coeffs, q) for e in table_for(q).entries)
         _CODE_CACHE[q] = np.asarray(codes, dtype=np.int64)
     return _CODE_CACHE[q]
 

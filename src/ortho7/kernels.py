@@ -7,9 +7,9 @@ field-agnostic.  The evaluating kernels pack each candidate's hits into
 one integer of at most 64 bits, so they require q <= 63 (every supported
 order).  Every kernel given polynomials takes them as coefficient rows
 on the last axis (ascending powers).  One primitive, `scaled_rows`, gives
-every rescaling alpha*f(beta*x): the pair grid's rows, the pair dedup and
-the published pair lists all read it, and it is `expand_shifts` with a
-zero shift.  The pair grid and pp_batch share one evaluator, `_full_hits`:
+every rescaling alpha*f(beta*x): the pair dedup and the published pair
+lists read it, and it is `expand_shifts` with a zero shift.  The pair grid
+(the q-1 rows of `pair_line`) and pp_batch share one evaluator, `_full_hits`:
 Horner with one gather per step from an int16 step table, and a collision
 sieve that stops evaluating a row once one of its values repeats.  The
 census evaluates low and high coefficient blocks once each (meet in the
@@ -151,22 +151,25 @@ def census_scan(field, deg, canonical, prop, start, stop):
 
 # ---------------------------------------------------------------------------
 # Pair grid: indicator over (alpha, beta) in (F_q*)^2 of whether
-# alpha*f(beta*x) - x evaluates to a permutation.  (alpha*f(beta*x) itself
-# is linearly related to f, so when f is a permutation polynomial the
-# grid marks exactly the orthomorphism pairs.)
+# alpha*f(beta*x) - x evaluates to a permutation (the orthomorphism pairs
+# when f is a permutation polynomial).  At y = beta*x it is alpha*(f(y) -
+# lam*y), lam = (alpha*beta)^-1: the line rows f - lam*x decide the cells.
 
 
-def pair_planes(field, coeffs8):
-    """The coefficient rows of alpha*f(beta*x) - x over (alpha, beta) in
-    (F_q*)^2, as one array P[alpha-1, beta-1] of shape (q-1, q-1, 8)."""
-    s = np.arange(1, field.q, dtype=np.int64)
-    P = scaled_rows(field, coeffs8, s[:, None], s)
-    P[..., 1] = field.sub_t[P[..., 1], 1]
-    return P
+def pair_line(field, coeffs8):
+    """The rows f - lam*x over lam in F_q*, as one array L[lam-1], (q-1, 8)."""
+    L = np.tile(np.asarray(coeffs8, dtype=np.int64), (field.q - 1, 1))
+    L[:, 1] = field.sub_t[L[:, 1], np.arange(1, field.q)]
+    return L
+
+
+def pair_cells(field):
+    """The line index lam-1 of each cell [alpha-1, beta-1], shape (q-1, q-1)."""
+    return field.inv_t[field.mul_t[1:, 1:]] - 1
 
 
 def op_pair_grid(field, coeffs8):
-    return _full_hits(field, pair_planes(field, coeffs8)).astype(np.uint8)
+    return _full_hits(field, pair_line(field, coeffs8))[pair_cells(field)].astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +180,6 @@ def pp_batch(field, coeff_rows):
     """Direct bijection check for each coefficient row (ascending)."""
     C = np.asarray(coeff_rows, dtype=np.int64)
     return _full_hits(field, C).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# Tuple code of a class-table entry: ((((g5*q + g4)*q + g3)*q + g2)*q + g1.
-
-
-def tuple_code(q: int, g5, g4, g3, g2, g1):
-    return (((g5 * q + g4) * q + g3) * q + g2) * q + g1
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,22 @@ distinct polynomials.  So the enumeration reduces to finding the (alpha,
 beta) pairs per family, deduplicating pairs that produce the same
 polynomial, and multiplying by q^2.
 
-Two independent routes produce the pair sets:
+Two independent routes produce the pair sets from the q-1 rows f - lam*x
+of `kernels.pair_line`: alpha*f(beta*x) - x is alpha*(f - lam*x)(beta*x),
+lam = (alpha*beta)^-1, so one row decides each cell (`pair_cells`).
 
-  direct      evaluate alpha*f(beta*x) - x over the whole field for all
-              (alpha, beta) in (F_q*)^2 and keep the bijections;
-  table_based never evaluate: alpha*f(beta*x) - x is a permutation
-              polynomial iff it is linearly related to a class entry,
-              that is iff its monic zero-constant reduction is in the
-              class-image index.  The hits are grouped by target into
-              one system each.  For gcd(q, 7) = 1 the x^6 and constant
-              terms of alpha*f(beta*x) - x are zero, so a relation
-              a*e(bx+c)+d to a target forces c = d = 0: a coefficient-
-              matching system over (a, b, alpha, beta) in (F_q*)^4, which
-              needs the target's x^2..x^5 support to equal the source's.
-              Every such target gets a system, hit or not, so the
-              published per-equation pair counts can be checked.
+  direct      evaluate each row over the whole field, keep the bijections;
+  table_based never evaluate: a row is a permutation polynomial iff its
+              monic zero-constant reduction is in the class-image index,
+              and alpha*f(beta*x) - x is in the row's class.  The hits are
+              grouped by target into one system each.  For gcd(q, 7) = 1
+              the x^6 and constant terms of alpha*f(beta*x) - x are zero,
+              so a relation a*e(bx+c)+d to a target forces c = d = 0: a
+              coefficient-matching system over (a, b, alpha, beta) in
+              (F_q*)^4, which needs the target's x^2..x^5 support to
+              equal the source's.  Every such target gets a system, hit
+              or not, so the published per-equation pair counts can be
+              checked.
 
 Agreement of the two routes per family is part of the acceptance suite.
 
@@ -116,7 +117,7 @@ def search_pairs_direct(field: Field, family: FamilyEntry) -> PairSearchResult:
 def search_pairs_table_based(field: Field, family: FamilyEntry
                              ) -> PairSearchResult:
     """Pair search that never evaluates the polynomial: class-image lookups
-    of alpha*f(beta*x) - x over (F_q*)^2, grouped by target entry.
+    of the line rows f - lam*x, spread over (F_q*)^2, grouped by target.
 
     For gcd(q, 7) = 1 every target with the source's x^2..x^5 support has
     a system, and every hit falls in one of them: alpha*f(beta*x) - x has
@@ -125,8 +126,9 @@ def search_pairs_table_based(field: Field, family: FamilyEntry
     vanishing (the x-coefficient of alpha*f(beta*x) - x must vanish).
     """
     f = family.poly(field)
-    hit, ords, _ = class_lookup(field, kernels.pair_planes(field, f.coeffs))
-    pairs, sigs = _dedup(field, f, hit)
+    hit, ords, _ = class_lookup(field, kernels.pair_line(field, f.coeffs))
+    cells = kernels.pair_cells(field)
+    pairs, sigs = _dedup(field, f, hit[cells])
     targets = class_entries(field.q)
     per_target: dict[int, list] = {}
     if field.p != 7:
@@ -137,7 +139,7 @@ def search_pairs_table_based(field: Field, family: FamilyEntry
     # a polynomial lies in one class: each system's pairs are the kept
     # pairs whose image hits its target
     for a, b in pairs:
-        ordv = int(ords[a - 1, b - 1])
+        ordv = int(ords[cells[a - 1, b - 1]])
         assert field.p == 7 or ordv in per_target, (family.ordinal, ordv)
         per_target.setdefault(ordv, []).append((a, b))
     systems = []

@@ -92,6 +92,8 @@ def census(query: CensusQuery, workers: int = 1,
     # before the budget: no budget lets the kernels scan this order
     kernels.check_hit_mask_order(query.field.q)
     total = query.space()
+    if total > 1 << 63:  # the kernels index candidates with int64
+        raise BudgetExceeded(f"census space {total} exceeds the int64 index limit 2^63")
     if total > budget:
         raise BudgetExceeded(
             f"census space {total} exceeds budget {budget} "

@@ -50,7 +50,6 @@ from .pairs import (
     EnumerationReport,
     count_ops,
     search_pairs_direct,
-    search_pairs_table_based,
     verify_nonexistence,
     _shift_rows,
 )
@@ -98,6 +97,15 @@ def _timed(name):
         return inner
 
     return wrap
+
+
+def _report(reports: dict | None, q: int, method: str = "direct") -> EnumerationReport:
+    """count_ops(q, method), memoised in `reports` under q or (q, method)."""
+    reports = {} if reports is None else reports
+    key = q if method == "direct" else (q, method)
+    if key not in reports:
+        reports[key] = count_ops(q, method)
+    return reports[key]
 
 
 @_timed("family-tables")
@@ -164,7 +172,7 @@ def _published_signature_sets(q: int):
 
 
 @_timed("pair-fixtures")
-def check_pair_fixtures(reports: dict[int, EnumerationReport] | None = None):
+def check_pair_fixtures(reports: dict | None = None):
     """Computed pair sets vs the published lists.
 
     Lists are compared as sets of generated polynomials alpha*f(beta*x)
@@ -173,10 +181,9 @@ def check_pair_fixtures(reports: dict[int, EnumerationReport] | None = None):
     q = 49 the per-family totals and the explicit a = 0 list are checked.
     """
     ref = load_reference()
-    reports = {} if reports is None else reports
     problems = []
     for q in (11, 13, 17, 19, 25, 49):
-        rep = reports[q] = reports.get(q) or count_ops(q)
+        rep = _report(reports, q)
         by_ord = {r.family.ordinal: r for r in rep.per_family}
         published = _published_signature_sets(q)
         for ordinal, (sigs, defect) in published.items():
@@ -201,10 +208,8 @@ def check_pair_fixtures(reports: dict[int, EnumerationReport] | None = None):
                 problems.append(f"q={q} family {r.family.ordinal}: unexpected "
                                 f"{r.pair_count} pairs")
     # q=25 per-system counts against the published equation-by-equation data
-    f25 = field_for(25)
-    table_rep = count_ops(25, "table")
     got_systems = []
-    for r in table_rep.per_family:
+    for r in _report(reports, 25, "table").per_family:
         for s in r.systems:
             got_systems.append([r.family.ordinal, s.target_ordinal,
                                 int(s.vanishing), s.pair_count])
@@ -217,7 +222,7 @@ def check_pair_fixtures(reports: dict[int, EnumerationReport] | None = None):
 
 
 @_timed("totals")
-def check_totals(reports: dict[int, EnumerationReport] | None = None):
+def check_totals(reports: dict | None = None):
     """Orthomorphism totals, exceptional pair subtotals, nonexistence."""
     ref = load_reference()
     reports = {} if reports is None else reports
@@ -228,7 +233,7 @@ def check_totals(reports: dict[int, EnumerationReport] | None = None):
             if not verify_nonexistence(q):
                 problems.append(f"q={q}: expected empty pair search")
             continue
-        rep = reports[q] = reports.get(q) or count_ops(q)
+        rep = _report(reports, q)
         if rep.op_total != want:
             problems.append(f"q={q}: op_total {rep.op_total} != {want}")
         want_exc = ref["exceptional_pair_totals"].get(q_str)
@@ -245,16 +250,14 @@ def check_totals(reports: dict[int, EnumerationReport] | None = None):
 
 
 @_timed("method-agreement")
-def check_method_agreement():
+def check_method_agreement(reports: dict | None = None):
     """search_pairs_direct == search_pairs_table_based for every family."""
     families = 0
     for q in TABLE_ORDERS:
-        field = field_for(q)
-        for entry in table_for(q).entries:
-            d = search_pairs_direct(field, entry)
-            t = search_pairs_table_based(field, entry)
+        for d, t in zip(_report(reports, q).per_family,
+                        _report(reports, q, "table").per_family):
             if d.pairs != t.pairs:
-                return False, (f"q={q} family {entry.ordinal}: direct "
+                return False, (f"q={q} family {d.family.ordinal}: direct "
                                f"{len(d.pairs)} vs table {len(t.pairs)} pairs")
             families += 1
     return True, f"{families} families agree across both methods"
@@ -262,7 +265,7 @@ def check_method_agreement():
 
 @_timed("distinctness")
 def check_distinctness(seed: int = 2024,
-                       reports: dict[int, EnumerationReport] | None = None):
+                       reports: dict | None = None):
     """Shift-expansion cardinalities, one law for every order: each
     checked pair's q^2 rows g(x+gamma)+delta hold exactly D distinct
     coefficient vectors, and the vectors of all checked pairs of an order
@@ -278,10 +281,9 @@ def check_distinctness(seed: int = 2024,
     pair sample of each other family.  Each pair's block is reduced to its
     distinct base-q codes (49^8 < 2^63).
     """
-    reports = {} if reports is None else reports
     rng = np.random.default_rng(seed)
     for q in (11, 13, 17, 19, 25, 49):
-        rep = reports[q] = reports.get(q) or count_ops(q)
+        rep = _report(reports, q)
         field = field_for(q)
         want = q if field.p == 7 else q * q
         weights = q ** np.arange(8, dtype=np.int64)
@@ -308,11 +310,10 @@ def check_distinctness(seed: int = 2024,
 
 @_timed("census")
 def check_census(workers: int = 2,
-                 reports: dict[int, EnumerationReport] | None = None):
+                 reports: dict | None = None):
     """The exhaustive census reproduces the canonical counts and the
     classification totals satisfy op_total = canonical * q."""
     ref = load_reference()
-    reports = {} if reports is None else reports
     details = []
     for q in CENSUS_ORDERS:
         want = ref["canonical_census"][str(q)]
@@ -321,7 +322,7 @@ def check_census(workers: int = 2,
             return False, f"q={q}: canonical census {got} != {want}"
         details.append(f"{q}:{got}")
         if q in TABLE_ORDERS:
-            rep = reports[q] = reports.get(q) or count_ops(q)
+            rep = _report(reports, q)
             if rep.op_total != got * q:
                 return False, (f"q={q}: op_total {rep.op_total} != "
                                f"canonical {got} * q")
@@ -414,13 +415,13 @@ def check_properties(seed: int = 11):
 def run_suite(deep: bool = False, workers: int = 2,
               audit_n: int = 100_000) -> list[CheckResult]:
     """The full verification battery; the census only when `deep`."""
-    reports: dict[int, EnumerationReport] = {}
+    reports: dict = {}
     results = [
         check_family_tables(),
         check_non_redundancy(),
         check_pair_fixtures(reports),
         check_totals(reports),
-        check_method_agreement(),
+        check_method_agreement(reports),
         check_distinctness(reports=reports),
         check_audit(n_random=audit_n),
         check_properties(),

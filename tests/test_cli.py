@@ -253,6 +253,11 @@ def test_census_order_above_hit_mask(capsys):
                                      "--budget", str(10**15))
 
 
+def test_census_beyond_an_int64_index_is_refused(capsys):
+    assert "int64" in _usage_error(capsys, "census", "--q", "31", "--degree", "30",
+                                   "--property", "pp", "--budget", str(10**60))
+
+
 def test_two_element_field(capsys):
     code, out, _ = run(capsys, "test", "--q", "2", "x")
     assert code == 0 and "pp = True" in out

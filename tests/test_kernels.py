@@ -18,7 +18,11 @@ from ortho7.families import (
     table_for,
 )
 from ortho7.field import field_for
-from ortho7.pairs import search_pairs_direct, verify_nonexistence
+from ortho7.pairs import (
+    search_pairs_direct,
+    search_pairs_table_based,
+    verify_nonexistence,
+)
 from ortho7.perm import CensusQuery, is_orthomorphism, is_permutation
 from ortho7.poly import LinearTransform, Poly, apply_transform
 
@@ -136,11 +140,11 @@ def test_census_scan_rejects_planted_near_misses(q):
     assert kernels.census_scan(fld, q - 2, True, kernels.PROP_PP, at, at + 1) == 1
 
 
-@pytest.mark.parametrize("q", [11, 13, 25, 49])
+@pytest.mark.parametrize("q", [11, 13, 23, 25, 41, 49])
 def test_op_pair_grid_agrees_with_scalar_check(q):
     fld = field_for(q)
     mul = fld.mul
-    for e in table_for(q).entries[:3]:
+    for e in class_entries(q)[:3]:
         f = e.poly(fld).coeffs
         grid = kernels.op_pair_grid(fld, f)
         assert grid.shape == (q - 1, q - 1)
@@ -150,6 +154,30 @@ def test_op_pair_grid_agrees_with_scalar_check(q):
                 g = Poly(fld, tuple(mul(mul(a, c), fld.pow(b, i))
                                     for i, c in enumerate(f)))
                 assert bool(grid[a - 1, b - 1]) == is_orthomorphism(g), (e, a, b)
+
+
+@pytest.mark.parametrize("q", sorted(EXPECTED_COUNTS))
+def test_pair_line_agrees_with_the_full_plane(q):
+    # the reference is the whole (alpha, beta) plane of alpha*f(beta*x) - x,
+    # built from scaled_rows; both routes read only the q-1 line rows
+    fld = field_for(q)
+    s = np.arange(1, q)
+    cells = kernels.pair_cells(fld)
+    for e in table_for(q).entries:
+        f = e.poly(fld).coeffs
+        plane = kernels.scaled_rows(fld, f, s[:, None], s)
+        plane[..., 1] = fld.sub_t[plane[..., 1], 1]
+        assert np.array_equal(kernels.op_pair_grid(fld, f), kernels.pp_batch(fld, plane))
+        want_hit, want_ords, _ = class_lookup(fld, plane)
+        hit, ords, _ = class_lookup(fld, kernels.pair_line(fld, f))
+        assert np.array_equal(hit[cells], want_hit), e
+        assert np.array_equal(ords[cells][want_hit], want_ords[want_hit]), e
+        # the table route files each kept pair under its cell's ordinal
+        res = search_pairs_table_based(fld, e)
+        filed = [(a, b, t.target_ordinal) for t in res.systems for a, b in t.pairs]
+        assert sorted(filed) == sorted(
+            (a, b, int(want_ords[a - 1, b - 1])) for a, b in res.pairs), e
+        assert all(want_hit[a - 1, b - 1] for a, b in res.pairs), e
 
 
 def test_pp_batch_agrees_with_scalar_check():
@@ -281,10 +309,12 @@ def test_expand_shifts_matches_apply_transform(q):
     assert scaled.shape == (30, 8)
     for k in range(30):
         assert scaled[k].tolist() == ref(C[k], alphas[k], bs[k], 0)
-    # the pair planes: alpha*f(beta*x) - x at every (alpha, beta) in (F_q*)^2
-    planes = kernels.pair_planes(fld, C[0])
-    assert planes.shape == (q - 1, q - 1, 8)
+    # the pair line: alpha*f(beta*x) - x is alpha*g(beta*x) for the line
+    # row g = f - lam*x, lam = (alpha*beta)^-1, that pair_cells names
+    line = kernels.pair_line(fld, C[0])
+    cells = kernels.pair_cells(fld)
+    assert line.shape == (q - 1, 8) and cells.shape == (q - 1, q - 1)
     for a, b in rng.integers(1, q, size=(25, 2)):
         want = ref(C[0], a, b, 0)
         want[1] = fld.sub(want[1], 1)
-        assert planes[a - 1, b - 1].tolist() == want
+        assert ref(line[cells[a - 1, b - 1]], a, b, 0) == want

@@ -99,6 +99,19 @@ def test_census_budget_guard(f13):
     assert query.space() == 12 * 13**7
 
 
+def test_census_refuses_spaces_beyond_an_int64_index():
+    # the kernels index candidates with int64: no budget admits more than
+    # 2^63 of them, and the refusal comes before any scan
+    with pytest.raises(BudgetExceeded, match="int64"):
+        census(CensusQuery(field_for(31), 30, False, "pp"), budget=10**60)
+    f2 = field_for(2)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        census(CensusQuery(f2, 64, False, "pp"), budget=1)
+    # 2^63 candidates are still indexable: only the budget refuses them
+    with pytest.raises(BudgetExceeded, match="budget 1 "):
+        census(CensusQuery(f2, 63, False, "pp"), budget=1)
+
+
 def test_census_space_formula(f11):
     assert CensusQuery(f11, 7, True, "op").space() == 10 * 11**6
     assert CensusQuery(f11, 7, False, "op").space() == 10 * 11**7
