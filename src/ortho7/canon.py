@@ -15,13 +15,18 @@ representative is asserted at runtime on every call rather than trusted.
 
 Since theta^i has discrete log i, membership is a threshold on the log:
 a nonzero v lies in ck_set(m) exactly when dlog(v) < gcd(m, q-1), and in
-ci_set(m) exactly when dlog(v) < (q-1)/gcd(m, q-1).  The criteria read
-these comparisons; the lists themselves stay as the definitions.
+ci_set(m) exactly when dlog(v) < (q-1)/gcd(m, q-1).  `criteria_mask`
+reads these comparisons in the field's log_t table, for any array of
+tuples at once; the lists themselves stay as the definitions.
 
 The reduction itself is cheap: after normalisation (monic, zero constant,
 zero x^6 coefficient) the only transforms preserving that shape are
-x -> b*x rescalings, so canonicalisation scans q-1 candidates.  The tests
-compare it with the literal (b, c) enumeration.
+x -> b*x rescalings, so each class has q-1 candidates.  One array kernel,
+`canonical_rows`, is the canonical-form mechanism: it normalises a batch
+of rows, builds all their rescalings as one (rows, q-1, 5) array, runs
+the criteria as one mask and re-proves uniqueness row by row.
+`canonicalize` is its batch of one, plus the transform witness.  The
+tests compare it with the literal (b, c) enumeration.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
+from . import kernels
 from .errors import (
     CharacteristicSeven,
     DegreeMismatch,
@@ -80,37 +88,34 @@ def support_index(g: tuple[int, int, int, int, int]) -> int:
     return 0
 
 
-def criteria_check_tuple(field: Field, g5, g4, g3, g2, g1) -> bool:
-    """Clause check on a normalised tuple (g5..g1); x^7 passes vacuously.
+def criteria_mask(field: Field, G) -> np.ndarray:
+    """Clause check on normalised tuples G[..., :] = (g5..g1), one boolean
+    per tuple; x^7 passes vacuously.
 
     Clause (1) reads membership of g_{t-1} as {0} union ci_set: the zero
     coefficient always passes, which matches how the canonical tables use
     the criteria (entries such as (0,0,2,0,8) carry g_{t-1} = 0).
     Membership is the log threshold of the module docstring, read in
-    `field` itself.
+    `field` itself; log_t[0] = -1 lies below every threshold, so a zero
+    coefficient never fails a "g != 0 and dlog(g) >= bound" clause.
     """
-    g = (g5, g4, g3, g2, g1)
-    t = support_index(g)
-    if t == 0:
-        return True
+    G = np.asarray(G, dtype=np.int64)
     n = field.q - 1
-    dlog = field.dlog
-    m = 7 - t
-    if dlog(g[5 - t]) >= gcd(m, n):
-        return False
-    gt1 = g[5 - (t - 1)] if t >= 2 else 0
-    if gt1 != 0 and dlog(gt1) >= n // gcd(m, n):
-        return False
-    if field.q % 7 == 0 and gt1 != 0:
-        return False
-    if t == 5 and g4 == 0 and g2 != 0 and dlog(g2) >= n // gcd(2, n):
-        return False
-    if t == 4 and g3 == 0 and g2 != 0 and dlog(g2) >= n // gcd(3, n):
-        return False
-    if (t == 3 and g2 == 0 and field.q % 4 == 1
-            and g1 != 0 and dlog(g1) >= n // gcd(2, n)):
-        return False
-    return True
+    # logs of g5..g1 and of g0 = 0, so that t = 1 reads g_{t-1} = 0
+    L = field.log_t[np.concatenate([G, np.zeros_like(G[..., :1])], axis=-1)]
+    k = np.argmax(G != 0, axis=-1)[..., None]  # column of g_t
+    t = np.where(G.any(axis=-1), 5 - k[..., 0], 0)
+    ck = np.array([gcd(7 - i, n) for i in range(6)])  # gcd(m, q-1), m = 7-t
+    lead = np.take_along_axis(L, k, axis=-1)[..., 0]
+    gt1 = np.take_along_axis(L, k + 1, axis=-1)[..., 0]
+    ok = (lead < ck[t]) & (gt1 < n // ck[t])
+    if field.q % 7 == 0:
+        ok &= gt1 < 0
+    ok &= ~((t == 5) & (G[..., 1] == 0) & (L[..., 3] >= n // gcd(2, n)))
+    ok &= ~((t == 4) & (G[..., 2] == 0) & (L[..., 3] >= n // gcd(3, n)))
+    if field.q % 4 == 1:
+        ok &= ~((t == 3) & (G[..., 3] == 0) & (L[..., 4] >= n // gcd(2, n)))
+    return ok
 
 
 def criteria_check(g) -> bool:
@@ -118,49 +123,72 @@ def criteria_check(g) -> bool:
     poly = g.poly if isinstance(g, CanonicalForm) else g
     if not is_normalized_deg7(poly):
         raise NotNormalised(f"{poly} is not in normalised form")
-    return criteria_check_tuple(poly.field, poly.coeff(5), poly.coeff(4),
-                                poly.coeff(3), poly.coeff(2), poly.coeff(1))
+    return bool(criteria_mask(poly.field, [poly.coeff(i) for i in (5, 4, 3, 2, 1)]))
 
 
-def canonicalize(h: Poly) -> tuple[CanonicalForm, LinearTransform]:
-    """Unique criteria-passing representative of h's linear class.
+def canonical_rows(field: Field, C) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical tuples (g5..g1), shape (n, 5), of the degree-7 rows C,
+    shape (n, 8), and the first passing b of each row, shape (n,).
 
-    Normalises once, then scans the q-1 monic-preserving rescalings
-    b^-7 * hn(bx) (the x^6-cancelling shift c is independent of b, so these
-    are exactly the candidate transforms (b, c) whose image survives the
-    zero-x^6 filter).  The returned transform is the one for the first
-    passing b.
+    Normalises every row at once (monic, zero x^6 after the shift
+    c = -h6/(7*h7); the constant term is dropped), then builds the q-1
+    monic-preserving rescalings b^-7 * hn(bx), that is b^(i-7) * g_i, in
+    the element order b = 1..q-1.  The x^6-cancelling shift is independent
+    of b, so these are exactly the candidate transforms (b, c) whose image
+    survives the zero-x^6 filter.
 
-    Raises UniquenessViolation if the passing images are not all
-    identical: that is the central correctness claim of the table
-    machinery, and it is cheap to re-prove on every call.
+    Raises UniquenessViolation, naming the row, unless each row has a
+    passing rescaling and all of its passing tuples are identical: that is
+    the central correctness claim of the table machinery, and it is cheap
+    to re-prove on every call.
     """
-    field = h.field
-    if h.degree != 7:
-        raise DegreeMismatch(f"expected degree 7, got {h.degree}")
     if field.p == 7:
         raise CharacteristicSeven(
             "the x^6 coefficient cannot be cleared in characteristic 7; "
             "use the linear-relation search against the order-49 table")
-
-    hn, t0 = normalize_deg7(h)
-    hc = [(hn.coeff(i), i) for i in (5, 4, 3, 2, 1)]
-    passing = []
-    for b in field.nonzero():
-        a = field.inv(field.pow(b, 7))
-        tup = tuple(field.mul(field.mul(c, field.pow(b, i)), a) for c, i in hc)
-        if criteria_check_tuple(field, *tup):
-            passing.append((tup, b))
-    if not passing:
+    C = np.asarray(C, dtype=np.int64).reshape(-1, 8)
+    if not C[:, 7].all():
+        raise DegreeMismatch("canonical forms need degree-7 rows")
+    mul, inv, n = field.mul_t, field.inv_t, field.q - 1
+    shift = field.neg_t[mul[C[:, 6], inv[mul[field.from_int(7), C[:, 7]]]]]
+    H = mul[inv[C[:, 7], None], kernels.expand_shifts(field, C, 1, shift)]
+    assert (H[:, 7] == 1).all() and not H[:, 6].any()
+    b = np.arange(1, field.q)
+    scale = field.exp_t[field.log_t[b, None] * np.arange(-2, -7, -1) % n]
+    G = mul[scale, H[:, None, 5:0:-1]]  # (rows, b, 5): b^(i-7) * g_i
+    passing = criteria_mask(field, G)
+    found = passing.any(axis=1)
+    if not found.all():
+        row = int(np.argmin(found))
         raise UniquenessViolation(
-            f"no criteria-passing form in the class of {h} (criteria bug?)")
-    first, b = passing[0]
-    for tup, _ in passing[1:]:
-        if tup != first:
-            raise UniquenessViolation(
-                f"distinct criteria-passing forms {first} and {tup} "
-                f"in one linear class over F_{field.q}")
+            f"no criteria-passing form in the class of row {row} "
+            f"{C[row].tolist()} over F_{field.q} (criteria bug?)")
+    first = np.argmax(passing, axis=1)
+    T = G[np.arange(len(C)), first]
+    clash = passing & (G != T[:, None]).any(axis=-1)
+    if clash.any():
+        row, j = np.argwhere(clash)[0]
+        raise UniquenessViolation(
+            f"distinct criteria-passing forms {tuple(T[row].tolist())} and "
+            f"{tuple(G[row, j].tolist())} in one linear class over "
+            f"F_{field.q} (row {row})")
+    return T, b[first]
+
+
+def canonicalize(h: Poly) -> tuple[CanonicalForm, LinearTransform]:
+    """Unique criteria-passing representative of h's linear class: the
+    batch of one of `canonical_rows`.
+
+    The returned transform is the normalisation followed by the rescaling
+    of the first passing b, and it is re-derived as a witness.
+    """
+    field = h.field
+    if h.degree != 7:
+        raise DegreeMismatch(f"expected degree 7, got {h.degree}")
+    T, bs = canonical_rows(field, h.coeffs)
+    first, b = tuple(T[0].tolist()), int(bs[0])
     g5, g4, g3, g2, g1 = first
+    _, t0 = normalize_deg7(h)
     tform = compose_transforms(
         field, t0, LinearTransform(field.inv(field.pow(b, 7)), b, 0, 0))
     poly = Poly(field, (0, g1, g2, g3, g4, g5, 0, 1))

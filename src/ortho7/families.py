@@ -41,7 +41,7 @@ from importlib import resources
 import numpy as np
 
 from . import kernels
-from .canon import canonicalize, criteria_check_tuple
+from .canon import canonicalize, criteria_mask
 from .errors import DegreeMismatch, UnsupportedOrder
 from .field import Field, field_for
 from .poly import LinearTransform, Poly, eval_poly
@@ -158,14 +158,15 @@ def validate_table(q: int) -> FamilyTable:
                          f"{n_non}+{n_exc}")
     if [e.ordinal for e in table.entries] != list(range(1, len(table.entries) + 1)):
         raise ValueError(f"non-contiguous ordinals in table q={q}")
-    for e in table.entries:
+    passes = (criteria_mask(field, [e.coeffs for e in table.entries]) if q % 7
+              else np.ones(len(table.entries), dtype=bool))
+    for e, ok in zip(table.entries, passes):
         if not is_permutation(e.poly(field)):
             raise ValueError(f"table entry q={q} ordinal {e.ordinal} is not a "
                              f"permutation polynomial")
-        if not e.exceptional and q % 7 != 0:
-            if not criteria_check_tuple(field, *e.coeffs):
-                raise ValueError(f"non-exceptional entry q={q} ordinal "
-                                 f"{e.ordinal} fails the canonical criteria")
+        if not e.exceptional and not ok:
+            raise ValueError(f"non-exceptional entry q={q} ordinal "
+                             f"{e.ordinal} fails the canonical criteria")
     _VALIDATED.add(q)
     return table
 

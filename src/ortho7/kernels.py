@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .poly import _binomials
 
 PROP_PP, PROP_OP, PROP_CPP = 0, 1, 2
 
@@ -183,8 +182,8 @@ def pp_batch(field, coeff_rows):
 
 
 # ---------------------------------------------------------------------------
-# Shift expansion: the coefficient rows of f(b*x + c) by the binomial
-# expansion, for many (b, c) at once.
+# Shift expansion: the coefficient rows of f(b*x + c), for many (b, c) at
+# once.
 
 
 def expand_shifts(field, C, bs, cs):
@@ -192,29 +191,28 @@ def expand_shifts(field, C, bs, cs):
 
     C is one coefficient row (shape (n,)) or a batch (shape (..., n)); its
     leading axes broadcast with the arrays `bs` and `cs` like numpy
-    operands, and the result has shape broadcast + (n,).  Coefficient i of
-    f contributes binom(i, j) * f_i * b^j * c^(i-j) to coefficient j, with
-    the binomials reduced in the field (so 7 * f_7 = 0 when p = 7).
+    operands, and the result has shape broadcast + (n,).  f(x + c) comes
+    from repeated synthetic division (the Taylor shift: n(n-1)/2 steps of
+    a_j += c * a_{j+1}), exact polynomial arithmetic in the field, so
+    characteristic effects such as (x+c)^7 = x^7 + c^7 when p = 7 come out
+    right; coefficient j is then scaled by b^j.
     """
     mul, add = field.mul_t, field.add_t
     C = np.asarray(C, dtype=np.int64)
     bs = np.asarray(bs, dtype=np.int64)
     cs = np.asarray(cs, dtype=np.int64)
     n = C.shape[-1]
-    binom = _binomials(field, n - 1)
-    bpow, cpow = [np.ones_like(bs)], [np.ones_like(cs)]
-    for _ in range(1, n):
-        bpow.append(mul[bpow[-1], bs])
-        cpow.append(mul[cpow[-1], cs])
+    a = [C[..., i] for i in range(n)]
+    if cs.any():
+        for k in range(n - 1):
+            for j in range(n - 2, k - 1, -1):
+                a[j] = add[a[j], mul[cs, a[j + 1]]]
     shape = np.broadcast_shapes(C.shape[:-1], bs.shape, cs.shape)
-    out = np.zeros(shape + (n,), dtype=np.int64)
-    for i in range(n):
-        fi = C[..., i]
-        if not fi.any():
-            continue
-        for j in range(i + 1):
-            term = mul[mul[fi, binom[i][j]], mul[bpow[j], cpow[i - j]]]
-            out[..., j] = add[out[..., j], term]
+    out = np.empty(shape + (n,), dtype=np.int64)
+    bpow = np.ones_like(bs)
+    for j in range(n):
+        out[..., j] = mul[a[j], bpow]
+        bpow = mul[bpow, bs]
     return out
 
 

@@ -20,10 +20,12 @@ Criteria and stated targets:
     constancy, orthomorphism shift invariance, pointwise transform law
 """
 
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
-from ortho7 import verify
+from ortho7 import pairs, verify
+from ortho7.families import table_for
 from ortho7.pairs import EnumerationReport, count_ops
 
 _reports: dict[int, EnumerationReport] = {}
@@ -107,14 +109,36 @@ def test_c8_classification_audit():
 
 
 def test_c9_property_suite():
-    _criterion(verify.check_properties())
+    _criterion(verify.check_properties(reports=_reports))
 
 
-def test_c9_property_suite_fails_on_a_non_orthomorphism(monkeypatch):
+def test_c9_property_suite_fails_on_a_non_orthomorphism():
     # the shift-invariance input replaced by x^7, a permutation of F_11
     # whose x^7 - x is not one (it maps 0 and 1 to 0): every shift fails
     fake = SimpleNamespace(pair_count=1, signatures=[(0,) * 7 + (1,)])
-    monkeypatch.setattr(verify, "search_pairs_direct", lambda field, e: fake)
-    result = verify.check_properties()
+    result = verify.check_properties(reports={11: SimpleNamespace(per_family=[fake])})
     assert not result.ok
     assert result.detail == "q=11: shift (0,0) breaks OP"
+
+
+def test_one_direct_search_per_family(monkeypatch):
+    # totals, method agreement and the property suite share one reports
+    # memo: each table family is searched directly once, and so is x^7 at
+    # q = 41, the nonexistence order without a table
+    calls = Counter()
+    search = pairs.search_pairs_direct
+
+    def counted(field, family):
+        calls[field.q, family.coeffs] += 1
+        return search(field, family)
+
+    monkeypatch.setattr(pairs, "search_pairs_direct", counted)
+    reports = {}
+    for check in (verify.check_totals, verify.check_method_agreement,
+                  verify.check_properties):
+        assert check(reports=reports).ok
+    want = Counter((q, e.coeffs) for q in verify.TABLE_ORDERS
+                   for e in table_for(q).entries)
+    want[41, (0, 0, 0, 0, 0)] += 1
+    assert calls == want
+    assert sum(calls.values()) == 106

@@ -1,16 +1,18 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ortho7 import canon
 from ortho7.canon import (
     CanonicalForm,
+    canonical_rows,
     canonicalize,
     ci_set,
     ck_set,
     criteria_check,
-    criteria_check_tuple,
+    criteria_mask,
     solve_linear_relation,
     support_index,
 )
@@ -73,24 +75,22 @@ def test_criteria_read_the_field_they_are_given(f25):
     # two fields of order 25 with different generators: the verdicts must
     # come from each field's own transversals, whatever was asked before
     other = build_field(FieldSpec(5, 2, (2, 1, 1)))
-    disagree = 0
-    for g in itertools.product(range(25), repeat=3):
-        tup = (0, 0) + g
-        got = []
-        for fld in (f25, other):
-            got.append(criteria_check_tuple(fld, *tup))
-            assert got[-1] == _criteria_by_sets(fld, *tup), (fld.spec, tup)
-        disagree += got[0] != got[1]
-    assert disagree == 806
+    tuples = [(0, 0) + g for g in itertools.product(range(25), repeat=3)]
+    got = [criteria_mask(fld, tuples) for fld in (f25, other)]
+    for fld, verdicts in zip((f25, other), got):
+        for tup, v in zip(tuples, verdicts.tolist()):
+            assert v == _criteria_by_sets(fld, *tup), (fld.spec, tup)
+    assert np.count_nonzero(got[0] != got[1]) == 806
 
 
 def test_criteria_match_the_set_definitions():
     rnd = random.Random(5)
     for q in (11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 49):
         fld = field_for(q)
-        for _ in range(2000):
-            tup = tuple(rnd.choice((0, rnd.randrange(q))) for _ in range(5))
-            assert criteria_check_tuple(fld, *tup) == _criteria_by_sets(fld, *tup)
+        tuples = [tuple(rnd.choice((0, rnd.randrange(q))) for _ in range(5))
+                  for _ in range(2000)]
+        for tup, v in zip(tuples, criteria_mask(fld, tuples).tolist()):
+            assert v == _criteria_by_sets(fld, *tup), (q, tup)
 
 
 def test_support_index():
@@ -125,19 +125,22 @@ def test_canonicalize_roundtrip_under_random_transforms(f13):
 
 
 def _exhaustive_forms(h):
-    """Criteria-passing (g5..g1) over the literal (b, c) in F_q* x F_q
-    enumeration: a and d make h(bx+c) monic with zero constant."""
+    """Criteria-passing (b, (g5..g1)) over the literal (b, c) in F_q* x F_q
+    enumeration, in that order: a and d make h(bx+c) monic with zero
+    constant, and a zero x^6 coefficient is kept whatever a is."""
     fld = h.field
-    forms = set()
+    forms = []
     for b in fld.nonzero():
         for c in fld.elements():
             img = apply_transform(h, LinearTransform(1, b, c, 0))
+            if img.coeff(6) != 0:
+                continue
             a = fld.inv(img.coeff(7))
             d = fld.neg(fld.mul(a, img.coeff(0)))
             g = apply_transform(img, LinearTransform(a, 1, 0, d))
             tup = tuple(g.coeff(i) for i in (5, 4, 3, 2, 1))
-            if g.coeff(6) == 0 and criteria_check_tuple(fld, *tup):
-                forms.add(tup)
+            if _criteria_by_sets(fld, *tup):
+                forms.append((b, tup))
     return forms
 
 
@@ -149,17 +152,65 @@ def test_canonicalize_matches_exhaustive_enumeration(q):
         h = Poly(fld, tuple(rnd.randrange(q) for _ in range(7))
                  + (rnd.randrange(1, q),))
         fast, _ = canonicalize(h)
-        assert _exhaustive_forms(h) == {fast.tuple5}
+        assert {tup for _, tup in _exhaustive_forms(h)} == {fast.tuple5}
+
+
+@pytest.mark.parametrize("q", [11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 37, 41])
+def test_canonical_rows_match_exhaustive_enumeration(q):
+    # random rows, and images a*g(bx+c)+d of sparse normalised g, so that
+    # every support index and the zero-coefficient clauses occur
+    fld = field_for(q)
+    rnd = random.Random(100 + q)
+    rows = [tuple(rnd.randrange(q) for _ in range(7)) + (rnd.randrange(1, q),)
+            for _ in range(3)]
+    for support in ((), (1,), (3, 1), (4, 2), (5, 2), (5, 4, 3, 2, 1)):
+        g = [0] * 8
+        g[7] = 1
+        for i in support:
+            g[i] = rnd.randrange(1, q)
+        t = LinearTransform(rnd.randrange(1, q), rnd.randrange(1, q),
+                            rnd.randrange(q), rnd.randrange(q))
+        rows.append(apply_transform(Poly(fld, tuple(g)), t).coeffs)
+    tuples, bs = canonical_rows(fld, rows)
+    for row, tup, b in zip(rows, tuples.tolist(), bs.tolist()):
+        forms = _exhaustive_forms(Poly(fld, row))
+        assert {form for _, form in forms} == {tuple(tup)}, (q, row)
+        assert forms[0][0] == b, (q, row)
 
 
 def test_canonicalize_reproves_uniqueness(f13, monkeypatch):
     h = parse_poly(f13, "x^7+2x")
-    monkeypatch.setattr(canon, "criteria_check_tuple", lambda *a: True)
+    monkeypatch.setattr(canon, "criteria_mask",
+                        lambda field, G: np.ones(np.shape(G)[:-1], dtype=bool))
     with pytest.raises(UniquenessViolation, match="distinct criteria-passing forms"):
         canonicalize(h)
-    monkeypatch.setattr(canon, "criteria_check_tuple", lambda *a: False)
+    monkeypatch.setattr(canon, "criteria_mask",
+                        lambda field, G: np.zeros(np.shape(G)[:-1], dtype=bool))
     with pytest.raises(UniquenessViolation, match="no criteria-passing form"):
         canonicalize(h)
+
+
+@pytest.mark.parametrize("fill, message", [
+    (True, r"distinct criteria-passing forms .* \(row 4\)"),
+    (False, r"no criteria-passing form in the class of row 4 "),
+], ids=["all-pass", "none-pass"])
+def test_canonical_rows_name_the_row_that_breaks_uniqueness(f13, monkeypatch,
+                                                             fill, message):
+    # one planted row in the middle of a batch: every rescaling passes, or
+    # none does; the other rows keep the real criteria
+    rng = np.random.default_rng(4)
+    C = rng.integers(1, 13, size=(9, 8))
+    real = canon.criteria_mask
+    canonical_rows(f13, C)
+
+    def planted(field, G):
+        ok = real(field, G)
+        ok[4] = fill
+        return ok
+
+    monkeypatch.setattr(canon, "criteria_mask", planted)
+    with pytest.raises(UniquenessViolation, match=message):
+        canonical_rows(f13, C)
 
 
 def test_canonicalize_guards(f13, f49):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from importlib import resources
 
-from ortho7.canon import canonicalize, criteria_check_tuple, solve_linear_relation
+from ortho7.canon import canonicalize, criteria_mask, solve_linear_relation
 from ortho7.errors import DegreeMismatch, UnsupportedOrder
 from ortho7 import families
 from ortho7.families import (
@@ -52,9 +52,9 @@ def test_non_exceptional_entries_pass_criteria():
     for q in sorted(EXPECTED_COUNTS):
         if q % 7 == 0:
             continue
-        fld = field_for(q)
-        for e in table_for(q).non_exceptional():
-            assert criteria_check_tuple(fld, *e.coeffs), (q, e.ordinal)
+        entries = table_for(q).non_exceptional()
+        ok = criteria_mask(field_for(q), [e.coeffs for e in entries])
+        assert ok.all(), (q, [e.ordinal for e, k in zip(entries, ok) if not k])
 
 
 def test_serialisation_roundtrip_is_bit_exact():
@@ -272,18 +272,12 @@ def _regenerate_table(q):
     """Independent oracle: every (g5..g1) tuple that passes the criteria
     and is a permutation polynomial, found by exhaustive enumeration."""
     fld = field_for(q)
-    tuples = []
-    for g5 in range(q):
-        for g4 in range(q):
-            for g3 in range(q):
-                for g2 in range(q):
-                    for g1 in range(q):
-                        if criteria_check_tuple(fld, g5, g4, g3, g2, g1):
-                            tuples.append((g5, g4, g3, g2, g1))
-    rows = np.array([[0, g1, g2, g3, g4, g5, 0, 1]
-                     for g5, g4, g3, g2, g1 in tuples], dtype=np.int64)
+    tuples = np.indices((q,) * 5).reshape(5, -1).T  # every (g5..g1)
+    tuples = tuples[criteria_mask(fld, tuples)]
+    rows = np.zeros((len(tuples), 8), dtype=np.int64)
+    rows[:, 5:0:-1], rows[:, 7] = tuples, 1
     keep = pp_batch(fld, rows)
-    return {t for t, k in zip(tuples, keep) if k}
+    return set(map(tuple, tuples[keep.astype(bool)].tolist()))
 
 
 @pytest.mark.parametrize("q", [11, 13])
