@@ -18,7 +18,7 @@ import time
 from . import __version__, verify as verify_mod
 from .canon import canonicalize
 from .errors import Ortho7Error, ParseError, UnsupportedOrder
-from .families import check_table_field, image_witness, is_pp_by_table, table_for
+from .families import field_entries, image_witness, is_pp_by_table
 from .field import FieldSpec, build_field, field_for
 from .pairs import (
     _shift_rows,
@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pairs", help="orthomorphism pair search per family")
     sp.add_argument("--family", type=int, help="family ordinal (default all)")
-    sp.add_argument("--all", action="store_true", help="all families")
     sp.add_argument("--method", choices=("direct", "table", "both"),
                     default="direct")
     add_common(sp)
@@ -126,11 +125,7 @@ def resolve_field(args):
         raise ParseError("select the field with exactly one of --q or "
                          "--p/--r/--modulus")
     if has_q:
-        try:
-            return field_for(args.q)
-        except KeyError:
-            raise UnsupportedOrder(f"no preset field of order {args.q}; pass "
-                                   f"--p/--r/--modulus explicitly") from None
+        return field_for(args.q)
     if args.r > 1:
         if not args.modulus:
             raise ParseError("--modulus is required when --r > 1")
@@ -201,7 +196,7 @@ def cmd_classify(args) -> int:
     results: dict = {"poly": format_poly(f)}
     lines = []
     if field.p != 7:
-        cf, t = canonicalize(f)
+        cf, _ = canonicalize(f)
         tup = [field.format_element(c) for c in cf.tuple5]
         results["canonical_tuple"] = tup
         lines.append(f"canonical form: ({', '.join(tup)})  [t-index {cf.t_index}]")
@@ -209,12 +204,12 @@ def cmd_classify(args) -> int:
         results["canonical_tuple"] = None
         lines.append("characteristic 7: classification by the class-image "
                      "index of the table")
-        t = image_witness(f) if entry is not None else None
     if entry is None:
         results["transform"] = results["family"] = None
         lines.append("not a permutation polynomial")
     else:
-        results["transform"] = [field.format_element(v) for v in t.as_tuple()]
+        results["transform"] = [field.format_element(v)
+                                for v in image_witness(f).as_tuple()]
         lines.append("witnessing transform (a, b, c, d): "
                      f"({', '.join(results['transform'])})")
         results["family"] = {"ordinal": entry.ordinal,
@@ -234,14 +229,12 @@ def cmd_classify(args) -> int:
 def cmd_pairs(args) -> int:
     field = resolve_field(args)
     t0 = time.perf_counter()
-    table = table_for(field.q)
-    check_table_field(field)
-    entries = table.entries
-    if args.family is not None and not 1 <= args.family <= len(entries):
-        raise ParseError(f"--family must be in 1..{len(entries)} for "
-                         f"q={field.q}, got {args.family}")
-    if args.family is not None and not args.all:
-        entries = [table.entries[args.family - 1]]
+    entries = field_entries(field)
+    if args.family is not None:
+        if not 1 <= args.family <= len(entries):
+            raise ParseError(f"--family must be in 1..{len(entries)} for "
+                             f"q={field.q}, got {args.family}")
+        entries = [entries[args.family - 1]]
     fmt = field.format_element
     results = []
     lines = []
@@ -286,7 +279,7 @@ def cmd_pairs(args) -> int:
 
 def cmd_enumerate(args) -> int:
     field = resolve_field(args)
-    check_table_field(field)
+    field_entries(field)  # refuses orders without classes and foreign fields
     t0 = time.perf_counter()
     report = count_ops(field.q)
     summary = report.to_dict(field)
@@ -349,20 +342,12 @@ def cmd_verify(args) -> int:
         if suite_opts:
             flags = ", ".join("--" + name.replace("_", "-") for name in suite_opts)
             raise ParseError(f"--field runs the totals check alone; it takes no {flags}")
-        from .pairs import verify_nonexistence
-        from .verify import load_reference
-
-        ref = load_reference()
         q = args.field
-        want = ref["op_totals"].get(str(q))
+        want = verify_mod.load_reference()["op_totals"].get(str(q))
         if want is None:
             raise UnsupportedOrder(f"no reference totals for q={q}")
-        if q in verify_mod.NONEXISTENCE_ORDERS:
-            ok = verify_nonexistence(q)
-            got = 0 if ok else -1
-        else:
-            got = count_ops(q).op_total
-            ok = got == want
+        got = count_ops(q).op_total
+        ok = got == want
         payload = {"q": q, "command": "verify",
                    "results": {"op_total": got, "expected": want, "ok": ok},
                    "totals": {"pass": int(ok), "fail": int(not ok)},

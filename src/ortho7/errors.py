@@ -44,7 +44,8 @@ class UniquenessViolation(Ortho7Error):
 
 
 class UnsupportedOrder(Ortho7Error):
-    """Field order is outside the range covered by the class tables."""
+    """Field order outside what an operation covers: no preset field, no
+    class table, or a kernel limit."""
 
 
 class BudgetExceeded(Ortho7Error):

@@ -23,14 +23,12 @@ entries are linearly related (the non-redundancy check).
 The classes of an order are its table entries or, for orders q = 6
 (mod 7) outside the tables, the one class of x^7: a degree-7 permutation
 polynomial there must be linearly related to x^7 (`class_entries`).
-Membership in them has two routes.  `is_pp_by_table` canonicalises and
-looks the tuple up among the class entries whenever gcd(q, 7) = 1, the
-paper's method, which works in any field of an x^7-rule order.  Every
-other membership question (q = 49 in `is_pp_by_table`, the batched audit,
-the classify witness and the table-based pair route) is one lookup of the
-normalised code in the class-image index of the caller's field
-(`class_lookup`).  Table entries are encoded in the preset field of their
-order, so both routes refuse another field of a table order.
+Membership in them has one route: a lookup of the normalised code in the
+class-image index of the caller's field (`class_lookup`), which answers
+`is_pp_by_table`, the batched audit, the classify witness and the
+table-based pair route at every order.  Table entries are encoded in the
+preset field of their order, so another field of a table order is
+refused (`field_entries`).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from importlib import resources
 import numpy as np
 
 from . import kernels
-from .canon import canonicalize, criteria_mask
+from .canon import criteria_mask
 from .errors import DegreeMismatch, UnsupportedOrder
 from .field import Field, field_for
 from .poly import LinearTransform, Poly, eval_poly
@@ -240,19 +238,15 @@ def image_codes(q: int):
     return _class_index(field_for(q))
 
 
-def check_table_field(field: Field) -> None:
-    """Raise UnsupportedOrder for a table order outside its preset field:
-    table entries are encoded in the preset field of their order."""
-    if field.q in load_family_tables() and field != field_for(field.q):
-        raise UnsupportedOrder(f"the q={field.q} class table is encoded in "
-                               f"the preset field {field_for(field.q)!r}")
-
-
-def _field_entries(field: Field) -> tuple[FamilyEntry, ...]:
+def field_entries(field: Field) -> tuple[FamilyEntry, ...]:
     """`class_entries` of the field's order, refused for a table order
-    outside its preset field; the x^7 entry reads the same in every field."""
-    entries = class_entries(field.q)
-    check_table_field(field)
+    outside its preset field: table entries are encoded in the preset field
+    of their order, while the x^7 entry reads the same in every field."""
+    q = field.q
+    entries = class_entries(q)
+    if q in load_family_tables() and field != field_for(q):
+        raise UnsupportedOrder(f"the q={q} class table is encoded in the "
+                               f"preset field {field_for(q)!r}")
     return entries
 
 
@@ -262,7 +256,7 @@ def _class_index(field: Field):
     if field in _IMAGE_CACHE:
         return _IMAGE_CACHE[field]
     q = field.q
-    index = class_images(field, _field_entries(field))
+    index = class_images(field, field_entries(field))
     overlap = image_overlap(*index[:2])
     if overlap is not None:
         raise ValueError(f"q={q} class images of entries {overlap[0]} and "
@@ -295,21 +289,13 @@ def image_witness(h: Poly) -> LinearTransform:
 
 
 def is_pp_by_table(h: Poly) -> FamilyEntry | None:
-    """Table-based permutation test: the matching class entry, or None.
-
-    Supported orders are those of `class_entries`, in any field for the
-    x^7 rule.  Orders with gcd(q, 7) = 1 canonicalise and look the tuple up
-    among the class entries; q = 49 uses the class-image index.
-    """
-    field = h.field
+    """Table-based permutation test: the matching class entry, or None, by
+    one lookup in the class-image index of h's field.  Supported orders are
+    those of `class_entries`, in any field for the x^7 rule."""
     if h.degree != 7:
         raise DegreeMismatch(f"expected degree 7, got {h.degree}")
-    entries = _field_entries(field)
-    if field.p != 7:
-        cf, _ = canonicalize(h)
-        return {e.coeffs: e for e in entries}.get(cf.tuple5)
-    hit, ordv, _ = class_lookup(field, h.coeffs)
-    return entries[int(ordv) - 1] if hit else None
+    hit, ordv, _ = class_lookup(h.field, h.coeffs)
+    return class_entries(h.field.q)[int(ordv) - 1] if hit else None
 
 
 @dataclass

@@ -35,6 +35,7 @@ from .errors import (
     NonPrimitiveModulus,
     ParseError,
     ReducibleModulus,
+    UnsupportedOrder,
 )
 
 
@@ -449,6 +450,7 @@ def field_for(q: int) -> Field:
     elif is_prime(q):
         fld = build_field(FieldSpec(q, 1, (0, 1)))
     else:
-        raise KeyError(f"no preset field of order {q}; pass p/r/modulus explicitly")
+        raise UnsupportedOrder(f"no preset field of order {q}; give the "
+                               f"field by p, r and modulus")
     _FIELD_CACHE[q] = fld
     return fld

@@ -1,12 +1,15 @@
 """Orthomorphism pair search, shift expansion, and per-field totals.
 
-Every orthomorphism of degree 7 lives in the linear class of some table
-entry f, and within one class orthomorphism membership is decided by the
-rescaling alone: alpha*f(beta*x) is an orthomorphism iff its shifts
+Every orthomorphism of degree 7 lives in the linear class of some class
+entry f of `families.class_entries` (the table entries, or x^7 alone at
+an order q = 6 (mod 7) outside the tables), and within one class
+orthomorphism membership is decided by the rescaling alone:
+alpha*f(beta*x) is an orthomorphism iff its shifts
 alpha*f(beta*(x+gamma))+delta all are, and distinct (gamma, delta) give
 distinct polynomials.  So the enumeration reduces to finding the (alpha,
 beta) pairs per family, deduplicating pairs that produce the same
-polynomial, and multiplying by q^2.
+polynomial, and multiplying by q^2.  A nonexistence result is the same
+search coming back empty at every class of its order.
 
 Two independent routes produce the pair sets from the q-1 rows f - lam*x
 of `kernels.pair_line`: alpha*f(beta*x) - x is alpha*(f - lam*x)(beta*x),
@@ -47,7 +50,6 @@ from .families import (
     class_entries,
     class_lookup,
     load_family_tables,
-    table_for,
 )
 from .field import Field, field_for
 from .poly import Poly
@@ -204,11 +206,11 @@ class EnumerationReport:
 
 
 def count_ops(q: int, method: str = "direct") -> EnumerationReport:
-    """Per-family pair sets and the derived totals for one field order."""
+    """Per-family pair sets and the derived totals for one field order,
+    over the classes of `class_entries(q)` in the preset field."""
     field = field_for(q)
-    table = table_for(q)
     per = []
-    for entry in table.entries:
+    for entry in class_entries(q):
         if method == "direct":
             per.append(search_pairs_direct(field, entry))
         elif method == "table":
@@ -252,12 +254,10 @@ def _shift_rows(field: Field, sig) -> np.ndarray:
 
 
 def verify_nonexistence(q: int) -> bool:
-    """True iff the pair search over the applicable families comes up
-    empty.  Applies to the table orders {23, 27, 31} and to any
-    q = 6 (mod 7) outside {13, 27}, where the only class is x^7."""
+    """True iff the pair search over the classes of q comes up empty.
+    Applies to the table orders {23, 27, 31} and to any q = 6 (mod 7)
+    outside {13, 27}, where the only class is x^7."""
     kernels.check_hit_mask_order(q)
     if q in load_family_tables() and q not in (23, 27, 31):
         raise UnsupportedOrder(f"nonexistence result does not cover q={q}")
-    field = field_for(q)
-    return all(search_pairs_direct(field, e).pair_count == 0
-               for e in class_entries(q))
+    return count_ops(q).pair_total == 0

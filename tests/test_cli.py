@@ -3,10 +3,13 @@ import hashlib
 import io
 import json
 import tempfile
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
+from ortho7 import cli
 from ortho7.cli import main
+from ortho7.pairs import EnumerationReport
 
 
 def run(capsys, *argv):
@@ -205,6 +208,14 @@ def test_verify_single_field(capsys):
     assert code == 0 and "6422" in out
 
 
+def test_verify_single_field_prints_a_nonempty_total(capsys, monkeypatch):
+    # a nonexistence order whose search finds a pair reports its real total
+    planted = EnumerationReport(23, [SimpleNamespace(pair_count=1)])
+    monkeypatch.setattr(cli, "count_ops", lambda q: planted)
+    code, out, _ = run(capsys, "verify", "--field", "23")
+    assert code == 1 and out == "q=23: op_total 529 expected 0: FAIL\n"
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "r.json"
     code, out, _ = run(capsys, "test", "--q", "13", "x", "--property", "pp",
@@ -247,6 +258,23 @@ def test_unknown_order_is_unsupported(capsys):
     assert "order 9" in _usage_error(capsys, "pairs", "--q", "9")
 
 
+def test_enumerate_without_classes_is_a_usage_error(capsys):
+    # F_9 has no classes (9 is no table order and 9 != 6 mod 7); F_125 has
+    # the x^7 class but no preset field for the pair search
+    assert "q=9" in _usage_error(capsys, "enumerate", "--p", "3", "--r", "2",
+                                 "--modulus", "2,1,1")
+    assert "order 125" in _usage_error(capsys, "enumerate", "--p", "5", "--r",
+                                       "3", "--modulus", "2,0,1,1")
+
+
+def test_x7_rule_order_gives_an_empty_report(capsys):
+    # x^7 is the one class at q = 41, and it yields no orthomorphism
+    code, out, _ = run(capsys, "pairs", "--q", "41")
+    assert code == 0 and out.endswith("pair total: 0\n")
+    code, out, _ = run(capsys, "enumerate", "--q", "41")
+    assert code == 0 and "pair_total=0 op_total=0" in out
+
+
 def test_census_order_above_hit_mask(capsys):
     assert "q <= 63" in _usage_error(capsys, "census", "--q", "67")
     assert "q <= 63" in _usage_error(capsys, "census", "--q", "67",
@@ -283,6 +311,7 @@ def test_census_degree_zero_is_a_usage_error(capsys):
 # subdirectory of it, whose OSError must end in exit code 2.
 _FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
     ["--p", "5", "--r", "2", "--modulus", "2,4,1"], ["--p", "13"],
+    ["--p", "3", "--r", "2", "--modulus", "2,1,1"], ["--q", "41"],
     # malformed selections
     ["--q", "9"], ["--q", "-3"], ["--p", "4"], ["--r", "2"], [],
     ["--p", "5", "--r", "0"], ["--p", "5", "--r", "2", "--modulus", "1,2"],
@@ -298,7 +327,7 @@ _FLAGS = {
     "test": [["--property", v] for v in ("pp", "op", "cpp", "no")],
     "classify": [],
     "pairs": [["--family", v] for v in ("-1", "0", "1", "3", "99")] + [
-        ["--method", v] for v in ("direct", "table", "both")] + [["--all"]],
+        ["--method", v] for v in ("direct", "table", "both")],
     "enumerate": [["--emit", v] for v in _PATHS],
     "census": [["--degree", v] for v in ("0", "1", "2", "7")] + [
         ["--property", v] for v in ("pp", "op", "cpp")] + [["--canonical"]]

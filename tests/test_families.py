@@ -198,9 +198,24 @@ def test_image_witness_maps_related_polynomials_onto_their_entry():
     assert witness in solve_linear_relation(e, f)
 
 
+@pytest.mark.parametrize("q", [11, 13, 25, 41])
+def test_image_witness_at_orders_prime_to_seven(q):
+    # the classify witness comes from the class-image index at every order
+    fld = field_for(q)
+    rng = np.random.default_rng(q)
+    for entry in families.class_entries(q):
+        e = entry.poly(fld)
+        for _ in range(3):
+            a, b = (int(v) for v in rng.integers(1, q, 2))
+            c, d = (int(v) for v in rng.integers(0, q, 2))
+            f = apply_transform(e, LinearTransform(a, b, c, d))
+            assert is_pp_by_table(f) == entry
+            assert apply_transform(f, image_witness(f)) == e, (q, entry.ordinal)
+
+
 def test_x7_rule_orders():
-    # is_pp_by_table canonicalises, and the class-image index needs no hit
-    # mask, so q = 83 works although the evaluation kernels stop at q = 63
+    # is_pp_by_table is a class-image lookup, which needs no hit mask, so
+    # q = 83 works although the evaluation kernels stop at q = 63
     for q in (41, 83):
         fld = field_for(q)
         x7 = parse_poly(fld, "x^7")
@@ -216,8 +231,8 @@ def test_x7_rule_orders():
 
 
 def test_x7_rule_in_a_field_without_preset():
-    # 125 = 6 (mod 7) has no preset field; both routes work in the
-    # caller's field
+    # 125 = 6 (mod 7) has no preset field; the class-image index is built
+    # in the caller's field
     fld = build_field(FieldSpec(5, 3, (2, 0, 1, 1)))
     x7 = parse_poly(fld, "x^7")
     shifted = apply_transform(x7, LinearTransform(3, 7, 2, 9))

@@ -12,6 +12,7 @@ from ortho7.errors import (
     NonPrimitiveModulus,
     ParseError,
     ReducibleModulus,
+    UnsupportedOrder,
 )
 from ortho7.field import FieldSpec, build_field, field_for, preset_orders
 
@@ -148,7 +149,7 @@ def test_non_preset_prime_field_on_demand():
     f = field_for(43)
     assert f.q == 43
     assert f.mul(6, f.inv(6)) == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(UnsupportedOrder, match="no preset field"):
         field_for(12)
 
 

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from ortho7 import kernels
+from ortho7.canon import canonical_rows
 from ortho7.errors import UnsupportedOrder
 from ortho7.families import (
     EXPECTED_COUNTS,
     audit_random,
     class_entries,
     class_lookup,
-    is_pp_by_table,
     table_for,
 )
 from ortho7.field import field_for
@@ -224,8 +224,9 @@ def test_pp_batch_catches_a_repeat_at_the_last_element(q):
 
 @pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 41])
 def test_class_lookup_agrees_with_canonical_route(q):
-    # the audit's class-image lookup against the canonical route of
-    # is_pp_by_table: the p != 7 table orders, and the x^7 rule at q = 41
+    # the class-image lookup against the paper's canonical route (the
+    # canonical tuple of each row among the class entries): the p != 7
+    # table orders, and the x^7 rule at q = 41
     fld = field_for(q)
     rng = np.random.default_rng(q)
     C = rng.integers(0, q, size=(300, 8), dtype=np.int64)
@@ -244,9 +245,10 @@ def test_class_lookup_agrees_with_canonical_route(q):
     C = np.vstack([C, related, near])
     hit, _, _ = class_lookup(fld, C)
     assert hit[300:300 + len(related)].all()
-    for row, h in zip(C, hit):
-        poly = Poly(fld, tuple(int(v) for v in row))
-        assert bool(h) == (is_pp_by_table(poly) is not None), (q, row)
+    tuples, _ = canonical_rows(fld, C)
+    coeffs = {e.coeffs for e in class_entries(q)}
+    for row, h, t in zip(C, hit, tuples.tolist()):
+        assert bool(h) == (tuple(t) in coeffs), (q, row)
 
 
 @pytest.mark.parametrize("q", [67, 83])
