@@ -150,7 +150,7 @@ def canonical_rows(field: Field, C) -> tuple[np.ndarray, np.ndarray]:
     if not C[:, 7].all():
         raise DegreeMismatch("canonical forms need degree-7 rows")
     mul, inv, n = field.mul_t, field.inv_t, field.q - 1
-    shift = field.neg_t[mul[C[:, 6], inv[mul[field.from_int(7), C[:, 7]]]]]
+    shift = kernels.x6_shift(field, C)
     H = mul[inv[C[:, 7], None], kernels.expand_shifts(field, C, 1, shift)]
     assert (H[:, 7] == 1).all() and not H[:, 6].any()
     b = np.arange(1, field.q)

@@ -279,9 +279,8 @@ def cmd_pairs(args) -> int:
 
 def cmd_enumerate(args) -> int:
     field = resolve_field(args)
-    field_entries(field)  # refuses orders without classes and foreign fields
     t0 = time.perf_counter()
-    report = count_ops(field.q)
+    report = count_ops(field)
     summary = report.to_dict(field)
     payload = {"q": field.q, "command": "enumerate",
                "results": summary["families"],

@@ -15,10 +15,11 @@ is an editorial reconstruction of a garbled line, validated as the
 unique completion that is a permutation polynomial and is not linearly
 related to any other entry.
 
-The class-image index of a table order holds the normalised code of
-every image e(bx+c) of every entry; it is built for any table order, and
-its per-entry image sets are pairwise disjoint exactly when no two
-entries are linearly related (the non-redundancy check).
+The class-image index of an order holds the normalised code of every
+image e(bx+c) of every class entry; when p != 7 the code clears the x^6
+term by a shift, so the images e(bx) already give every code, q-1 per
+entry.  Its per-entry image sets are pairwise disjoint exactly when no
+two entries are linearly related (the non-redundancy check).
 
 The classes of an order are its table entries or, for orders q = 6
 (mod 7) outside the tables, the one class of x^7: a degree-7 permutation
@@ -206,10 +207,12 @@ def class_images(field: Field, entries):
     """Normalised codes of the images e(bx+c), (b, c) in F_q* x F_q, of
     each entry (deduplicated per entry, sorted by code) with the entry's
     ordinal and first (b, c) per code: the codes of the monic zero-constant
-    members of each class, since a and d of a*e(bx+c)+d are forced."""
+    members of each class, since a and d of a*e(bx+c)+d are forced.  When
+    p != 7 the code of e(bx+c) is that of e(bx), so only c = 0 is built."""
     q = field.q
-    bs = np.repeat(np.arange(1, q, dtype=np.int64), q)
-    cs = np.tile(np.arange(q, dtype=np.int64), q - 1)
+    nc = q if field.p == 7 else 1
+    bs = np.repeat(np.arange(1, q, dtype=np.int64), nc)
+    cs = np.tile(np.arange(nc, dtype=np.int64), q - 1)
     all_codes, all_ords, all_shifts = [], [], []
     for e in entries:
         rows = kernels.expand_shifts(field, e.coeff_row(), bs, cs)
@@ -277,12 +280,16 @@ def class_lookup(field: Field, C):
 
 def image_witness(h: Poly) -> LinearTransform:
     """A t with apply_transform(h, t) the class entry e matched for h (which
-    must be in a class): the index holds a (b, c) with e(bx+c) = u*h + v,
-    so e = u*h((x-c)/b) + v, with u and v forced by the x^7 and x^0 terms."""
+    must be in a class).  The index holds a (b, c) whose e(bx+c) has h's
+    code, so e(bx+c) = u*h(x+s) + v with s the `x6_shift` of h (s = 0 when
+    p = 7); with c' = c - b*s, e = u*h((x-c')/b) + v, and u and v are forced
+    by the x^7 and x^0 terms."""
     fld = h.field
     _, ordv, (b, c) = class_lookup(fld, h.coeffs)
     e = class_entries(fld.q)[int(ordv) - 1].poly(fld)
     b, c = int(b), int(c)
+    if fld.p != 7:
+        c = fld.sub(c, fld.mul(b, int(kernels.x6_shift(fld, h.coeffs))))
     u = fld.mul(fld.mul(e.coeff(7), fld.pow(b, 7)), fld.inv(h.coeff(7)))
     return LinearTransform(u, fld.inv(b), fld.neg(fld.mul(c, fld.inv(b))),
                            fld.sub(eval_poly(e, c), fld.mul(u, h.coeff(0))))
@@ -291,7 +298,8 @@ def image_witness(h: Poly) -> LinearTransform:
 def is_pp_by_table(h: Poly) -> FamilyEntry | None:
     """Table-based permutation test: the matching class entry, or None, by
     one lookup in the class-image index of h's field.  Supported orders are
-    those of `class_entries`, in any field for the x^7 rule."""
+    those of `class_entries`, in any field for the x^7 rule, up to the
+    int64 limit of the codes (q <= 6208)."""
     if h.degree != 7:
         raise DegreeMismatch(f"expected degree 7, got {h.degree}")
     hit, ordv, _ = class_lookup(h.field, h.coeffs)

@@ -15,8 +15,9 @@ sieve that stops evaluating a row once one of its values repeats.  The
 census evaluates low and high coefficient blocks once each (meet in the
 middle) and reads two points per gather from one (q^2, q^2) table.  The
 lookups evaluate nothing: `normalized_code_batch` packs degree-7 rows into
-codes and `code_member` finds them in a sorted code array, such as the
-class-image index of `families.image_codes`.
+codes (for p != 7 after the shift `x6_shift` that clears x^6, so a code
+names a row up to a*f(x+c)+d) and `code_member` finds them in a sorted
+code array, such as the class-image index of `families.image_codes`.
 
 Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
 2 = complete mapping (f and f+x).
@@ -223,20 +224,42 @@ def scaled_rows(field, C, alphas, betas):
     return field.mul_t[alphas[..., None], expand_shifts(field, C, betas, 0)]
 
 
-def normalized_code_batch(field, C):
-    """Monic, zero-constant reduction of degree-7 rows (last axis of C),
-    packed as a base-q code over coefficients x^6..x^1 (characteristic-7
-    path: the x^6 term cannot be cleared, so it stays part of the code).
-    Six base-q digits fit an int64 only while q^6 < 2^63."""
-    if field.q ** 6 >= 1 << 63:
-        raise UnsupportedOrder(f"normalised codes overflow int64 at q={field.q}")
-    q = np.int64(field.q)
-    mul, inv = field.mul_t, field.inv_t
+def x6_shift(field, C):
+    """The c = -h6/(7*h7) of degree-7 rows (last axis of C), p != 7: the
+    shift whose f(x + c) has a zero x^6 coefficient."""
+    mul = field.mul_t
     C = np.asarray(C, dtype=np.int64)
-    a = inv[C[..., 7]]
+    return field.neg_t[mul[C[..., 6], field.inv_t[mul[field.from_int(7), C[..., 7]]]]]
+
+
+def normalized_code_batch(field, C):
+    """The reduction `poly.normalize_deg7` of degree-7 rows (last axis of
+    C) packed as a base-q code.  When p != 7 its shift `x6_shift` clears
+    x^6, so the code runs over x^5..x^1 and every f(x + c) of a row has
+    the row's code; in characteristic 7 the x^6 term stays in the code.
+    The digits fit an int64 while q^5 < 2^63 (q <= 6208), and q^6 < 2^63
+    (q <= 1448) when p = 7."""
+    top = 6 if field.p == 7 else 5
+    if field.q ** top >= 1 << 63:
+        raise UnsupportedOrder(f"normalised codes overflow int64 at q={field.q}")
+    q = field.q
+    # flat tables: one index add per gather instead of numpy's 2-D indexing
+    mulf, addf = field.mul_t.ravel(), field.add_t.ravel()
+    C = np.asarray(C, dtype=np.int64)
+    aq = field.inv_t[C[..., 7]] * q
+    h = [None] + [mulf[aq + C[..., i]] for i in range(1, 7)]  # monic h1..h6
+    if top == 5:
+        # the synthetic division of `expand_shifts` on the monic row
+        # (a_7 = 1), without the steps that only reach a_0 or the final a_6
+        s = x6_shift(field, C)
+        sq = s * q
+        for k in range(6):
+            h[6] = addf[h[6] * q + s]
+            for j in range(5, max(k, 1) - 1, -1):
+                h[j] = addf[h[j] * q + mulf[sq + h[j + 1]]]
     code = np.zeros(C.shape[:-1], dtype=np.int64)
-    for i in range(6, 0, -1):
-        code = code * q + mul[a, C[..., i]]
+    for i in range(top, 0, -1):
+        code = code * q + h[i]
     return code
 
 

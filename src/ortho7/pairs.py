@@ -49,6 +49,7 @@ from .families import (
     FamilyEntry,
     class_entries,
     class_lookup,
+    field_entries,
     load_family_tables,
 )
 from .field import Field, field_for
@@ -205,12 +206,14 @@ class EnumerationReport:
         }
 
 
-def count_ops(q: int, method: str = "direct") -> EnumerationReport:
-    """Per-family pair sets and the derived totals for one field order,
-    over the classes of `class_entries(q)` in the preset field."""
-    field = field_for(q)
+def count_ops(field: Field | int, method: str = "direct") -> EnumerationReport:
+    """Per-family pair sets and the derived totals over the classes of one
+    field (`field_entries`); an order stands for its preset field."""
+    if not isinstance(field, Field):
+        field = field_for(field)
+    q = field.q
     per = []
-    for entry in class_entries(q):
+    for entry in field_entries(field):
         if method == "direct":
             per.append(search_pairs_direct(field, entry))
         elif method == "table":

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from ortho7 import cli
+from ortho7 import cli, families, field
 from ortho7.cli import main
 from ortho7.pairs import EnumerationReport
 
@@ -53,6 +53,19 @@ def test_classify_without_class_prints_no_witness(capsys):
     assert code == 0 and results["transform"] is None and results["family"] is None
     code, out, _ = run(capsys, "classify", "--q", "41", "x^7", "--format", "json")
     assert code == 0 and json.loads(out)["results"]["transform"] is not None
+
+
+def test_classify_past_six_digit_codes(capsys, monkeypatch):
+    # 1483 = 6 (mod 7): the class-image index answers past q = 1448; fresh
+    # caches let the large field go afterwards
+    monkeypatch.setattr(field, "_FIELD_CACHE", {})
+    monkeypatch.setattr(families, "_IMAGE_CACHE", {})
+    code, out, _ = run(capsys, "classify", "--q", "1483", "3x^7+x^6+2")
+    assert code == 0 and "not a permutation polynomial" in out
+    code, out, _ = run(capsys, "classify", "--q", "1483", "x^7")
+    assert code == 0 and "family 1" in out and "witnessing transform" in out
+    code, out, _ = run(capsys, "test", "--q", "1483", "x^7", "--property", "pp")
+    assert code == 0 and "class table: family 1" in out
 
 
 def test_cmd_pairs_both_methods(capsys):
@@ -260,11 +273,11 @@ def test_unknown_order_is_unsupported(capsys):
 
 def test_enumerate_without_classes_is_a_usage_error(capsys):
     # F_9 has no classes (9 is no table order and 9 != 6 mod 7); F_125 has
-    # the x^7 class but no preset field for the pair search
+    # the x^7 class, searched in the given field, past the kernels' order
     assert "q=9" in _usage_error(capsys, "enumerate", "--p", "3", "--r", "2",
                                  "--modulus", "2,1,1")
-    assert "order 125" in _usage_error(capsys, "enumerate", "--p", "5", "--r",
-                                       "3", "--modulus", "2,0,1,1")
+    assert "q <= 63" in _usage_error(capsys, "enumerate", "--p", "5", "--r",
+                                     "3", "--modulus", "2,0,1,1")
 
 
 def test_x7_rule_order_gives_an_empty_report(capsys):

@@ -183,34 +183,21 @@ def test_image_codes_cover_every_order_and_reject_overlap(monkeypatch):
 
 
 def test_image_witness_maps_related_polynomials_onto_their_entry():
-    fld = field_for(49)
-    rng = np.random.default_rng(49)
-    for entry in table_for(49).entries:
-        e = entry.poly(fld)
-        for _ in range(4):
-            a, b = (int(v) for v in rng.integers(1, 49, 2))
-            c, d = (int(v) for v in rng.integers(0, 49, 2))
-            f = apply_transform(e, LinearTransform(a, b, c, d))
-            assert is_pp_by_table(f) == entry
-            witness = image_witness(f)
-            assert apply_transform(f, witness) == e
-    # the scalar reference search finds the same transform among its own
-    assert witness in solve_linear_relation(e, f)
-
-
-@pytest.mark.parametrize("q", [11, 13, 25, 41])
-def test_image_witness_at_orders_prime_to_seven(q):
     # the classify witness comes from the class-image index at every order
-    fld = field_for(q)
-    rng = np.random.default_rng(q)
-    for entry in families.class_entries(q):
-        e = entry.poly(fld)
-        for _ in range(3):
-            a, b = (int(v) for v in rng.integers(1, q, 2))
-            c, d = (int(v) for v in rng.integers(0, q, 2))
-            f = apply_transform(e, LinearTransform(a, b, c, d))
-            assert is_pp_by_table(f) == entry
-            assert apply_transform(f, image_witness(f)) == e, (q, entry.ordinal)
+    for q in (11, 13, 25, 41, 49):
+        fld = field_for(q)
+        rng = np.random.default_rng(q)
+        for entry in families.class_entries(q):
+            e = entry.poly(fld)
+            for _ in range(4):
+                a, b = (int(v) for v in rng.integers(1, q, 2))
+                c, d = (int(v) for v in rng.integers(0, q, 2))
+                f = apply_transform(e, LinearTransform(a, b, c, d))
+                assert is_pp_by_table(f) == entry
+                witness = image_witness(f)
+                assert apply_transform(f, witness) == e, (q, entry.ordinal)
+        # the scalar reference search finds the same transform among its own
+        assert witness in solve_linear_relation(e, f), q
 
 
 def test_x7_rule_orders():
@@ -223,11 +210,24 @@ def test_x7_rule_orders():
         shifted = apply_transform(x7, LinearTransform(3, 5, 2, 9))
         assert is_pp_by_table(shifted) is not None
         assert is_pp_by_table(parse_poly(fld, "x^7+x")) is None
-        assert len(image_codes(q)[0]) == q  # x^7 + 7c x^6 + ..., one per c
+        assert len(image_codes(q)[0]) == 1  # every x^7 image clears to x^7
         hit, _, _ = class_lookup(fld, [shifted.coeffs, (0, 1, 0, 0, 0, 0, 0, 1)])
         assert hit.tolist() == [True, False]
     with pytest.raises(UnsupportedOrder):
         is_pp_by_table(parse_poly(field_for(43), "x^7"))  # 43 = 1 (mod 7)
+
+
+def test_x7_rule_past_six_digit_codes(monkeypatch):
+    # 1483 = 6 (mod 7) lies past q^6 < 2^63; with x^6 cleared the codes
+    # have five digits.  A fresh cache lets the large field go afterwards.
+    monkeypatch.setattr(families, "_IMAGE_CACHE", {})
+    fld = build_field(FieldSpec(1483, 1, (0, 1)))
+    x7 = parse_poly(fld, "x^7")
+    f = apply_transform(x7, LinearTransform(3, 5, 2, 9))
+    assert is_pp_by_table(f).exceptional
+    assert apply_transform(f, image_witness(f)) == x7
+    assert is_pp_by_table(parse_poly(fld, "x^7+x")) is None
+    assert len(families._IMAGE_CACHE[fld][0]) == 1
 
 
 def test_x7_rule_in_a_field_without_preset():

@@ -270,10 +270,12 @@ def test_kernels_reject_orders_above_hit_mask(q):
 
 
 def test_normalized_codes_reject_orders_that_overflow():
-    # six base-q digits fit an int64 up to q = 1448; the guard runs before
-    # any table is read, so a stand-in with only an order suffices
-    with pytest.raises(UnsupportedOrder, match="overflow"):
-        kernels.normalized_code_batch(SimpleNamespace(q=1451), [0] * 7 + [1])
+    # five base-q digits fit an int64 up to q = 6208, and six (p = 7, x^6
+    # kept) up to q = 1448; the guard runs before any table is read, so a
+    # stand-in with only an order and a characteristic suffices
+    for q, p in ((6211, 6211), (2401, 7)):
+        with pytest.raises(UnsupportedOrder, match="overflow"):
+            kernels.normalized_code_batch(SimpleNamespace(q=q, p=p), [0] * 7 + [1])
 
 
 @pytest.mark.parametrize("q", [13, 25, 49])
