@@ -16,7 +16,6 @@ from .canon import (  # noqa: F401
     canonicalize,
     ci_set,
     ck_set,
-    criteria_check,
     solve_linear_relation,
 )
 from .errors import *  # noqa: F401,F403

@@ -40,7 +40,6 @@ from . import kernels
 from .errors import (
     CharacteristicSeven,
     DegreeMismatch,
-    NotNormalised,
     UniquenessViolation,
 )
 from .field import Field
@@ -49,7 +48,6 @@ from .poly import (
     Poly,
     apply_transform,
     compose_transforms,
-    is_normalized_deg7,
     normalize_deg7,
 )
 
@@ -116,14 +114,6 @@ def criteria_mask(field: Field, G) -> np.ndarray:
     if field.q % 4 == 1:
         ok &= ~((t == 3) & (G[..., 3] == 0) & (L[..., 4] >= n // gcd(2, n)))
     return ok
-
-
-def criteria_check(g) -> bool:
-    """Criteria clauses on a CanonicalForm or a normalised degree-7 Poly."""
-    poly = g.poly if isinstance(g, CanonicalForm) else g
-    if not is_normalized_deg7(poly):
-        raise NotNormalised(f"{poly} is not in normalised form")
-    return bool(criteria_mask(poly.field, [poly.coeff(i) for i in (5, 4, 3, 2, 1)]))
 
 
 def canonical_rows(field: Field, C) -> tuple[np.ndarray, np.ndarray]:

@@ -242,8 +242,9 @@ def enumerate_ops(q: int,
         report = count_ops(q)
     for res in report.per_family:
         for sig in res.signatures:
+            # normal rows: x^7 coefficient alpha*beta^7*f7 != 0, Python ints
             for row in _shift_rows(field, sig).tolist():
-                yield Poly(field, tuple(row))
+                yield Poly._of_normal(field, tuple(row))
 
 
 def _shift_rows(field: Field, sig) -> np.ndarray:

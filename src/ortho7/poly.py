@@ -26,6 +26,15 @@ class Poly:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _of_normal(cls, field: Field, coeffs: tuple[int, ...]) -> Poly:
+        """Poly(field, coeffs) without `__post_init__`.  Precondition: `coeffs`
+        is a tuple of Python ints whose last entry is nonzero."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", field)
+        object.__setattr__(f, "coeffs", coeffs)
+        return f
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # zero polynomial reports -1

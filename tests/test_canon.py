@@ -11,7 +11,6 @@ from ortho7.canon import (
     canonicalize,
     ci_set,
     ck_set,
-    criteria_check,
     criteria_mask,
     solve_linear_relation,
     support_index,
@@ -23,7 +22,13 @@ from ortho7.errors import (
     UniquenessViolation,
 )
 from ortho7.field import FieldSpec, build_field, field_for
-from ortho7.poly import LinearTransform, Poly, apply_transform, parse_poly
+from ortho7.poly import (
+    LinearTransform,
+    Poly,
+    apply_transform,
+    is_normalized_deg7,
+    parse_poly,
+)
 
 
 def test_ck_ci_fixtures(f11, f13):
@@ -42,6 +47,13 @@ def test_ck_ci_cardinality_identity():
         fld = field_for(q)
         for m in range(1, q + 2):
             assert len(ck_set(fld, m)) * len(ci_set(fld, m)) == q - 1
+
+
+def criteria_check(poly):
+    """criteria_mask on one normalised degree-7 Poly."""
+    if not is_normalized_deg7(poly):
+        raise NotNormalised(f"{poly} is not in normalised form")
+    return bool(criteria_mask(poly.field, [poly.coeff(i) for i in (5, 4, 3, 2, 1)]))
 
 
 def test_criteria_fixtures(f13):

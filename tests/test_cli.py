@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from ortho7 import cli, families, field
 from ortho7.cli import main
-from ortho7.pairs import EnumerationReport
+from ortho7.pairs import EnumerationReport, enumerate_ops
+from ortho7.poly import format_poly
 
 
 def run(capsys, *argv):
@@ -92,6 +93,9 @@ def test_cmd_enumerate_emit(capsys, tmp_path):
     assert len(lines) == 4332
     assert len(set(lines)) == 4332
     assert all(len(line.split(",")) == 8 for line in lines[:50])
+    # the block writer and the public one-Poly-per-row stream agree
+    stream = "".join(format_poly(p, "vector") + "\n" for p in enumerate_ops(19))
+    assert path.read_bytes() == stream.encode()
 
 
 def test_cmd_enumerate_emit_bytes_are_pinned(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Pair search, both routes, against the published fixtures."""
 
+import dataclasses
+
 import pytest
 
 from ortho7 import kernels
@@ -7,6 +9,7 @@ from ortho7.errors import UnsupportedOrder
 from ortho7.field import field_for
 from ortho7.families import table_for
 from ortho7.pairs import (
+    EnumerationReport,
     count_ops,
     enumerate_ops,
     search_pairs_direct,
@@ -109,6 +112,29 @@ def test_enumerate_ops_distinct_and_sound(f13):
     assert len({p.coeffs for p in polys}) == 6422
     for p in polys[::311]:
         assert is_orthomorphism(p)
+
+
+def _assert_normal_form(field, polys):
+    # each row is already what Poly's own normalisation makes of it
+    for p in polys:
+        ref = Poly(field, p.coeffs)
+        assert p == ref and hash(p) == hash(ref)
+        assert all(type(c) is int for c in p.coeffs)
+        assert p.degree == 7
+
+
+def test_enumerate_ops_yields_normal_form_polys(f13, f49):
+    # enumerate_ops builds its Polys without Poly's normalisation
+    _assert_normal_form(f13, enumerate_ops(13))
+    # one pair block per family at q = 49 (six of its ten families have
+    # pairs), where (x+gamma)^7 = x^7 + gamma^7
+    rep = count_ops(49)
+    first = EnumerationReport(49, [
+        dataclasses.replace(r, pairs=r.pairs[:1], signatures=r.signatures[:1])
+        for r in rep.per_family])
+    polys = list(enumerate_ops(49, first))
+    assert len(polys) == first.pair_total * 49 * 49 == 6 * 49 * 49
+    _assert_normal_form(f49, polys)
 
 
 def test_enumerate_ops_empty_fields():
