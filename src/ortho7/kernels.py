@@ -13,7 +13,7 @@ lists read it, and it is `expand_shifts` with a zero shift.  The pair grid
 Horner with one gather per step from an int16 step table, and a collision
 sieve that stops evaluating a row once one of its values repeats.  The
 census evaluates low and high coefficient blocks once each (meet in the
-middle) and reads two points per gather from one (q^2, q^2) table.  The
+middle) and gathers whole rows of per-point tables of low-block hits.  The
 lookups evaluate nothing: `normalized_code_batch` packs degree-7 rows into
 codes (for p != 7 after the shift `x6_shift` that clears x^6, so a code
 names a row up to a*f(x+c)+d) and `code_member` finds them in a sorted
@@ -86,12 +86,11 @@ def _full_hits(field, C):
 # are the coefficients c[lo..deg-1] (lo = 1 when restricted to zero
 # constant term), and the top digit is lead - 1 with lead in [1, q).
 #
-# Meet in the middle: the lowest three digits form the low block L (it holds
-# the x^1 coefficient), the others the high block H, and f = L + H.  L's
-# values at every x are built once per call, H's once per step, and each
-# (candidate, x0, x1) costs one gather of the hits of L + H at x0 and x1
-# and one OR.  f -/+ x differs from f only in its x^1 digit: its mask is a
-# low-block sibling's.
+# Meet in the middle: f = low + high, with the lowest d digits in the low
+# block and the mid (next) and upper digits in the high block.  Row v of
+# the table R[x] = bits[:, L[x]] holds the hits of v + L(x) for every low
+# value: each (high value, x) costs one contiguous row gather and one OR.
+# f -/+ x differs only in its x^1 digit: its mask is a (mid, low) sibling's.
 
 
 def _digit_values(field, powers, idx, digits):
@@ -110,42 +109,45 @@ def census_scan(field, deg, canonical, prop, start, stop):
     q = field.q
     check_hit_mask_order(q)
     lo = 1 if canonical else 0
+    # the smallest unsigned type that holds q hit bits: less memory traffic
+    bits = (1 << field.add_t).astype(np.min_scalar_type((1 << q) - 1))
+    # two low digits while the q^4 entries of R fit in 4 MB (q <= 31)
+    d = 2 if q ** 4 * bits.itemsize <= 1 << 22 else 1
     digits = [(e, q, 0) for e in range(lo, deg)] + [(deg, q - 1, 1)]
+    digits += [(0, 1, 0)] * (d + 1 - len(digits))  # radix 1: a fixed zero
     powers = np.array([[field.pow(x, e) for x in range(q)] for e in range(deg + 1)])
-    nl = int(np.prod([radix for _, radix, _ in digits[:3]]))
-    L = _digit_values(field, powers, np.arange(nl), digits[:3])
+    nl, nm = int(np.prod([radix for _, radix, _ in digits[:d]])), digits[d][1]
+    L = _digit_values(field, powers, np.arange(nl), digits[:d])
+    M = _digit_values(field, powers, np.arange(nm), digits[d:d + 1])
+    R = bits[np.arange(q)[:, None], L[:, None, :]]  # R[x, v, l] = bits[v, L[x, l]]
+    nb = nm * nl  # the (mid, low) block: candidates per upper value
     # the sibling has x^1 digit c1 -/+ 1; it is missing when x^1 is the lead
     # (deg = 1) and that is 0, for then f -/+ x is constant
     stride, (_, r1, o1) = q ** (1 - lo), digits[1 - lo]
-    c1 = np.arange(nl) // stride % r1 + o1
+    c1 = np.arange(nb) // stride % r1 + o1
     c1s = (field.sub_t if prop == PROP_OP else field.add_t)[c1, 1]
     valid = c1s >= o1
-    sigma = np.arange(nl) + np.where(valid, c1s - c1, 0) * stride
-    # the smallest unsigned type that holds q hit bits: less memory traffic
-    bits = (1 << field.add_t).astype(np.min_scalar_type((1 << q) - 1))
-    # a gather reads the hits at two points x0, x1 from row H(x0)*q + H(x1),
-    # column L(x0)*q + L(x1) of the pair table (q^4 entries, 110 MB at
-    # q = 61); a block reads only its own rows.  Odd q pairs its last point
-    # with itself.
-    pairs = (bits[:, None, :, None] | bits[None, :, None, :]).reshape(q * q, q * q)
-    x0 = np.arange(0, q, 2)
-    x1 = np.minimum(x0 + 1, q - 1)
-    lc = L[x0] * q + L[x1]
-    # about 128k candidates per step bound the working set
-    nh, h_stop = max(1, (1 << 17) // nl), -(-stop // nl)
+    shift = np.where(valid, c1s - c1, 0) * stride
+    # a 512 KB hit mask per step, the fastest measured from q = 8 to 61
+    nu, u_stop = max(1, (1 << 19) // (nb * bits.itemsize)), -(-stop // nb)
+    bufs = [np.empty((nu * nm, nl), dtype=bits.dtype) for _ in range(2)]  # mask, hits
     count = 0
-    for h0 in range(start // nl, h_stop, nh):
-        H = _digit_values(field, powers, np.arange(h0, min(h0 + nh, h_stop)), digits[3:])
-        mask = np.zeros((H.shape[1], nl), dtype=pairs.dtype)
-        hits = np.empty_like(mask)
-        for h, l in zip(H[x0] * q + H[x1], lc):
-            np.take(pairs[h], l, axis=1, out=hits)
+    for u0 in range(start // nb, u_stop, nu):
+        U = _digit_values(field, powers, np.arange(u0, min(u0 + nu, u_stop)), digits[d + 1:])
+        H = field.add_t[U[:, :, None], M[:, None, :]].reshape(q, -1)
+        mask, hits = (b[:H.shape[1]] for b in bufs)
+        mask[:] = R[0, 0]  # high values vanish at x = 0
+        for Rx, Hx in zip(R[1:], H[1:]):
+            # mode="clip" (indices are in range): "raise" takes into a copy of `out`
+            np.take(Rx, Hx, axis=0, out=hits, mode="clip")
             mask |= hits
-        ok = mask == (1 << q) - 1
-        if prop != PROP_PP:
-            ok &= ok[:, sigma] & valid
-        base = h0 * nl  # a shard that cuts a block counts only its slice
-        count += int(np.count_nonzero(ok.ravel()[max(start - base, 0):stop - base]))
+        flags = hits.reshape(-1).view(bool)[:mask.size]  # hits is free: reuse its bytes
+        full = np.equal(mask.ravel(), (1 << q) - 1, out=flags)
+        first = max(start - u0 * nb, 0)  # a shard that cuts a block counts only its slice
+        hit = np.flatnonzero(full[first:stop - u0 * nb]) + first
+        if prop != PROP_PP:  # permutations are rare: test only their siblings
+            hit = hit[valid[hit % nb] & full[hit + shift[hit % nb]]]
+        count += hit.size
     return count
 
 

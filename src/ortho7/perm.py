@@ -106,8 +106,6 @@ def census(query: CensusQuery, workers: int = 1,
 
     if workers <= 1 or total < 1 << 16:
         return run(0, total)
-    shards = max(workers * 4, 1)
-    step = -(-total // shards)
-    bounds = [(s, min(s + step, total)) for s in range(0, total, step)]
+    starts = range(0, total, -(-total // workers))  # one shard per worker: even cost
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda se: run(*se), bounds))
+        return sum(pool.map(run, starts, [*starts[1:], total]))

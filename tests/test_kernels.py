@@ -2,6 +2,7 @@
 ortho7.perm and ortho7.poly on identical inputs, and the uint64 hit-mask
 order guard."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -87,9 +88,11 @@ def _degree7_hits(fld):
 @pytest.mark.parametrize("deg", [1, 2, 7])
 def test_census_scan_agrees_with_horner_rows(q, deg):
     # random slices, and for degree 7 a slice around a known hit, start and
-    # end at arbitrary offsets, so they cut the census's low blocks.  The
-    # scan reads points in pairs, with hits in uint8 at 8, uint16 at 16,
-    # uint32 at 31 and uint64 at 41 and 49
+    # end at arbitrary offsets, so they cut the census's blocks.  The scan
+    # gathers rows of two low digits at 8-31 and of one at 41 and 49 (where
+    # the f -/+ x sibling of a non-canonical row differs in the mid digit),
+    # with hits in uint8 at 8, uint16 at 16, uint32 at 31 and uint64 at 41
+    # and 49
     fld = field_for(q)
     rng = np.random.default_rng(100 * q + deg)
     hits = _degree7_hits(fld) if deg == 7 else {}
@@ -115,18 +118,18 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
 @pytest.mark.parametrize("q", [8, 11, 13, 16])
 def test_census_scan_rejects_planted_near_misses(q):
     # x with its value at point a moved to that of point b repeats exactly
-    # one value and misses a.  The scan pairs points (0, 1), (2, 3), ...
-    # and, at odd q, the last point with itself; the repeat sits inside one
-    # pair, spans two pairs, or meets the self-paired last point.  A pair
-    # table built with + or ^ in place of | agrees with | wherever the two
-    # points of a pair have different values, so only the self pair tells
-    # them apart: with +, the last move (b = a - 1) fills its mask, and with
-    # ^, the permutation x^(q-2) loses its last point's hit.  The rows have
-    # a zero constant and degree q-1 or q-2: their canonical odometer index
-    # fits an int64 up to q = 16.
+    # one value and misses a, so its mask lacks one bit.  The scan fills
+    # the mask with the hits of point 0 and ORs in one gathered row per
+    # later point.  The moves put the repeat at point 0 (b = 0), amid the
+    # gathered points below or above the missing value, and at the last
+    # point read (a = q - 1).  (A sum of q single bits is the full mask
+    # only if no two coincide, so adding rows in place of ORing them counts
+    # the same, and no row can tell the two apart.)  The rows have a zero
+    # constant and degree q-1 or q-2, so they reach the upper block; their
+    # canonical odometer index fits an int64 up to q = 16.
     fld = field_for(q)
     xq1 = Poly(fld, (0,) * (q - 1) + (1,))
-    moves = [(3, 2), (2, 5)] + ([(q - 1, q - 2)] if q % 2 else [])
+    moves = [(1, 0), (3, 2), (2, 5), (q - 1, q - 2)]
     for a, b in moves:
         c = fld.sub(b, a)  # c*(1 - (x - a)^(q-1)) moves only the value at a
         t = LinearTransform(fld.neg(c), 1, fld.neg(a), c)
@@ -138,6 +141,20 @@ def test_census_scan_rejects_planted_near_misses(q):
     inverse = [0] * (q - 2) + [1]  # x^(q-2): gcd(q-2, q-1) = 1
     at = _odometer_index(fld, inverse, True)
     assert kernels.census_scan(fld, q - 2, True, kernels.PROP_PP, at, at + 1) == 1
+
+
+def test_census_scan_memory_at_q61():
+    # one call holds its row tables and one step's masks: a few MB at
+    # q = 61, whatever the slice
+    fld = field_for(61)
+    start = CensusQuery(fld, 7, True, "op").space() // 2
+    tracemalloc.start()
+    try:
+        kernels.census_scan(fld, 7, True, kernels.PROP_OP, start, start + 500_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
 
 
 @pytest.mark.parametrize("q", [11, 13, 23, 25, 41, 49])
