@@ -109,11 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     # None defaults: cmd_verify refuses these next to --field
     sp.add_argument("--deep", action="store_true", default=None,
                     help="add the canonical census for q=8,11,13,17,19 "
-                         "(about 20 s on 2 workers)")
+                         "(about 10 s on 2 workers)")
     sp.add_argument("--audit-n", type=_int_at_least(0),
                     help="rows in the classification audit (default 100000)")
     sp.add_argument("--workers", type=_int_at_least(1),
-                    help="census workers (default 2)")
+                    help="CPUs to use, capped at the usable ones: the audit's "
+                         "forked processes plus this one, census threads (default 2)")
     add_output(sp)
     return p
 

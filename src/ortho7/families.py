@@ -34,7 +34,7 @@ refused (`field_entries`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
 import numpy as np
@@ -311,11 +311,7 @@ class AuditReport:
     q: int
     total: int = 0
     pp_count: int = 0
-    disagreements: list = None
-
-    def __post_init__(self):
-        if self.disagreements is None:
-            self.disagreements = []
+    disagreements: list = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:

@@ -10,6 +10,7 @@ Totals are sums over shards, hence independent of the worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -82,6 +83,12 @@ class CensusQuery:
 DEFAULT_BUDGET = 10**9
 
 
+def pool_size(workers: int) -> int:
+    """`workers` capped at the CPUs this process may run on: any pool's size."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return max(1, min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1))
+
+
 def census(query: CensusQuery, workers: int = 1,
            budget: int = DEFAULT_BUDGET) -> int:
     """Exact count of degree-`degree` polynomials with the property.
@@ -107,5 +114,5 @@ def census(query: CensusQuery, workers: int = 1,
     if workers <= 1 or total < 1 << 16:
         return run(0, total)
     starts = range(0, total, -(-total // workers))  # one shard per worker: even cost
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=pool_size(workers)) as pool:
         return sum(pool.map(run, starts, [*starts[1:], total]))

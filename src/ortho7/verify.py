@@ -23,6 +23,11 @@ compares it against the golden fixtures in data/reference_results.json:
                     constancy, shift invariance, pointwise transform law
 
 The CLI `verify` subcommand and the acceptance test suite both run these.
+`run_suite` runs the report chain (every other check, sharing one
+`reports` memo) here, while `pool_size(workers) - 1` forked workers (none
+without the fork start method) take the audit's nine per-order items,
+reusing the built tables; what none has started when the chain ends runs
+here.  The audit's `elapsed` is the sum of its per-order busy times.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .pairs import (
     count_ops,
     _shift_rows,
 )
-from .perm import CensusQuery, census
+from .perm import CensusQuery, census, pool_size
 from .poly import LinearTransform, Poly, apply_transform, eval_poly
 
 TABLE_ORDERS = (11, 13, 17, 19, 23, 25, 27, 31, 49)
@@ -325,23 +330,32 @@ def check_census(workers: int = 2,
     return True, f"canonical counts {', '.join(details)}; op_total=count*q"
 
 
-@_timed("classification-audit")
-def check_audit(n_random: int = 100_000, seed: int = 7):
+def _audit_order(q: int, n_random: int, seed: int):
+    """One order of the classification audit: (busy seconds, rows,
+    permutations, failure detail or None)."""
+    t0 = time.perf_counter()
+    rand = audit_random(field_for(q), n_random, seed=seed + q)
+    shape = audit_support(field_for(q), (3, 1))
+    fail = (f"q={q}: {len(rand.disagreements)} disagreements" if not rand.ok
+            else None if shape.ok else f"q={q}: shape audit disagreements")
+    return (time.perf_counter() - t0, rand.total + shape.total,
+            rand.pp_count + shape.pp_count, fail)
+
+
+def _audit_result(parts) -> CheckResult:
+    """The audit from its parts in TABLE_ORDERS order: first failure wins."""
+    busy, rows, pps, fails = zip(*parts)
+    fail = next(filter(None, fails), None)
+    return CheckResult("classification-audit", not fail, fail or (
+        f"{sum(rows)} polynomials audited, {sum(pps)} permutations, "
+        f"zero disagreements"), sum(busy))
+
+
+def check_audit(n_random: int = 100_000, seed: int = 7) -> CheckResult:
     """Zero disagreements between the table route and direct evaluation:
     n_random random degree-7 polynomials per supported field plus the
     exhaustive x^7 + a3 x^3 + a1 x sweep."""
-    total = pps = 0
-    for q in TABLE_ORDERS:
-        field = field_for(q)
-        rep = audit_random(field, n_random, seed=seed + q)
-        if not rep.ok:
-            return False, f"q={q}: {len(rep.disagreements)} disagreements"
-        total, pps = total + rep.total, pps + rep.pp_count
-        rep = audit_support(field, (3, 1))
-        if not rep.ok:
-            return False, f"q={q}: shape audit disagreements"
-        total, pps = total + rep.total, pps + rep.pp_count
-    return True, f"{total} polynomials audited, {pps} permutations, zero disagreements"
+    return _audit_result([_audit_order(q, n_random, seed) for q in TABLE_ORDERS])
 
 
 @_timed("property-suite")
@@ -410,18 +424,30 @@ def check_properties(seed: int = 11, reports: dict | None = None):
 
 def run_suite(deep: bool = False, workers: int = 2,
               audit_n: int = 100_000) -> list[CheckResult]:
-    """The full verification battery; the census only when `deep`."""
+    """The full battery, scheduled as the module docstring says; census if `deep`."""
+    # imported here, not at module level: ~20 ms on every `import ortho7`
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    procs = pool_size(workers) - 1
+    pool = (ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"))
+            if procs and "fork" in multiprocessing.get_all_start_methods() else None)
     reports: dict = {}
-    results = [
-        check_family_tables(),
-        check_non_redundancy(),
-        check_pair_fixtures(reports),
-        check_totals(reports),
-        check_method_agreement(reports),
-        check_distinctness(reports=reports),
-        check_audit(n_random=audit_n),
-        check_properties(reports=reports),
-    ]
+    try:
+        futures = [pool and pool.submit(_audit_order, q, audit_n, 7) for q in TABLE_ORDERS]
+        *chain, properties = (
+            check_family_tables(), check_non_redundancy(),
+            check_pair_fixtures(reports), check_totals(reports),
+            check_method_agreement(reports), check_distinctness(reports=reports),
+            check_properties(reports=reports))
+        # each order no worker has taken runs here, before any wait
+        parts = [_audit_order(q, audit_n, 7) if not f or f.cancel() else f
+                 for q, f in zip(TABLE_ORDERS, futures)]
+        audit = _audit_result([p if isinstance(p, tuple) else p.result() for p in parts])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    results = [*chain, audit, properties]
     if deep:
         results.append(check_census(workers=workers, reports=reports))
     return results

@@ -13,18 +13,24 @@ Criteria and stated targets:
     pair's expansion has exactly q distinct vectors, disjoint across
     pairs - see the distinctness check's docstring)
   7 census cross-check: 0 / 660 / 494 / 272 / 228 canonical counts for
-    q = 8, 11, 13, 17, 19 (about 20 s on 2 workers)
+    q = 8, 11, 13, 17, 19 (about 10 s on 2 workers)
   8 classification-vs-direct audit: 1e5 random polynomials per field plus
     the exhaustive x^7 + a3 x^3 + a1 x sweep, zero disagreements
   9 property suite: transversal cardinalities, canonicalisation class
     constancy, orthomorphism shift invariance, pointwise transform law
 """
 
+import concurrent.futures.process
+import json
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
-from ortho7 import pairs, verify
+import pytest
+
+from ortho7 import cli, families, pairs, verify
 from ortho7.families import table_for
 from ortho7.pairs import EnumerationReport, count_ops
 
@@ -142,3 +148,99 @@ def test_one_direct_search_per_family(monkeypatch):
     want[41, (0, 0, 0, 0, 0)] += 1
     assert calls == want
     assert sum(calls.values()) == 106
+
+
+class _NoPool:
+    """A ProcessPoolExecutor stand-in that starts nothing: it raises with
+    the size it was asked for."""
+
+    def __init__(self, max_workers, mp_context=None):
+        raise _PoolRequested(max_workers)
+
+
+class _PoolRequested(Exception):
+    pass
+
+
+def _lines(results):
+    return [(r.name, r.ok, r.detail) for r in results]
+
+
+def test_run_suite_is_the_same_on_one_and_two_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    two = _lines(verify.run_suite(workers=2))
+    assert multiprocessing.active_children() == []
+    # one worker runs every audit item here and constructs no pool
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _NoPool)
+    one = _lines(verify.run_suite(workers=1))
+    assert multiprocessing.active_children() == []
+    assert one == two
+    assert [name for name, *_ in one] == [
+        "family-tables", "non-redundancy", "pair-fixtures", "totals",
+        "method-agreement", "distinctness", "classification-audit",
+        "property-suite"]
+    assert all(ok for _, ok, _ in one)
+
+
+def test_suite_pool_is_capped_at_the_cpus(monkeypatch):
+    # workers beyond the CPUs ask for no more processes than CPUs - 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _NoPool)
+    with pytest.raises(_PoolRequested) as exc:
+        verify.run_suite(workers=100_000)
+    assert exc.value.args == (2,)
+
+
+def _plant_disagreements(monkeypatch, orders):
+    """The class index misreads the first row of every batch at `orders`;
+    forked workers inherit the patch."""
+    lookup = families.class_lookup
+
+    def planted(field, C):
+        hit, ords, shifts = lookup(field, C)
+        if field.q in orders:
+            hit = hit.copy()
+            hit[0] = not hit[0]
+        return hit, ords, shifts
+
+    monkeypatch.setattr(families, "class_lookup", planted)
+
+
+def test_audit_disagreement_fails_alike_on_one_and_two_workers(monkeypatch, capsys):
+    _plant_disagreements(monkeypatch, {49})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    payloads = []
+    for workers in ("2", "1"):
+        assert cli.main(["verify", "--workers", workers, "--format", "json"]) == 1
+        assert multiprocessing.active_children() == []
+        payloads.append(json.loads(capsys.readouterr().out)["results"])
+    details = [[(r["name"], r["ok"], r["detail"]) for r in p] for p in payloads]
+    assert details[0] == details[1]
+    failed = [(name, detail) for name, ok, detail in details[0] if not ok]
+    assert failed == [("classification-audit", "q=49: 7 disagreements")]
+
+
+def test_audit_reports_the_first_failing_order(monkeypatch):
+    _plant_disagreements(monkeypatch, {13, 49})
+    result = verify.check_audit(n_random=1_000)
+    assert (result.ok, result.detail) == (False, "q=13: 1 disagreements")
+
+
+class _Planted(Exception):
+    pass
+
+
+def test_an_error_in_a_forked_audit_item_propagates(monkeypatch):
+    parent = os.getpid()
+    audit_random = verify.audit_random
+
+    def raising(field, n, seed=0):
+        if os.getpid() != parent:
+            raise _Planted(f"q={field.q}")
+        return audit_random(field, n, seed=seed)
+
+    monkeypatch.setattr(verify, "audit_random", raising)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(_Planted):
+        verify.run_suite(workers=2, audit_n=1_000)
+    assert multiprocessing.active_children() == []

@@ -1,10 +1,12 @@
 """Direct property tests and the census, cross-validated against a
 plain-python brute-force oracle on small degrees."""
 
+import os
 from itertools import product
 
 import pytest
 
+from ortho7 import perm
 from ortho7.errors import BudgetExceeded
 from ortho7.field import field_for
 from ortho7.perm import (
@@ -13,6 +15,7 @@ from ortho7.perm import (
     is_complete_mapping,
     is_orthomorphism,
     is_permutation,
+    pool_size,
 )
 from ortho7.poly import Poly, apply_transform, LinearTransform, parse_poly
 
@@ -90,6 +93,43 @@ def test_census_worker_independence(f11):
     q1 = census(CensusQuery(f11, 4, False, "op"), workers=1)
     q3 = census(CensusQuery(f11, 4, False, "op"), workers=3)
     assert q1 == q3
+
+
+def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [pool_size(w) for w in (1, 2, 3, 4, 100_000)] == [1, 2, 3, 3, 3]
+    # where the affinity mask is unknown, the CPU count caps
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_size(100_000) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(100_000) == 1
+
+
+def test_census_threads_are_capped_but_shards_are_not(monkeypatch, f11):
+    # a recording executor that runs each shard inline: 8 shards on 2 CPUs
+    # still count every candidate once, on a pool of 2
+    sizes, shards = [], []
+
+    class Inline:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, starts, stops):
+            shards.extend(zip(starts, stops))
+            return map(fn, starts, stops)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(perm, "ThreadPoolExecutor", Inline)
+    query = CensusQuery(f11, 4, False, "op")
+    assert census(query, workers=8) == census(query, workers=1)
+    assert sizes == [2] and len(shards) == 8
 
 
 def test_census_budget_guard(f13):
