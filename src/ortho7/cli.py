@@ -21,10 +21,10 @@ from .errors import Ortho7Error, ParseError, UnsupportedOrder
 from .families import field_entries, image_witness, is_pp_by_table
 from .field import FieldSpec, build_field, field_for
 from .pairs import (
-    _shift_rows,
     count_ops,
     search_pairs_direct,
     search_pairs_table_based,
+    shift_blocks,
 )
 from .perm import (
     CensusQuery,
@@ -34,7 +34,7 @@ from .perm import (
     is_orthomorphism,
     is_permutation,
 )
-from .poly import format_poly, parse_poly
+from .poly import format_poly, parse_poly, vector_form
 
 
 def _int_at_least(low: int):
@@ -301,11 +301,10 @@ def cmd_enumerate(args) -> int:
         with open(args.emit, "w") as fh:
             # one write per pair: its q^2 shift rows as vector literals
             for r in report.per_family:
-                for sig in r.signatures:
-                    rows = _shift_rows(field, sig).tolist()
-                    fh.write("".join([",".join([lits[c] for c in row]) + "\n"
-                                      for row in rows]))
-                    n += len(rows)
+                for block in shift_blocks(field, r.signatures):
+                    fh.write("\n".join([vector_form(lits, row)
+                                        for row in zip(*block.T.tolist())]) + "\n")
+                    n += len(block)
         lines.append(f"wrote {n} coefficient vectors to {args.emit}")
         payload["results_emitted"] = n
     payload["timings"]["elapsed_s"] = time.perf_counter() - t0

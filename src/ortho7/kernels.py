@@ -7,8 +7,9 @@ field-agnostic.  The evaluating kernels pack each candidate's hits into
 one integer of at most 64 bits, so they require q <= 63 (every supported
 order).  Every kernel given polynomials takes them as coefficient rows
 on the last axis (ascending powers).  One primitive, `scaled_rows`, gives
-every rescaling alpha*f(beta*x): the pair dedup and the published pair
-lists read it, and it is `expand_shifts` with a zero shift.  The pair grid
+every rescaling alpha*f(beta*x): the pair dedup (a lexsort of its rows)
+and the published pair lists read it.  It is `expand_shifts` with a zero
+shift; `pairs.shift_blocks` makes one call per batch of pairs.  The pair grid
 (the q-1 rows of `pair_line`) and pp_batch share one evaluator, `_full_hits`:
 Horner with one gather per step from an int16 step table, and a collision
 sieve that stops evaluating a row once one of its values repeats.  The

@@ -33,7 +33,9 @@ Agreement of the two routes per family is part of the acceptance suite.
 Deduplication keeps, for each distinct coefficient vector of
 alpha*f(beta*x), the lexicographically smallest (alpha, beta) by element
 index.  Both routes run it once over their hit cells, as one array of
-`kernels.scaled_rows`; comparisons with published pair lists are by set.
+`kernels.scaled_rows`, sorted stably by `np.lexsort` over its integer
+columns (exact at every order); comparisons with published pair lists are
+by set.  One stream of shift blocks, `shift_blocks`, expands the pairs.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def _dedup(field: Field, f: Poly, hit) -> tuple[tuple, tuple]:
     of the (q-1, q-1) hit mask, ascending, and their coefficient vectors."""
     a, b = np.nonzero(hit)  # C order: ascending (alpha, beta)
     rows = kernels.scaled_rows(field, f.coeffs, a + 1, b + 1)
-    first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    order = np.lexsort(rows.T)  # stable: a run of equal rows starts at its smallest pair
+    first = np.sort(order[np.diff(rows[order], axis=0, prepend=-1).any(axis=1)])
     pairs = tuple(zip((a[first] + 1).tolist(), (b[first] + 1).tolist()))
     return pairs, tuple(map(tuple, rows[first].tolist()))
 
@@ -133,24 +136,18 @@ def search_pairs_table_based(field: Field, family: FamilyEntry
     cells = kernels.pair_cells(field)
     pairs, sigs = _dedup(field, f, hit[cells])
     targets = class_entries(field.q)
-    per_target: dict[int, list] = {}
-    if field.p != 7:
-        def support(row):
-            return [i for i in (2, 3, 4, 5) if row[i] != 0]
-        per_target = {t.ordinal: [] for t in targets
-                      if support(t.coeff_row()) == support(f.coeffs)}
+    zeros = [c == 0 for c in f.coeffs[2:6]]  # the x^2..x^5 support
+    per_target = {t.ordinal: [] for t in targets if field.p != 7
+                  and [c == 0 for c in t.coeff_row()[2:6]] == zeros}
     # a polynomial lies in one class: each system's pairs are the kept
     # pairs whose image hits its target
     for a, b in pairs:
         ordv = int(ords[cells[a - 1, b - 1]])
         assert field.p == 7 or ordv in per_target, (family.ordinal, ordv)
         per_target.setdefault(ordv, []).append((a, b))
-    systems = []
-    for ordv in sorted(per_target):
-        vanishing = field.p != 7 and targets[ordv - 1].coeff_row()[1] == 0
-        systems.append(SystemResult(ordv, vanishing, tuple(per_target[ordv])))
-    return PairSearchResult(family, "table_based", pairs, sigs,
-                            systems=tuple(systems))
+    return PairSearchResult(family, "table_based", pairs, sigs, systems=tuple(
+        SystemResult(o, field.p != 7 and targets[o - 1].coeff_row()[1] == 0,
+                     tuple(per_target[o])) for o in sorted(per_target)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,31 +227,33 @@ def enumerate_ops(q: int,
     deduplicated pair, each shift (gamma, delta) in F_q^2, the expanded
     alpha*f(beta*(x+gamma)) + delta.  The stream length equals op_total.
 
-    This is the one-`Poly`-per-row view of the pairs' `_shift_rows`
-    blocks, which `enumerate --emit` and the distinctness check read
-    directly.  For gcd(q, 7) = 1 the emitted coefficient vectors are
-    pairwise distinct.  In characteristic 7 the expansion runs through the
-    Frobenius identity (x+gamma)^7 = x^7 + gamma^7, so gamma-shifts only
-    move the constant term and each pair repeats its q distinct vectors
-    q times (see FIELD_NOTES[49])."""
+    This is the one-`Poly`-per-row view of the `shift_blocks` of each
+    family's signatures, which `enumerate --emit` and the distinctness
+    check read directly.  For gcd(q, 7) = 1 the emitted coefficient
+    vectors are pairwise distinct.  In characteristic 7 the expansion runs
+    through the Frobenius identity (x+gamma)^7 = x^7 + gamma^7, so
+    gamma-shifts only move the constant term and each pair repeats its q
+    distinct vectors q times (see FIELD_NOTES[49])."""
     field = field_for(q)
     if report is None:
         report = count_ops(q)
     for res in report.per_family:
-        for sig in res.signatures:
-            # normal rows: x^7 coefficient alpha*beta^7*f7 != 0, Python ints
-            for row in _shift_rows(field, sig).tolist():
-                yield Poly._of_normal(field, tuple(row))
+        for block in shift_blocks(field, res.signatures):
+            # normal rows (x^7 coefficient alpha*beta^7*f7 != 0) of Python ints
+            for row in zip(*block.T.tolist()):
+                yield Poly._of_normal(field, row)
 
 
-def _shift_rows(field: Field, sig) -> np.ndarray:
-    """The q^2 coefficient rows of g(x+gamma)+delta for the coefficient
-    vector `sig` of g, gamma-major then delta, as an array (q^2, 8)."""
+def shift_blocks(field: Field, sigs) -> Iterator[np.ndarray]:
+    """The q^2 rows g(x+gamma)+delta of each coefficient vector g of `sigs`,
+    gamma-major then delta, one (q^2, 8) block per g: one `expand_shifts`
+    call for the batch, then each block fans its q rows out over delta."""
     elems = np.arange(field.q, dtype=np.int64)
-    shifted = kernels.expand_shifts(field, sig, 1, elems)
-    rows = np.repeat(shifted, field.q, axis=0)
-    rows[:, 0] = field.add_t[shifted[:, :1], elems].ravel()
-    return rows
+    sigs = np.asarray(sigs, dtype=np.int64).reshape(-1, 1, 8)
+    for rows in kernels.expand_shifts(field, sigs, 1, elems):
+        block = np.repeat(rows, field.q, axis=0)
+        block[:, 0] = field.add_t[rows[:, :1], elems].ravel()
+        yield block
 
 
 def verify_nonexistence(q: int) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DegreeMismatch, ParseError
 from .field import Field
@@ -31,8 +32,8 @@ class Poly:
         """Poly(field, coeffs) without `__post_init__`.  Precondition: `coeffs`
         is a tuple of Python ints whose last entry is nonzero."""
         f = object.__new__(cls)
-        object.__setattr__(f, "field", field)
-        object.__setattr__(f, "coeffs", coeffs)
+        attrs = f.__dict__  # set past the frozen dataclass's guard
+        attrs["field"], attrs["coeffs"] = field, coeffs
         return f
 
     @property
@@ -229,10 +230,17 @@ def _parse_symbolic(field: Field, s: str) -> Poly:
     return Poly(field, tuple(coeffs.get(i, 0) for i in range(n)))
 
 
+def vector_form(literals, coeffs) -> str:
+    """The vector form of a coefficient row, as `enumerate --emit` writes."""
+    if len(coeffs) < 2:  # itemgetter of one index returns a bare string
+        return ",".join([literals[c] for c in coeffs])
+    return ",".join(itemgetter(*coeffs)(literals))
+
+
 def format_poly(f: Poly, form: str = "symbolic") -> str:
     lits = f.field.literals
     if form == "vector":
-        return ",".join([lits[c] for c in f.coeffs])
+        return vector_form(lits, f.coeffs)
     if not f.coeffs:
         return "0"
     parts = []

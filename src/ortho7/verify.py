@@ -54,7 +54,7 @@ from .field import field_for
 from .pairs import (
     EnumerationReport,
     count_ops,
-    _shift_rows,
+    shift_blocks,
 )
 from .perm import CensusQuery, census, pool_size
 from .poly import LinearTransform, Poly, apply_transform, eval_poly
@@ -295,8 +295,8 @@ def check_distinctness(seed: int = 2024,
                     else ceil(0.05 * n))
             idx = (range(n) if take == n else
                    sorted(rng.choice(n, take, replace=False)))
-            for i in idx:
-                codes = np.unique(_shift_rows(field, r.signatures[i]) @ weights)
+            for block in shift_blocks(field, [r.signatures[i] for i in idx]):
+                codes = np.unique(block @ weights)
                 if len(codes) != want:
                     return False, (f"q={q} family {r.family.ordinal}: pair "
                                    f"expansion gave {len(codes)} != {want} "
@@ -398,7 +398,7 @@ def check_properties(seed: int = 11, reports: dict | None = None):
     for q in (11, 13, 17, 19, 25, 49):
         field = field_for(q)
         rep = next(r for r in _report(reports, q).per_family if r.pair_count)
-        rows = _shift_rows(field, rep.signatures[0])
+        rows = next(shift_blocks(field, rep.signatures[:1]))
         minus_x = rows.copy()
         minus_x[:, 1] = field.sub_t[rows[:, 1], 1]
         op = kernels.pp_batch(field, rows) & kernels.pp_batch(field, minus_x)

@@ -2,22 +2,25 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from ortho7 import kernels
 from ortho7.errors import UnsupportedOrder
 from ortho7.field import field_for
-from ortho7.families import table_for
+from ortho7.families import class_entries, table_for
 from ortho7.pairs import (
     EnumerationReport,
+    _dedup,
     count_ops,
     enumerate_ops,
     search_pairs_direct,
     search_pairs_table_based,
+    shift_blocks,
     verify_nonexistence,
 )
 from ortho7.perm import is_orthomorphism
-from ortho7.poly import Poly
+from ortho7.poly import LinearTransform, Poly, apply_transform
 
 
 def _family(q, coeffs):
@@ -79,6 +82,52 @@ def test_dedup_keeps_smallest_representative(f13):
     assert res.signatures[res.pairs.index((2, 9))] == tuple(rows[1].tolist())
     assert len(set(res.signatures)) == len(res.pairs)
     assert list(res.pairs) == sorted(res.pairs)
+
+
+def _dedup_reference(field, f, hit):
+    # the void-record sort of whole rows: the first cell of each distinct row
+    a, b = np.nonzero(hit)
+    rows = kernels.scaled_rows(field, f.coeffs, a + 1, b + 1)
+    first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    pairs = tuple(zip((a[first] + 1).tolist(), (b[first] + 1).tolist()))
+    return pairs, tuple(map(tuple, rows[first].tolist()))
+
+
+@pytest.mark.parametrize("q", [11, 25, 49, 251])
+def test_dedup_matches_the_unique_reference(q):
+    # random hit masks over every class entry; at q = 251 (x^7 alone, and a
+    # random row of full support) 8-digit base-q row codes overflow int64
+    fld = field_for(q)
+    rng = np.random.default_rng(q)
+    polys = [e.poly(fld) for e in class_entries(q)]
+    if q == 251:
+        polys.append(Poly(fld, tuple(rng.integers(1, q, 8).tolist())))
+    for f in polys:
+        for density in (0.0, 0.05, 0.5, 1.0):
+            hit = rng.random((q - 1, q - 1)) < density
+            got = _dedup(fld, f, hit)
+            assert got == _dedup_reference(fld, f, hit), (q, f.coeffs, density)
+            assert all(type(c) is int for sig in got[1] for c in sig)
+
+
+def _shift_reference(field, sig):
+    g = Poly(field, sig)
+    return [apply_transform(g, LinearTransform(1, 1, gamma, delta)).coeffs
+            for gamma in range(field.q) for delta in range(field.q)]
+
+
+@pytest.mark.parametrize("q", [13, 49])
+def test_shift_blocks_match_the_scalar_transform(q):
+    # one block per signature, gamma-major then delta, as apply_transform
+    # gives g(x+gamma)+delta; at q = 49 gamma only moves the constant
+    fld = field_for(q)
+    sigs = [sig for r in count_ops(q).per_family for sig in r.signatures[:2]]
+    blocks = list(shift_blocks(fld, sigs))
+    assert len(blocks) == len(sigs)
+    for sig, block in zip(sigs, blocks):
+        assert block.shape == (q * q, 8)
+        assert [tuple(r) for r in block.tolist()] == _shift_reference(fld, sig)
+    assert list(shift_blocks(fld, ())) == []
 
 
 @pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 49])

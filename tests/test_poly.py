@@ -59,6 +59,19 @@ def test_format_roundtrip(f13, f25):
         assert parse_poly(fld, format_poly(p, "vector")).coeffs == p.coeffs
 
 
+def test_vector_form_edge_rows(f13, f49):
+    # no coefficient, one coefficient, and a multi-character literal: each
+    # stays one comma-separated field per coefficient
+    assert format_poly(Poly(f13, ()), "vector") == ""
+    assert format_poly(Poly(f13, (5,)), "vector") == "5"
+    assert format_poly(Poly(f49, (9,)), "vector") == "2+t"
+    assert format_poly(Poly(f49, (0, 9)), "vector") == "0,2+t"
+    row = Poly(f49, (9, 0, 12, 0, 0, 48, 1, 9))
+    text = format_poly(row, "vector")
+    assert text.split(",") == [f49.literals[c] for c in row.coeffs]
+    assert parse_poly(f49, text) == row
+
+
 def test_trailing_zeros_trimmed(f13):
     assert Poly(f13, (1, 2, 0, 0)).coeffs == (1, 2)
     assert Poly(f13, (0, 0)).coeffs == ()
