@@ -50,9 +50,7 @@ from .poly import (  # noqa: F401
     LinearTransform,
     Poly,
     apply_transform,
-    compose_transforms,
     eval_poly,
     format_poly,
-    normalize_deg7,
     parse_poly,
 )

@@ -22,11 +22,12 @@ tuples at once; the lists themselves stay as the definitions.
 The reduction itself is cheap: after normalisation (monic, zero constant,
 zero x^6 coefficient) the only transforms preserving that shape are
 x -> b*x rescalings, so each class has q-1 candidates.  One array kernel,
-`canonical_rows`, is the canonical-form mechanism: it normalises a batch
-of rows, builds all their rescalings as one (rows, q-1, 5) array, runs
-the criteria as one mask and re-proves uniqueness row by row.
-`canonicalize` is its batch of one, plus the transform witness.  The
-tests compare it with the literal (b, c) enumeration.
+`canonical_rows`, is the canonical-form mechanism: it reads the normal
+form `kernels.normalized_rows` of a batch of rows, builds all their
+rescalings as one (rows, q-1, 5) array, runs the criteria as one mask and
+re-proves uniqueness row by row.  `canonicalize` is its batch of one, plus
+the transform witness.  The tests compare it with the literal (b, c)
+enumeration.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ from .errors import (
     UniquenessViolation,
 )
 from .field import Field
-from .poly import (
-    LinearTransform,
-    Poly,
-    apply_transform,
-    compose_transforms,
-    normalize_deg7,
-)
+from .poly import LinearTransform, Poly, apply_transform, eval_poly
 
 
 def ck_set(field: Field, m: int) -> list[int]:
@@ -120,10 +115,10 @@ def canonical_rows(field: Field, C) -> tuple[np.ndarray, np.ndarray]:
     """Canonical tuples (g5..g1), shape (n, 5), of the degree-7 rows C,
     shape (n, 8), and the first passing b of each row, shape (n,).
 
-    Normalises every row at once (monic, zero x^6 after the shift
-    c = -h6/(7*h7); the constant term is dropped), then builds the q-1
-    monic-preserving rescalings b^-7 * hn(bx), that is b^(i-7) * g_i, in
-    the element order b = 1..q-1.  The x^6-cancelling shift is independent
+    Reads the normal form `kernels.normalized_rows` of every row (monic,
+    zero x^6 after the shift c = -h6/(7*h7), no constant term), then builds
+    the q-1 monic-preserving rescalings b^-7 * hn(bx), that is b^(i-7) * g_i,
+    in the element order b = 1..q-1.  The x^6-cancelling shift is independent
     of b, so these are exactly the candidate transforms (b, c) whose image
     survives the zero-x^6 filter.
 
@@ -139,13 +134,11 @@ def canonical_rows(field: Field, C) -> tuple[np.ndarray, np.ndarray]:
     C = np.asarray(C, dtype=np.int64).reshape(-1, 8)
     if not C[:, 7].all():
         raise DegreeMismatch("canonical forms need degree-7 rows")
-    mul, inv, n = field.mul_t, field.inv_t, field.q - 1
-    shift = kernels.x6_shift(field, C)
-    H = mul[inv[C[:, 7], None], kernels.expand_shifts(field, C, 1, shift)]
-    assert (H[:, 7] == 1).all() and not H[:, 6].any()
+    mul, n = field.mul_t, field.q - 1
+    H = np.stack(kernels.normalized_rows(field, C)[4::-1], axis=-1)  # g5..g1
     b = np.arange(1, field.q)
     scale = field.exp_t[field.log_t[b, None] * np.arange(-2, -7, -1) % n]
-    G = mul[scale, H[:, None, 5:0:-1]]  # (rows, b, 5): b^(i-7) * g_i
+    G = mul[scale, H[:, None, :]]  # (rows, b, 5): b^(i-7) * g_i
     passing = criteria_mask(field, G)
     found = passing.any(axis=1)
     if not found.all():
@@ -169,8 +162,10 @@ def canonicalize(h: Poly) -> tuple[CanonicalForm, LinearTransform]:
     """Unique criteria-passing representative of h's linear class: the
     batch of one of `canonical_rows`.
 
-    The returned transform is the normalisation followed by the rescaling
-    of the first passing b, and it is re-derived as a witness.
+    The returned transform is the normalisation (h7^-1, 1, c, -h(c)/h7),
+    c the `x6_shift` of h, followed by the rescaling (b^-7, b, 0, 0) of the
+    first passing b: (a, b, c, -a*h(c)) with a = (h7*b^7)^-1.  It is
+    re-derived as a witness.
     """
     field = h.field
     if h.degree != 7:
@@ -178,9 +173,9 @@ def canonicalize(h: Poly) -> tuple[CanonicalForm, LinearTransform]:
     T, bs = canonical_rows(field, h.coeffs)
     first, b = tuple(T[0].tolist()), int(bs[0])
     g5, g4, g3, g2, g1 = first
-    _, t0 = normalize_deg7(h)
-    tform = compose_transforms(
-        field, t0, LinearTransform(field.inv(field.pow(b, 7)), b, 0, 0))
+    c = int(kernels.x6_shift(field, h.coeffs))
+    a = field.inv(field.mul(h.coeff(7), field.pow(b, 7)))
+    tform = LinearTransform(a, b, c, field.neg(field.mul(a, eval_poly(h, c))))
     poly = Poly(field, (0, g1, g2, g3, g4, g5, 0, 1))
     # re-derive the exact transform witnessing h -> poly
     assert apply_transform(h, tform).coeffs == poly.coeffs
@@ -192,7 +187,8 @@ def solve_linear_relation(h: Poly, f: Poly) -> list[LinearTransform]:
 
     Iterates (b, c), derives a from the leading coefficient and d from
     the constant term, and keeps transforms under which the remaining
-    coefficients match exactly.
+    coefficients match exactly.  Nothing in the package calls it: it stays
+    exported as the brute-force relation reference of the tests.
     """
     if h.degree != 7 or f.degree != 7:
         raise DegreeMismatch("linear-relation search needs two degree-7 polynomials")

@@ -29,11 +29,6 @@ class DegreeMismatch(Ortho7Error):
     """Polynomial degree does not match the operation's requirement."""
 
 
-class NotNormalised(Ortho7Error):
-    """Polynomial is not in normalised form (monic, zero constant term,
-    zero second-highest coefficient when the characteristic allows)."""
-
-
 class CharacteristicSeven(Ortho7Error):
     """Operation requires gcd(q, 7) = 1 and the field has characteristic 7."""
 

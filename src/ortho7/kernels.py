@@ -14,11 +14,12 @@ shift; `pairs.shift_blocks` makes one call per batch of pairs.  The pair grid
 Horner with one gather per step from an int16 step table, and a collision
 sieve that stops evaluating a row once one of its values repeats.  The
 census evaluates low and high coefficient blocks once each (meet in the
-middle) and gathers whole rows of per-point tables of low-block hits.  The
-lookups evaluate nothing: `normalized_code_batch` packs degree-7 rows into
-codes (for p != 7 after the shift `x6_shift` that clears x^6, so a code
-names a row up to a*f(x+c)+d) and `code_member` finds them in a sorted
-code array, such as the class-image index of `families.image_codes`.
+middle) and gathers whole rows of per-point tables of low-block hits.
+`normalized_rows` is the one degree-7 normal form (monic, no constant term,
+and for p != 7 no x^6 after the shift `x6_shift`): `canon.canonical_rows`
+reads it, and `normalized_code_batch` packs it into codes (a code names a
+row up to a*f(x+c)+d) that `code_member` finds in a sorted code array, such
+as the class-image index of `families.image_codes`.
 
 Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
 2 = complete mapping (f and f+x).
@@ -235,23 +236,18 @@ def x6_shift(field, C):
     return field.neg_t[mul[C[..., 6], field.inv_t[mul[field.from_int(7), C[..., 7]]]]]
 
 
-def normalized_code_batch(field, C):
-    """The reduction `poly.normalize_deg7` of degree-7 rows (last axis of
-    C) packed as a base-q code.  When p != 7 its shift `x6_shift` clears
-    x^6, so the code runs over x^5..x^1 and every f(x + c) of a row has
-    the row's code; in characteristic 7 the x^6 term stays in the code.
-    The digits fit an int64 while q^5 < 2^63 (q <= 6208), and q^6 < 2^63
-    (q <= 1448) when p = 7."""
-    top = 6 if field.p == 7 else 5
-    if field.q ** top >= 1 << 63:
-        raise UnsupportedOrder(f"normalised codes overflow int64 at q={field.q}")
+def normalized_rows(field, C):
+    """The degree-7 normal form of rows (last axis of C), as the list of
+    its x^1..x^6 coefficient arrays: h(x + c)/h7 less its constant term,
+    with c the `x6_shift` of each row when p != 7 (its x^6 is then zero)
+    and c = 0 in characteristic 7, where x^6 cannot be cleared."""
     q = field.q
     # flat tables: one index add per gather instead of numpy's 2-D indexing
     mulf, addf = field.mul_t.ravel(), field.add_t.ravel()
     C = np.asarray(C, dtype=np.int64)
     aq = field.inv_t[C[..., 7]] * q
     h = [None] + [mulf[aq + C[..., i]] for i in range(1, 7)]  # monic h1..h6
-    if top == 5:
+    if field.p != 7:
         # the synthetic division of `expand_shifts` on the monic row
         # (a_7 = 1), without the steps that only reach a_0 or the final a_6
         s = x6_shift(field, C)
@@ -260,9 +256,24 @@ def normalized_code_batch(field, C):
             h[6] = addf[h[6] * q + s]
             for j in range(5, max(k, 1) - 1, -1):
                 h[j] = addf[h[j] * q + mulf[sq + h[j + 1]]]
-    code = np.zeros(C.shape[:-1], dtype=np.int64)
-    for i in range(top, 0, -1):
-        code = code * q + h[i]
+        h[6] = np.zeros_like(s)  # the final a_6 is zero by the choice of s
+    return h[1:]
+
+
+def normalized_code_batch(field, C):
+    """The `normalized_rows` of degree-7 rows (last axis of C) packed as a
+    base-q code.  When p != 7 the x^6 digit is zero and left out, so the
+    code runs over x^5..x^1 and every f(x + c) of a row has the row's
+    code; in characteristic 7 the x^6 term stays in the code.  The digits
+    fit an int64 while q^5 < 2^63 (q <= 6208), and q^6 < 2^63 (q <= 1448)
+    when p = 7."""
+    top = 6 if field.p == 7 else 5
+    if field.q ** top >= 1 << 63:
+        raise UnsupportedOrder(f"normalised codes overflow int64 at q={field.q}")
+    h = normalized_rows(field, C)
+    code = np.zeros(np.shape(h[0]), dtype=np.int64)
+    for i in range(top - 1, -1, -1):
+        code = code * field.q + h[i]
     return code
 
 

@@ -94,7 +94,8 @@ def census(query: CensusQuery, workers: int = 1,
     """Exact count of degree-`degree` polynomials with the property.
 
     Deterministic for fixed inputs regardless of `workers`: the candidate
-    range is split into contiguous shards whose counts are summed.
+    range is split into contiguous shards, one per thread of a pool of
+    `pool_size(workers)`, whose counts are summed.
     """
     # before the budget: no budget lets the kernels scan this order
     kernels.check_hit_mask_order(query.field.q)
@@ -111,8 +112,9 @@ def census(query: CensusQuery, workers: int = 1,
         return kernels.census_scan(query.field, query.degree,
                                    query.canonical_only, prop, start, stop)
 
-    if workers <= 1 or total < 1 << 16:
+    threads = pool_size(workers)
+    if threads <= 1 or total < 1 << 16:
         return run(0, total)
-    starts = range(0, total, -(-total // workers))  # one shard per worker: even cost
-    with ThreadPoolExecutor(max_workers=pool_size(workers)) as pool:
+    starts = range(0, total, -(-total // threads))  # one shard per thread: even cost
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return sum(pool.map(run, starts, [*starts[1:], total]))

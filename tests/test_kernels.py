@@ -25,7 +25,7 @@ from ortho7.pairs import (
     verify_nonexistence,
 )
 from ortho7.perm import CensusQuery, is_orthomorphism, is_permutation
-from ortho7.poly import LinearTransform, Poly, apply_transform
+from ortho7.poly import LinearTransform, Poly, apply_transform, eval_poly
 
 
 def test_census_range_sharding_consistency():
@@ -293,6 +293,27 @@ def test_normalized_codes_reject_orders_that_overflow():
     for q, p in ((6211, 6211), (2401, 7)):
         with pytest.raises(UnsupportedOrder, match="overflow"):
             kernels.normalized_code_batch(SimpleNamespace(q=q, p=p), [0] * 7 + [1])
+
+
+@pytest.mark.parametrize("q", [13, 25, 49])
+def test_normalized_rows_match_the_scalar_reduction(q):
+    # the normal form is apply_transform(h, (a, 1, c, -a*h(c))), a = h7^-1,
+    # with c the x6_shift for p != 7 and c = 0 (x^6 kept) at q = 49; the
+    # class code is its x^1.. digits packed in base q
+    fld = field_for(q)
+    rng = np.random.default_rng(q)
+    C = rng.integers(0, q, size=(60, 8), dtype=np.int64)
+    C[:, 7] = rng.integers(1, q, size=60)
+    rows = kernels.normalized_rows(fld, C)
+    cs = kernels.x6_shift(fld, C) if fld.p != 7 else np.zeros(60, dtype=np.int64)
+    for k, row in enumerate(C.tolist()):
+        h, a, c = Poly(fld, row), fld.inv(row[7]), int(cs[k])
+        g = apply_transform(h, LinearTransform(a, 1, c, fld.neg(fld.mul(a, eval_poly(h, c)))))
+        assert g.coeff(7) == 1 and g.coeff(0) == 0
+        assert [int(r[k]) for r in rows] == [g.coeff(i) for i in range(1, 7)], (q, row)
+    top = 6 if fld.p == 7 else 5
+    packed = sum(rows[i] * q ** i for i in range(top))
+    assert (kernels.normalized_code_batch(fld, C) == packed).all()
 
 
 @pytest.mark.parametrize("q", [13, 25, 49])

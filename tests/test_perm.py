@@ -106,9 +106,10 @@ def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
     assert pool_size(100_000) == 1
 
 
-def test_census_threads_are_capped_but_shards_are_not(monkeypatch, f11):
-    # a recording executor that runs each shard inline: 8 shards on 2 CPUs
-    # still count every candidate once, on a pool of 2
+def test_census_threads_and_shards_are_capped_at_the_cpus(monkeypatch, f11):
+    # a recording executor that runs each shard inline: 8 workers on 2 CPUs
+    # make 2 contiguous shards on a pool of 2, which count every candidate
+    # once; on 1 CPU no pool is made
     sizes, shards = [], []
 
     class Inline:
@@ -129,7 +130,12 @@ def test_census_threads_are_capped_but_shards_are_not(monkeypatch, f11):
     monkeypatch.setattr(perm, "ThreadPoolExecutor", Inline)
     query = CensusQuery(f11, 4, False, "op")
     assert census(query, workers=8) == census(query, workers=1)
-    assert sizes == [2] and len(shards) == 8
+    assert sizes == [2] and len(shards) == 2
+    assert shards[0][0] == 0 and shards[0][1] == shards[1][0]
+    assert shards[1][1] == query.space()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    census(query, workers=8)
+    assert sizes == [2]
 
 
 def test_census_budget_guard(f13):

@@ -1,21 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ortho7.errors import DegreeMismatch, ParseError
+from ortho7.errors import ParseError
 from ortho7.field import field_for
 from ortho7.poly import (
     MAX_EXPONENT,
     LinearTransform,
     Poly,
     apply_transform,
-    compose_transforms,
     eval_poly,
     format_poly,
-    is_normalized_deg7,
-    normalize_deg7,
     parse_poly,
 )
 
@@ -112,40 +107,3 @@ def test_transform_pointwise_identity_exhaustive(q):
         for x in fld.elements():
             want = fld.add(fld.mul(t.a, eval_poly(f, fld.add(fld.mul(t.b, x), t.c))), t.d)
             assert eval_poly(g, x) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.tuples(*[st.integers(0, 12)] * 8),
-       st.tuples(st.integers(1, 12), st.integers(1, 12),
-                 st.integers(0, 12), st.integers(0, 12)),
-       st.tuples(st.integers(1, 12), st.integers(1, 12),
-                 st.integers(0, 12), st.integers(0, 12)))
-def test_transform_composition_law(coeffs, t1, t2):
-    fld = field_for(13)
-    f = Poly(fld, coeffs)
-    u, v = LinearTransform(*t1), LinearTransform(*t2)
-    lhs = apply_transform(apply_transform(f, u), v)
-    rhs = apply_transform(f, compose_transforms(fld, u, v))
-    assert lhs.coeffs == rhs.coeffs
-
-
-def test_normalize_deg7(f13, f49):
-    h = parse_poly(f13, "x^7+5x")
-    g, t = normalize_deg7(h)
-    assert g.coeffs == h.coeffs and t.as_tuple() == (1, 1, 0, 0)
-    rnd = random.Random(9)
-    for _ in range(60):
-        base = Poly(f13, (0,) + tuple(rnd.randrange(13) for _ in range(5)) + (0, 1))
-        t0 = LinearTransform(rnd.randrange(1, 13), rnd.randrange(1, 13),
-                             rnd.randrange(13), rnd.randrange(13))
-        h = apply_transform(base, t0)
-        g, t = normalize_deg7(h)
-        assert is_normalized_deg7(g)
-        assert g.coeffs == apply_transform(h, t).coeffs
-    # characteristic 7: only monic + zero constant term are enforceable
-    h49 = apply_transform(parse_poly(f49, "x^7+tx"), LinearTransform(3, 2, 1, 4))
-    g, t = normalize_deg7(h49)
-    assert g.coeff(7) == 1 and g.coeff(0) == 0
-    assert g.coeffs == apply_transform(h49, t).coeffs
-    with pytest.raises(DegreeMismatch):
-        normalize_deg7(parse_poly(f13, "x^2"))
