@@ -392,6 +392,10 @@ def main(argv=None) -> int:
     except (Ortho7Error, OSError) as e:  # OSError: an unwritable --out/--emit
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:  # its message is usually empty
+        print("error: out of memory: the field tables of this order, q x q "
+              "entries each, do not fit", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

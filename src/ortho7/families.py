@@ -262,8 +262,8 @@ def _class_index(field: Field):
     index = class_images(field, field_entries(field))
     overlap = image_overlap(*index[:2])
     if overlap is not None:
-        raise ValueError(f"q={q} class images of entries {overlap[0]} and "
-                         f"{overlap[1]} overlap; table is inconsistent")
+        raise ValueError(f"q={q}: entries {overlap[0]} and {overlap[1]} are "
+                         f"linearly related; their class images overlap")
     _IMAGE_CACHE[field] = index
     return index
 

@@ -15,11 +15,16 @@ The generator choice is part of the field's identity, not an
 implementation detail: the coset-transversal sets used by the canonical
 form criteria depend on it.  Prime fields use the least primitive root;
 extension fields use the class of x and therefore require the modulus to
-be primitive, not merely irreducible.
+be primitive, not merely irreducible.  One loop builds and proves every
+field: the orbit of 1 under multiplication by the generator, which is the
+exp table when it first returns to 1 after exactly q - 1 steps.  A full
+orbit of x makes every nonzero residue mod the modulus a unit, so a
+primitive modulus needs no separate irreducibility test.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -50,113 +55,6 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division (fine for n <= 2^32)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomial helpers over F_p, used only at construction time.
-# Polynomials are tuples of ints, ascending, no trailing zeros.
-
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmulmod(u, v, m, p):
-    if not u or not v:
-        return ()
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pdivmod(tuple(out), m, p)[1]
-
-
-def _pdivmod(u, m, p):
-    u = list(u)
-    dm = len(m) - 1
-    lead_inv = pow(m[-1], p - 2, p)
-    quo = [0] * max(len(u) - dm, 0)
-    while len(u) - 1 >= dm and any(u):
-        if u[-1] == 0:
-            u.pop()
-            continue
-        shift = len(u) - 1 - dm
-        factor = (u[-1] * lead_inv) % p
-        quo[shift] = factor
-        for i, c in enumerate(m):
-            u[shift + i] = (u[shift + i] - factor * c) % p
-        u.pop()
-    return _ptrim(quo), _ptrim(u)
-
-
-def _pgcd(u, v, p):
-    while v:
-        u, v = v, _pdivmod(u, v, p)[1]
-    if u:
-        lead_inv = pow(u[-1], p - 2, p)
-        u = tuple((c * lead_inv) % p for c in u)
-    return u
-
-
-def _ppow_xq(k, m, p):
-    """x^(p^k) mod m via k successive p-th powers."""
-    acc = (0, 1)  # x
-    for _ in range(k):
-        base, acc = acc, (1,)
-        e = p
-        while e:
-            if e & 1:
-                acc = _pmulmod(acc, base, m, p)
-            base = _pmulmod(base, base, m, p)
-            e >>= 1
-    return acc
-
-
-def _pminus_x(u, p):
-    """u(x) - x, trimmed."""
-    d = list(u) + [0] * (2 - len(u))
-    d[1] = (d[1] - 1) % p
-    return _ptrim(d)
-
-
-def poly_is_irreducible(modulus, p: int) -> bool:
-    """Degree-r modulus irreducible over F_p iff x^(p^r) = x (mod m) and
-    gcd(x^(p^(r/l)) - x, m) = 1 for every prime l | r."""
-    m = tuple(c % p for c in modulus)
-    r = len(m) - 1
-    if r < 1 or m[-1] % p == 0:
-        return False
-    if r == 1:
-        return True
-    if _pminus_x(_ppow_xq(r, m, p), p):
-        return False
-    for ell in prime_factors(r):
-        d = _pminus_x(_ppow_xq(r // ell, m, p), p)
-        if _pgcd(d, m, p) != (1,):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -351,21 +249,50 @@ def _literal(digits) -> str:
     return "+".join(parts) or "0"
 
 
-def _least_primitive_root(p: int) -> int:
-    factors = prime_factors(p - 1)
-    for g in range(1, p):  # 1 generates F_2*; it is no root for p > 2
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise NonPrimeP(f"no primitive root found for {p}")  # unreachable for prime p
+def _orbit(p: int, red: tuple[int, ...]) -> np.ndarray | None:
+    """The exp table of theta, the class of x in F_p[x]/(x^r - red(x)) with
+    r = len(red): the orbit of 1 under multiplication by theta, in digit
+    encoding.  None unless the orbit first comes back to 1 after exactly
+    q - 1 steps, which is when theta has order q - 1."""
+    q = p ** len(red)
+    pw = [p ** k for k in range(len(red))]
+    digits, v, exp = [1] + [0] * (len(red) - 1), 1, []
+    for _ in range(q - 1):
+        if v == 1 and exp:
+            return None
+        exp.append(v)
+        # x * sum(d_k x^k): shift up one place, fold x^r back in as red
+        top = digits[-1]
+        digits = [(d + top * c) % p for d, c in zip([0] + digits[:-1], red)]
+        v = sum(d * w for d, w in zip(digits, pw))
+    return np.array(exp, dtype=np.int64) if v == 1 else None
+
+
+def _has_low_factor(m: tuple[int, ...], p: int) -> bool:
+    """Whether the monic m (ascending) has a monic factor of degree 1 to
+    deg(m)/2 over F_p, by trial division: it is reducible exactly then."""
+    r = len(m) - 1
+    for d in range(1, r // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):  # x^d + low(x)
+            rem = list(m)
+            for k in range(r, d - 1, -1):
+                for j, c in enumerate(low):
+                    rem[k - d + j] = (rem[k - d + j] - rem[k] * c) % p
+            if not any(rem[:d]):
+                return True
+    return False
 
 
 def build_field(spec: FieldSpec) -> Field:
-    """Construct F_q, verifying primality, irreducibility and primitivity.
+    """Construct F_q with its exp table, the orbit of 1 under multiplication
+    by theta, which is also the construction's only proof.
 
-    For r = 1 the generator is the least primitive root; for r > 1 it is
-    the class of x, and the exp table is the multiply-by-x orbit of 1,
-    which simultaneously proves the modulus primitive when it closes only
-    after q-1 steps.
+    For r = 1, theta is the least g >= 1 whose orbit is full: by
+    definition the least primitive root (1 for F_2).  For r > 1, theta is
+    the class of x (index p).  A full orbit gives x order q - 1 in
+    F_p[x]/(m), so every nonzero residue is a unit, the ring is a field
+    and m is irreducible and primitive.  Only when the orbit fails does
+    trial division tell a reducible modulus from a non-primitive one.
     """
     p, r, q = spec.p, spec.r, spec.q
     if not is_prime(p):
@@ -373,44 +300,21 @@ def build_field(spec: FieldSpec) -> Field:
     if r < 1:
         raise InvalidArgument(f"extension degree r={r} must be >= 1")
     if r == 1:
-        g = _least_primitive_root(p)
-        exp = np.empty(q - 1, dtype=np.int64)
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            v = (v * g) % p
-        return Field(spec, g, exp)
+        # x - g is the modulus whose x is g; some g < p is a primitive root
+        return next(Field(spec, g, exp) for g in range(1, p)
+                    if (exp := _orbit(p, (g,))) is not None)
 
     modulus = tuple(c % p for c in spec.modulus)
     if len(modulus) != r + 1 or modulus[-1] != 1:
         raise InvalidArgument(f"modulus must be monic of degree {r}, "
                               f"got {spec.modulus}")
-    if not poly_is_irreducible(modulus, p):
+    exp = _orbit(p, tuple((-c) % p for c in modulus[:-1]))  # x^r = -m_0 - ...
+    if exp is not None:
+        return Field(spec, p, exp)  # theta = x, encoded as index p
+    if _has_low_factor(modulus, p):
         raise ReducibleModulus(f"{spec.modulus} is reducible over F_{p}")
-
-    # Multiply-by-x orbit of 1 in digit encoding.
-    red = tuple((-c) % p for c in modulus[:-1])  # x^r = red polynomial
-    pw = [p ** k for k in range(r)]
-
-    def xmul(a: int) -> int:
-        digits = [(a // pw[k]) % p for k in range(r)]
-        top = digits[-1]
-        out = [0] + digits[:-1]
-        for k in range(r):
-            out[k] = (out[k] + top * red[k]) % p
-        return sum(out[k] * pw[k] for k in range(r))
-
-    exp = np.empty(q - 1, dtype=np.int64)
-    v = 1
-    for i in range(q - 1):
-        exp[i] = v
-        v = xmul(v)
-        if v == 1 and i < q - 2:
-            raise NonPrimitiveModulus(
-                f"root of {spec.modulus} has order {i + 1} < {q - 1} in F_{q}")
-    if v != 1:
-        raise NonPrimitiveModulus(f"orbit of root of {spec.modulus} does not close")
-    return Field(spec, p, exp)  # theta = x, encoded as index p
+    raise NonPrimitiveModulus(
+        f"root of {spec.modulus} has order < {q - 1} in F_{q}")
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,17 @@ def _usage_error(capsys, *argv):
     return err
 
 
+def test_memory_exhaustion_is_one_error_line(capsys, monkeypatch):
+    # a field too large for memory fails in its table build; the stub
+    # raises there without allocating anything
+    def exhausted(q):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "field_for", exhausted)
+    err = _usage_error(capsys, "classify", "--q", "6173", "x^7")
+    assert err.count("\n") == 1 and "out of memory" in err
+
+
 def test_pairs_family_out_of_range(capsys):
     assert "1..15" in _usage_error(capsys, "pairs", "--q", "13", "--family", "0")
     assert "1..15" in _usage_error(capsys, "pairs", "--q", "13", "--family", "99")

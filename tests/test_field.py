@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def test_preset_generator_has_full_order(q):
     seen = set(int(v) for v in f.exp_t)
     assert len(seen) == q - 1 and 0 not in seen
     assert f.exp_t[0] == 1
+    # the powers of the pinned generator: g^k mod q, or x^k mod the modulus
+    if f.r == 1:
+        want = [pow(f.theta, k, q) for k in range(q - 1)]
+    else:
+        want = _x_powers(f.spec.modulus, f.p, q - 1)
+    assert f.exp_t.tolist() == want
 
 
 def test_prime_field_generators_are_least_primitive_roots():
@@ -143,6 +150,75 @@ def test_construction_errors():
         build_field(FieldSpec(5, 2, (2, 0, 1)))  # irreducible, root order 8
     with pytest.raises(ValueError):
         build_field(FieldSpec(5, 2, (1, 1)))  # not degree 2
+
+
+def _monic(p, d):
+    """Every monic polynomial of degree d over F_p, ascending."""
+    return [low + (1,) for low in itertools.product(range(p), repeat=d)]
+
+
+def _pmul(u, v, p):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _x_powers(m, p, n):
+    """x^0 .. x^(n-1) mod the monic m, as digit-encoded residues, by
+    schoolbook multiplication by x and reduction of the top term."""
+    r = len(m) - 1
+    out, u = [], (1,) + (0,) * (r - 1)
+    for _ in range(n):
+        out.append(sum(c * p ** k for k, c in enumerate(u)))
+        w = list(_pmul(u, (0, 1), p))  # degree r: one reduction step
+        u = tuple((w[k] - w[r] * m[k]) % p for k in range(r))
+    return out
+
+
+# (p, r) of every monic modulus built below: 440 moduli in all
+_MODULUS_SHAPES = [(2, r) for r in range(2, 7)] + [(3, 2), (3, 3), (3, 4),
+                                                   (5, 2), (5, 3), (7, 2)]
+
+
+def test_every_small_modulus_gets_its_brute_force_verdict():
+    built = 0
+    for p, r in _MODULUS_SHAPES:
+        q = p ** r
+        products = {_pmul(u, v, p) for d in range(1, r)
+                    for u in _monic(p, d) for v in _monic(p, r - d)}
+        primitive = 0
+        for m in _monic(p, r):
+            built += 1
+            powers = _x_powers(m, p, q)
+            full = len(set(powers[:q - 1])) == q - 1 and powers[q - 1] == 1
+            if m in products:
+                with pytest.raises(ReducibleModulus):
+                    build_field(FieldSpec(p, r, m))
+            elif not full:
+                with pytest.raises(NonPrimitiveModulus):
+                    build_field(FieldSpec(p, r, m))
+            else:
+                f = build_field(FieldSpec(p, r, m))
+                assert f.theta == p and f.exp_t.tolist() == powers[:q - 1]
+                assert len(set(f.exp_t.tolist())) == q - 1
+                primitive += 1
+        # phi(q - 1) / r primitive monic polynomials of degree r
+        phi = sum(1 for k in range(1, q) if math.gcd(k, q - 1) == 1)
+        assert primitive == phi // r, (p, r)
+    assert built == 440
+
+
+def test_prime_fields_use_the_brute_force_least_primitive_root():
+    for p in range(2, 200):
+        if not all(p % d for d in range(2, p)):
+            continue
+        g = next(g for g in range(1, p)
+                 if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        f = build_field(FieldSpec(p, 1, (0, 1)))
+        assert f.theta == g and f.exp_t.tolist() == [pow(g, k, p)
+                                                     for k in range(p - 1)]
 
 
 def test_non_preset_prime_field_on_demand():
