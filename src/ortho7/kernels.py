@@ -88,10 +88,10 @@ def _full_hits(field, C):
 # are the coefficients c[lo..deg-1] (lo = 1 when restricted to zero
 # constant term), and the top digit is lead - 1 with lead in [1, q).
 #
-# Meet in the middle: f = low + high, with the lowest d digits in the low
-# block and the mid (next) and upper digits in the high block.  Row v of
-# the table R[x] = bits[:, L[x]] holds the hits of v + L(x) for every low
-# value: each (high value, x) costs one contiguous row gather and one OR.
+# Meet in the middle: f = low + high, with the lowest d <= 3 digits in the
+# low block and the mid (next) and upper digits in the high block.  Row v
+# of the table R[x] = bits[:, L[x]] holds the hits of v + L(x) for every low
+# value: each (high value, x > 0) costs one contiguous row gather and one OR.
 # f -/+ x differs only in its x^1 digit: its mask is a (mid, low) sibling's.
 
 
@@ -113,8 +113,8 @@ def census_scan(field, deg, canonical, prop, start, stop):
     lo = 1 if canonical else 0
     # the smallest unsigned type that holds q hit bits: less memory traffic
     bits = (1 << field.add_t).astype(np.min_scalar_type((1 << q) - 1))
-    # two low digits while the q^4 entries of R fit in 4 MB (q <= 31)
-    d = 2 if q ** 4 * bits.itemsize <= 1 << 22 else 1
+    # the widest d whose R (q^(d+2) entries) fits 4 MB: 3 up to q = 16, 2 up to 31
+    d = next(k for k in (3, 2, 1) if k == 1 or q ** (k + 2) * bits.itemsize <= 1 << 22)
     digits = [(e, q, 0) for e in range(lo, deg)] + [(deg, q - 1, 1)]
     digits += [(0, 1, 0)] * (d + 1 - len(digits))  # radix 1: a fixed zero
     powers = np.array([[field.pow(x, e) for x in range(q)] for e in range(deg + 1)])
@@ -122,6 +122,7 @@ def census_scan(field, deg, canonical, prop, start, stop):
     L = _digit_values(field, powers, np.arange(nl), digits[:d])
     M = _digit_values(field, powers, np.arange(nm), digits[d:d + 1])
     R = bits[np.arange(q)[:, None], L[:, None, :]]  # R[x, v, l] = bits[v, L[x, l]]
+    R[1] |= R[0, 0]  # high values vanish at x = 0: point 0 rides on point 1's gather
     nb = nm * nl  # the (mid, low) block: candidates per upper value
     # the sibling has x^1 digit c1 -/+ 1; it is missing when x^1 is the lead
     # (deg = 1) and that is 0, for then f -/+ x is constant
@@ -132,15 +133,18 @@ def census_scan(field, deg, canonical, prop, start, stop):
     shift = np.where(valid, c1s - c1, 0) * stride
     # a 512 KB hit mask per step, the fastest measured from q = 8 to 61
     nu, u_stop = max(1, (1 << 19) // (nb * bits.itemsize)), -(-stop // nb)
+    nc = nu * max(1, (1 << 17) // ((q - 1) * nu * nm))  # upper values per chunk: 1 MB of H
     bufs = [np.empty((nu * nm, nl), dtype=bits.dtype) for _ in range(2)]  # mask, hits
     count = 0
     for u0 in range(start // nb, u_stop, nu):
-        U = _digit_values(field, powers, np.arange(u0, min(u0 + nu, u_stop)), digits[d + 1:])
-        H = field.add_t[U[:, :, None], M[:, None, :]].reshape(q, -1)
-        mask, hits = (b[:H.shape[1]] for b in bufs)
-        mask[:] = R[0, 0]  # high values vanish at x = 0
-        for Rx, Hx in zip(R[1:], H[1:]):
-            # mode="clip" (indices are in range): "raise" takes into a copy of `out`
+        if (u0 - start // nb) % nc == 0:  # H: the high values at x > 0 of a chunk of steps
+            U = _digit_values(field, powers, np.arange(u0, min(u0 + nc, u_stop)), digits[d + 1:])
+            H, h0 = field.add_t[U[1:, :, None], M[1:, None, :]].reshape(q - 1, -1), u0
+        Hs = H[:, (u0 - h0) * nm:(u0 - h0 + nu) * nm]
+        mask, hits = (b[:Hs.shape[1]] for b in bufs)
+        # mode="clip" (indices are in range): "raise" takes into a copy of `out`
+        np.take(R[1], Hs[0], axis=0, out=mask, mode="clip")
+        for Rx, Hx in zip(R[2:], Hs[1:]):
             np.take(Rx, Hx, axis=0, out=hits, mode="clip")
             mask |= hits
         flags = hits.reshape(-1).view(bool)[:mask.size]  # hits is free: reuse its bytes

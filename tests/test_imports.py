@@ -1,5 +1,7 @@
 """Every import in a module of the package is used by that module, and
-every private helper of the package is used somewhere in it.
+every private helper of the package is used somewhere in it.  A fresh
+interpreter that imports the package loads none of the costly modules
+that only some commands need.
 
 `__init__.py` imports in order to re-export, and `__future__` imports
 change compilation rather than bind a name, so both are exempt.  A private
@@ -9,6 +11,9 @@ it, as a plain name or as an attribute.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ortho7
@@ -84,3 +89,26 @@ def test_the_check_sees_a_dead_helper():
     }
     assert _dead_helpers(sources) == ["a.py: _dead (line 5)",
                                       "a.py: _open (line 10)"]
+
+
+# a process pool (about 20 ms of imports) and numpy.ma (14-17 ms), which a
+# first plain np.unique call imports
+COSTLY = ("multiprocessing", "concurrent.futures.process", "numpy.ma")
+
+
+def _costly_modules_after(code: str) -> list[str]:
+    """The COSTLY modules loaded by a fresh interpreter that runs `code`."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = f"{code}\nimport sys\nprint(*[m for m in {COSTLY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    return out.stdout.split()
+
+
+def test_import_loads_no_costly_module():
+    assert _costly_modules_after("import ortho7") == []
+
+
+def test_distinctness_check_leaves_numpy_ma_unloaded():
+    code = "from ortho7 import verify\nassert verify.check_distinctness().ok"
+    assert "numpy.ma" not in _costly_modules_after(code)

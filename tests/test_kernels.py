@@ -85,14 +85,17 @@ def _degree7_hits(fld):
 
 
 @pytest.mark.parametrize("q", [8, 11, 16, 25, 31, 41, 49])
-@pytest.mark.parametrize("deg", [1, 2, 7])
+@pytest.mark.parametrize("deg", [1, 2, 6, 7])
 def test_census_scan_agrees_with_horner_rows(q, deg):
     # random slices, and for degree 7 a slice around a known hit, start and
     # end at arbitrary offsets, so they cut the census's blocks.  The scan
-    # gathers rows of two low digits at 8-31 and of one at 41 and 49 (where
-    # the f -/+ x sibling of a non-canonical row differs in the mid digit),
-    # with hits in uint8 at 8, uint16 at 16, uint32 at 31 and uint64 at 41
-    # and 49
+    # gathers rows of three low digits at 8-16, of two at 17-31 and of one
+    # at 41 and 49 (where the f -/+ x sibling of a non-canonical row
+    # differs in the mid digit), with hits in uint8 at 8, uint16 at 11 and
+    # 16, uint32 at 31 and uint64 at 41 and 49.  At q = 8 and 11 one slice
+    # spans more than two steps of the scan (2^19 candidates at q = 8 and
+    # 17 * 11^4 at q = 11), in degree 6 at q = 8, since no polynomial of
+    # degree q - 1 permutes F_q
     fld = field_for(q)
     rng = np.random.default_rng(100 * q + deg)
     hits = _degree7_hits(fld) if deg == 7 else {}
@@ -105,6 +108,9 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
                 at = _odometer_index(fld, hits[prop], canonical)
                 slices.append((at - int(rng.integers(0, 1500)),
                                at + int(rng.integers(1, 1500))))
+            if (q, deg) in ((8, 6), (11, 7)) and not canonical:
+                start = 3 * q ** 4 + q + 1  # mid-block at both ends
+                slices.append((start, start + (1 << 20 if q == 8 else 34 * 11 ** 4) + q))
             for start, stop in slices:
                 start, stop = max(int(start), 0), min(int(stop), total)
                 want = _horner_count(fld, _odometer_rows(fld, deg, canonical,
@@ -118,11 +124,12 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
 @pytest.mark.parametrize("q", [8, 11, 13, 16])
 def test_census_scan_rejects_planted_near_misses(q):
     # x with its value at point a moved to that of point b repeats exactly
-    # one value and misses a, so its mask lacks one bit.  The scan fills
-    # the mask with the hits of point 0 and ORs in one gathered row per
-    # later point.  The moves put the repeat at point 0 (b = 0), amid the
-    # gathered points below or above the missing value, and at the last
-    # point read (a = q - 1).  (A sum of q single bits is the full mask
+    # one value and misses a, so its mask lacks one bit.  The scan's first
+    # gather reads rows that hold the hits of points 0 and 1 together, and
+    # it ORs in one gathered row per later point.  The moves put the repeat
+    # within that first gather (a = 1, b = 0), amid the gathered points
+    # below or above the missing value, and at the last point read
+    # (a = q - 1).  (A sum of q single bits is the full mask
     # only if no two coincide, so adding rows in place of ORing them counts
     # the same, and no row can tell the two apart.)  The rows have a zero
     # constant and degree q-1 or q-2, so they reach the upper block; their
@@ -144,8 +151,8 @@ def test_census_scan_rejects_planted_near_misses(q):
 
 
 def test_census_scan_memory_at_q61():
-    # one call holds its row tables and one step's masks: a few MB at
-    # q = 61, whatever the slice
+    # one call holds its row tables, one chunk of high values and one
+    # step's masks: a few MB at q = 61, whatever the slice
     fld = field_for(61)
     start = CensusQuery(fld, 7, True, "op").space() // 2
     tracemalloc.start()
@@ -155,6 +162,36 @@ def test_census_scan_memory_at_q61():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20, peak
+
+
+@pytest.mark.parametrize("q", [13, 19])
+def test_census_scan_memory_on_long_slices(q):
+    # the high values come for a chunk of steps at a time (about 1 MB), so
+    # a long slice peaks no higher than a short one: the whole canonical
+    # space at q = 13 (three low digits, 58M candidates) and 60M candidates
+    # at q = 19 (two low digits)
+    fld = field_for(q)
+    stop = min(CensusQuery(fld, 7, True, "op").space(), 60_000_000)
+    tracemalloc.start()
+    try:
+        kernels.census_scan(fld, 7, True, kernels.PROP_OP, 0, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+
+
+def test_census_shards_of_uneven_lengths_sum_to_the_count():
+    # eight shards of odd lengths, one of them longer than a chunk of the
+    # scan's high values, cover the canonical op space of q = 11
+    fld = field_for(11)
+    total = CensusQuery(fld, 7, True, "op").space()
+    short = [1, 99_999, 7, 3, 14_641, 1_331, 12_345]
+    lengths = short[:3] + [total - sum(short)] + short[3:]
+    assert sum(lengths) == total and all(n % 2 for n in lengths)
+    cuts = np.cumsum([0] + lengths).tolist()
+    assert sum(kernels.census_scan(fld, 7, True, kernels.PROP_OP, a, b)
+               for a, b in zip(cuts, cuts[1:])) == 660
 
 
 @pytest.mark.parametrize("q", [11, 13, 23, 25, 41, 49])
