@@ -5,11 +5,13 @@ itself, for extension fields the base-p digit string of the coordinate
 vector in the polynomial basis, c_0 + c_1*p + ... + c_{r-1}*p^{r-1}.
 Index 0 is the additive identity and index 1 the multiplicative identity.
 
-Arithmetic is table-driven.  Construction precomputes exp/log tables for
-the pinned generator plus full q x q add/sub/mul tables, so the inner
-loops downstream (permutation checks, pair searches, the census) reduce
-to integer array lookups and can be handed to numpy wholesale.  The q
-element literals are built once too, so formatting is a tuple lookup.
+Arithmetic is table-driven, one int64 numpy array per table.
+Construction precomputes exp/log tables for the pinned generator plus
+full q x q add/sub/mul tables, so the inner loops downstream (permutation
+checks, pair searches, the census) reduce to integer array lookups and
+can be handed to numpy wholesale; the scalar add, sub and mul read the
+same arrays.  The q element literals are built once too, so formatting
+is a tuple lookup.
 
 The generator choice is part of the field's identity, not an
 implementation detail: the coset-transversal sets used by the canonical
@@ -77,6 +79,10 @@ class Field:
 
     Immutable after construction; every operation is pure, so instances
     are safe to share across threads and workers without locking.
+
+    add, sub, mul and neg are the tables' bound `item`: a plain int, also
+    for numpy integer arguments, and for one argument a flat entry (add(5)
+    is add_t.flat[5], not a TypeError).
     """
 
     def __init__(self, spec: FieldSpec, theta: int, exp_table: np.ndarray):
@@ -97,9 +103,8 @@ class Field:
         digits = (np.arange(q, dtype=np.int64)[:, None] // pw) % p
         # literals[a] is the canonical literal of element a (format_element).
         self.literals = tuple(_literal(row) for row in digits.tolist())
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pw
-        self.add_t = add.astype(np.int64)
-        self.neg_t = (((-digits) % p) @ pw).astype(np.int64)
+        self.add_t = ((digits[:, None, :] + digits[None, :, :]) % p) @ pw
+        self.neg_t = ((-digits) % p) @ pw
         self.sub_t = self.add_t[:, self.neg_t]
 
         mul = np.zeros((q, q), dtype=np.int64)
@@ -112,26 +117,12 @@ class Field:
         inv[nz] = exp_table[(-(li)) % (q - 1)]
         self.inv_t = inv  # inv_t[0] stays 0; inv() guards
 
-        # Python-list twins for the scalar operations: a list read returns a
-        # plain int, without the numpy scalar a table read makes.
-        self._add, self._sub, self._mul = (self.add_t.tolist(), self.sub_t.tolist(),
-                                           self.mul_t.tolist())
-        self._neg, self._inv = self.neg_t.tolist(), self.inv_t.tolist()
-        self._exp, self._log = exp_table.tolist(), log_t.tolist()
+        # The scalar operations read the tables: `item` returns a plain int.
+        self.add, self.sub, self.mul, self.neg = (
+            self.add_t.item, self.sub_t.item, self.mul_t.item, self.neg_t.item)
+        self._inv, self._exp, self._log = inv.tolist(), exp_table.tolist(), log_t.tolist()
 
     # -- scalar operations ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._sub[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,8 +78,9 @@ def test_inverse_and_fermat_all_presets():
 
 @pytest.mark.parametrize("q", preset_orders())
 def test_scalar_operations_match_the_tables(q):
-    # the scalar operations read list twins of the kernels' numpy tables:
-    # the same values, as exact ints, also for numpy integer arguments
+    # the scalar operations read the kernels' numpy tables (add, sub, mul
+    # and neg are their bound `item`): the same values, as plain ints, also
+    # for numpy integer arguments
     f = field_for(q)
 
     def table_pow(a, n):
@@ -96,6 +98,20 @@ def test_scalar_operations_match_the_tables(q):
             assert type(got) is int and got == want, (op.__name__, args)
             got = op(*map(np.int64, args))
             assert type(got) is int and got == want, (op.__name__, args)
+
+
+def test_large_field_holds_its_three_tables_and_little_else():
+    # q = 1483 (prime, 6 mod 7, a class-index order past the presets): the
+    # add, sub and mul tables are 16.8 MiB each; nothing else may grow as q^2
+    tracemalloc.start()
+    try:
+        f = build_field(FieldSpec(1483, 1, (0, 1)))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.add_t.nbytes == f.sub_t.nbytes == f.mul_t.nbytes == 1483**2 * 8
+    assert retained <= 56 * 2**20 and peak <= 96 * 2**20, (retained, peak)
+    assert f.mul(f.theta, f.inv(f.theta)) == 1 and f.add(1482, 1) == 0
 
 
 def test_inv_zero_raises(f13):

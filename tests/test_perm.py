@@ -89,7 +89,9 @@ def test_census_canonical_times_q_is_full(f5):
         assert canon * fld.q == full
 
 
-def test_census_worker_independence(f11):
+def test_census_worker_independence(monkeypatch, f11):
+    # with no inline cut, this short space is sharded across the workers
+    monkeypatch.setattr(perm, "INLINE_GATHERS", 0)
     q1 = census(CensusQuery(f11, 4, False, "op"), workers=1)
     q3 = census(CensusQuery(f11, 4, False, "op"), workers=3)
     assert q1 == q3
@@ -106,10 +108,10 @@ def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
     assert pool_size(100_000) == 1
 
 
-def test_census_threads_and_shards_are_capped_at_the_cpus(monkeypatch, f11):
-    # a recording executor that runs each shard inline: 8 workers on 2 CPUs
-    # make 2 contiguous shards on a pool of 2, which count every candidate
-    # once; on 1 CPU no pool is made
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Swaps in a recording executor that runs each shard inline and
+    returns the pool sizes and shards it saw, on 2 usable CPUs."""
     sizes, shards = [], []
 
     class Inline:
@@ -128,13 +130,33 @@ def test_census_threads_and_shards_are_capped_at_the_cpus(monkeypatch, f11):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(perm, "ThreadPoolExecutor", Inline)
-    query = CensusQuery(f11, 4, False, "op")
+    return sizes, shards
+
+
+def test_census_threads_and_shards_are_capped_at_the_cpus(monkeypatch, pool_log, f11):
+    # 8 workers on 2 CPUs make 2 contiguous shards on a pool of 2, which
+    # count every candidate once; on 1 CPU no pool is made.  The query is
+    # above the inline cut: 17.7M candidates, 177M point gathers.
+    sizes, shards = pool_log
+    query = CensusQuery(f11, 7, True, "op")
+    assert query.space() * 10 >= perm.INLINE_GATHERS
     assert census(query, workers=8) == census(query, workers=1)
     assert sizes == [2] and len(shards) == 2
     assert shards[0][0] == 0 and shards[0][1] == shards[1][0]
     assert shards[1][1] == query.space()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     census(query, workers=8)
+    assert sizes == [2]
+
+
+def test_short_census_scans_run_inline(monkeypatch, pool_log):
+    # the canonical op space at q = 8 (1.8M candidates, 12.8M point
+    # gathers) is too short to share and makes no pool; q = 11 makes one
+    sizes, _ = pool_log
+    monkeypatch.setattr(perm.kernels, "census_scan", lambda *args: 0)
+    census(CensusQuery(field_for(8), 7, True, "op"), workers=2)
+    assert sizes == []
+    census(CensusQuery(field_for(11), 7, True, "op"), workers=2)
     assert sizes == [2]
 
 
