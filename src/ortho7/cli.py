@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to zero constant term")
     sp.add_argument("--property", choices=("pp", "op", "cpp"), default="op")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--workers", type=_int_at_least(1), default=2)
+    sp.add_argument("--workers", type=_int_at_least(1), default=2,
+                    help="CPUs to use, capped at the usable ones (default 2)")
     add_common(sp)
 
     sp = sub.add_parser("verify", help="re-check the published results")
@@ -109,12 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     # None defaults: cmd_verify refuses these next to --field
     sp.add_argument("--deep", action="store_true", default=None,
                     help="add the canonical census for q=8,11,13,17,19 "
-                         "(about 10 s on 2 workers)")
+                         "(about 5 s on 2 workers)")
     sp.add_argument("--audit-n", type=_int_at_least(0),
                     help="rows in the classification audit (default 100000)")
     sp.add_argument("--workers", type=_int_at_least(1),
-                    help="CPUs to use, capped at the usable ones: the audit's "
-                         "forked processes plus this one, census threads (default 2)")
+                    help="CPUs to use, capped at the usable ones: forked "
+                         "processes plus this one (default 2)")
     add_output(sp)
     return p
 

@@ -14,7 +14,7 @@ shift; `pairs.shift_blocks` makes one call per batch of pairs.  The pair grid
 Horner with one gather per step from an int16 step table, and a collision
 sieve that stops evaluating a row once one of its values repeats.  The
 census evaluates low and high coefficient blocks once each (meet in the
-middle) and gathers whole rows of per-point tables of low-block hits.
+middle) and gathers whole rows of per-point (or per-pair) low-block hits.
 `normalized_rows` is the one degree-7 normal form (monic, no constant term,
 and for p != 7 no x^6 after the shift `x6_shift`): `canon.canonical_rows`
 reads it, and `normalized_code_batch` packs it into codes (a code names a
@@ -91,7 +91,7 @@ def _full_hits(field, C):
 # Meet in the middle: f = low + high, with the lowest d <= 3 digits in the
 # low block and the mid (next) and upper digits in the high block.  Row v
 # of the table R[x] = bits[:, L[x]] holds the hits of v + L(x) for every low
-# value: each (high value, x > 0) costs one contiguous row gather and one OR.
+# value: each (high value, x > 0 or pair of them) costs one row gather and one OR.
 # f -/+ x differs only in its x^1 digit: its mask is a (mid, low) sibling's.
 
 
@@ -123,6 +123,11 @@ def census_scan(field, deg, canonical, prop, start, stop):
     M = _digit_values(field, powers, np.arange(nm), digits[d:d + 1])
     R = bits[np.arange(q)[:, None], L[:, None, :]]  # R[x, v, l] = bits[v, L[x, l]]
     R[1] |= R[0, 0]  # high values vanish at x = 0: point 0 rides on point 1's gather
+    # points x, x + 1 in one gather of T[v1*q + v2] = R[x, v1] | R[x + 1, v2] where all
+    # pairs fit 4 MB (q <= 11, 17; an odd last x keeps R[x]): a repeat in one loses a bit
+    pair = (q - 1) // 2 * q ** (d + 2) * bits.itemsize <= 1 << 22
+    xs = range(1, q, 1 + pair)  # the first point of each gather
+    T = [(R[x][:, None] | R[x + 1]).reshape(-1, nl) if pair and x + 1 < q else R[x] for x in xs]
     nb = nm * nl  # the (mid, low) block: candidates per upper value
     # the sibling has x^1 digit c1 -/+ 1; it is missing when x^1 is the lead
     # (deg = 1) and that is 0, for then f -/+ x is constant
@@ -139,13 +144,14 @@ def census_scan(field, deg, canonical, prop, start, stop):
     for u0 in range(start // nb, u_stop, nu):
         if (u0 - start // nb) % nc == 0:  # H: the high values at x > 0 of a chunk of steps
             U = _digit_values(field, powers, np.arange(u0, min(u0 + nc, u_stop)), digits[d + 1:])
-            H, h0 = field.add_t[U[1:, :, None], M[1:, None, :]].reshape(q - 1, -1), u0
-        Hs = H[:, (u0 - h0) * nm:(u0 - h0 + nu) * nm]
-        mask, hits = (b[:Hs.shape[1]] for b in bufs)
+            H = field.add_t[U[1:, :, None], M[1:, None, :]].reshape(q - 1, -1)
+            H, h0 = [H[x - 1] * q + H[x] if pair and x + 1 < q else H[x - 1] for x in xs], u0
+        Hs = [h[(u0 - h0) * nm:(u0 - h0 + nu) * nm] for h in H]
+        mask, hits = (b[:Hs[0].size] for b in bufs)
         # mode="clip" (indices are in range): "raise" takes into a copy of `out`
-        np.take(R[1], Hs[0], axis=0, out=mask, mode="clip")
-        for Rx, Hx in zip(R[2:], Hs[1:]):
-            np.take(Rx, Hx, axis=0, out=hits, mode="clip")
+        np.take(T[0], Hs[0], axis=0, out=mask, mode="clip")
+        for Tx, Hx in zip(T[1:], Hs[1:]):
+            np.take(Tx, Hx, axis=0, out=hits, mode="clip")
             mask |= hits
         flags = hits.reshape(-1).view(bool)[:mask.size]  # hits is free: reuse its bytes
         full = np.equal(mask.ravel(), (1 << q) - 1, out=flags)

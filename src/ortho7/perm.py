@@ -3,7 +3,7 @@
 The census is the independent oracle for everything the classification
 machinery produces: it iterates the full coefficient space of a degree
 (an odometer with the constant coefficient fastest, so index ranges can
-be sharded across workers) and counts polynomials whose evaluation map
+be sharded over `fork_pool`) and counts polynomials whose evaluation map
 has the requested property (by meet in the middle, `kernels.census_scan`).
 Totals are sums over shards, hence independent of the worker count.
 """
@@ -11,7 +11,7 @@ Totals are sums over shards, hence independent of the worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import kernels
@@ -81,10 +81,10 @@ class CensusQuery:
 
 
 DEFAULT_BUDGET = 10**9
-# A census of fewer point gathers (candidates x (q - 1)) runs inline: the
-# pool's lock hand-offs cost more than a second thread saves (q = 8
-# canonical op, 12.8M gathers: 3.2 ms on one thread, 6.5 ms on two).
-INLINE_GATHERS = 150_000_000
+# A census of fewer point gathers (candidates x (q - 1)) runs inline: q = 11 canonical
+# op (177M) takes a median 42 ms inline, 100 ms on a process's first fork pool of 2
+# (imports and fork) and 47 ms on later ones; q = 13 (696M) 169, 163 and 140 ms.
+INLINE_GATHERS = 400_000_000
 
 
 def pool_size(workers: int) -> int:
@@ -93,13 +93,33 @@ def pool_size(workers: int) -> int:
     return max(1, min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1))
 
 
+@contextmanager
+def fork_pool(workers: int):
+    """The one pool: `pool_size(workers) - 1` forked processes beside the caller, or None."""
+    procs = pool_size(workers) - 1
+    if procs:  # imported here: ~20 ms that `import ortho7` and one worker skip
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+    pool = (ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"))
+            if procs and "fork" in multiprocessing.get_all_start_methods() else None)
+    try:
+        yield pool
+    finally:  # what no process has started is dropped
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+
+def _scan(*args) -> int:  # looks kernels.census_scan up where it runs: no scan is pickled
+    return kernels.census_scan(*args)
+
+
 def census(query: CensusQuery, workers: int = 1,
            budget: int = DEFAULT_BUDGET) -> int:
     """Exact count of degree-`degree` polynomials with the property.
 
     Deterministic for fixed inputs regardless of `workers`: the candidate
-    range is split into contiguous shards, one per thread of a pool of
-    `pool_size(workers)`, whose counts are summed.
+    range is split into contiguous shards, one per slot of `pool_size(workers)`
+    (this process scans the first), whose counts are summed.
     """
     # before the budget: no budget lets the kernels scan this order
     kernels.check_hit_mask_order(query.field.q)
@@ -110,15 +130,8 @@ def census(query: CensusQuery, workers: int = 1,
         raise BudgetExceeded(
             f"census space {total} exceeds budget {budget} "
             f"(q={query.field.q}, degree={query.degree})")
-    prop = _PROP_CODES[query.property]
-
-    def run(start: int, stop: int) -> int:
-        return kernels.census_scan(query.field, query.degree,
-                                   query.canonical_only, prop, start, stop)
-
-    threads = pool_size(workers)
-    if threads <= 1 or total * (query.field.q - 1) < INLINE_GATHERS:
-        return run(0, total)
-    starts = range(0, total, -(-total // threads))  # one shard per thread: even cost
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(run, starts, [*starts[1:], total]))
+    scan = (query.field, query.degree, query.canonical_only, _PROP_CODES[query.property])
+    with fork_pool(workers if total * (query.field.q - 1) >= INLINE_GATHERS else 1) as pool:
+        cuts = [*range(0, total, -(-total // (pool_size(workers) if pool else 1))), total]
+        rest = [pool.submit(_scan, *scan, a, b) for a, b in zip(cuts[1:], cuts[2:])]
+        return _scan(*scan, 0, cuts[1]) + sum(f.result() for f in rest)

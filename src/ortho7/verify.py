@@ -24,10 +24,10 @@ compares it against the golden fixtures in data/reference_results.json:
 
 The CLI `verify` subcommand and the acceptance test suite both run these.
 `run_suite` runs the report chain (every other check, sharing one
-`reports` memo) here, while `pool_size(workers) - 1` forked workers (none
-without the fork start method) take the audit's nine per-order items,
-reusing the built tables; what none has started when the chain ends runs
-here.  The audit's `elapsed` is the sum of its per-order busy times.
+`reports` memo) here, while the processes of `perm.fork_pool` (if any)
+take the audit's nine per-order items, reusing the built tables; what
+none has started when the chain ends runs here.  The audit's `elapsed` is
+the sum of its per-order busy times.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .pairs import (
     count_ops,
     shift_blocks,
 )
-from .perm import CensusQuery, census, pool_size
+from .perm import CensusQuery, census, fork_pool
 from .poly import LinearTransform, Poly, apply_transform, eval_poly
 
 TABLE_ORDERS = (11, 13, 17, 19, 23, 25, 27, 31, 49)
@@ -425,15 +425,8 @@ def check_properties(seed: int = 11, reports: dict | None = None):
 def run_suite(deep: bool = False, workers: int = 2,
               audit_n: int = 100_000) -> list[CheckResult]:
     """The full battery, scheduled as the module docstring says; census if `deep`."""
-    # imported here, not at module level: ~20 ms on every `import ortho7`
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    procs = pool_size(workers) - 1
-    pool = (ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"))
-            if procs and "fork" in multiprocessing.get_all_start_methods() else None)
     reports: dict = {}
-    try:
+    with fork_pool(workers) as pool:
         futures = [pool and pool.submit(_audit_order, q, audit_n, 7) for q in TABLE_ORDERS]
         *chain, properties = (
             check_family_tables(), check_non_redundancy(),
@@ -444,9 +437,6 @@ def run_suite(deep: bool = False, workers: int = 2,
         parts = [_audit_order(q, audit_n, 7) if not f or f.cancel() else f
                  for q, f in zip(TABLE_ORDERS, futures)]
         audit = _audit_result([p if isinstance(p, tuple) else p.result() for p in parts])
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     results = [*chain, audit, properties]
     if deep:
         results.append(check_census(workers=workers, reports=reports))

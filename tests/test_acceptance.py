@@ -13,7 +13,7 @@ Criteria and stated targets:
     pair's expansion has exactly q distinct vectors, disjoint across
     pairs - see the distinctness check's docstring)
   7 census cross-check: 0 / 660 / 494 / 272 / 228 canonical counts for
-    q = 8, 11, 13, 17, 19 (about 10 s on 2 workers)
+    q = 8, 11, 13, 17, 19 (about 4-5 s on 2 workers)
   8 classification-vs-direct audit: 1e5 random polynomials per field plus
     the exhaustive x^7 + a3 x^3 + a1 x sweep, zero disagreements
   9 property suite: transversal cardinalities, canonicalisation class

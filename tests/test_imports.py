@@ -91,9 +91,11 @@ def test_the_check_sees_a_dead_helper():
                                       "a.py: _open (line 10)"]
 
 
-# a process pool (about 20 ms of imports) and numpy.ma (14-17 ms), which a
-# first plain np.unique call imports
-COSTLY = ("multiprocessing", "concurrent.futures.process", "numpy.ma")
+# a process pool (about 20 ms of imports), any executor (concurrent.futures,
+# about 8 ms) and numpy.ma (14-17 ms), which a first plain np.unique call
+# imports
+COSTLY = ("multiprocessing", "concurrent.futures", "concurrent.futures.process",
+          "numpy.ma")
 
 
 def _costly_modules_after(code: str) -> list[str]:

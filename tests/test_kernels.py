@@ -84,7 +84,7 @@ def _degree7_hits(fld):
     return hits
 
 
-@pytest.mark.parametrize("q", [8, 11, 16, 25, 31, 41, 49])
+@pytest.mark.parametrize("q", [8, 11, 16, 17, 25, 31, 41, 49])
 @pytest.mark.parametrize("deg", [1, 2, 6, 7])
 def test_census_scan_agrees_with_horner_rows(q, deg):
     # random slices, and for degree 7 a slice around a known hit, start and
@@ -92,7 +92,9 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
     # gathers rows of three low digits at 8-16, of two at 17-31 and of one
     # at 41 and 49 (where the f -/+ x sibling of a non-canonical row
     # differs in the mid digit), with hits in uint8 at 8, uint16 at 11 and
-    # 16, uint32 at 31 and uint64 at 41 and 49.  At q = 8 and 11 one slice
+    # 16, uint32 at 17 and 31 and uint64 at 41 and 49.  It gathers the
+    # points x > 0 two per row at 8, 11 and 17 (at 8 the odd last one
+    # alone) and one per row elsewhere.  At q = 8 and 11 one slice
     # spans more than two steps of the scan (2^19 candidates at q = 8 and
     # 17 * 11^4 at q = 11), in degree 6 at q = 8, since no polynomial of
     # degree q - 1 permutes F_q
@@ -125,18 +127,20 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
 def test_census_scan_rejects_planted_near_misses(q):
     # x with its value at point a moved to that of point b repeats exactly
     # one value and misses a, so its mask lacks one bit.  The scan's first
-    # gather reads rows that hold the hits of points 0 and 1 together, and
-    # it ORs in one gathered row per later point.  The moves put the repeat
-    # within that first gather (a = 1, b = 0), amid the gathered points
-    # below or above the missing value, and at the last point read
-    # (a = q - 1).  (A sum of q single bits is the full mask
+    # gather reads rows that hold the hits of points 0 and 1 together (and
+    # of point 2 at 8 and 11), and it ORs in one gathered row per later
+    # point (per pair of points at 8 and 11).  The moves put the repeat
+    # within that first gather (a = 1, b = 0), within a later pair at 8 and
+    # 11 (a = 4, b = 3), amid the gathered points below or above the
+    # missing value, and at the last point read (a = q - 1, a pair's second
+    # point at 11).  (A sum of q single bits is the full mask
     # only if no two coincide, so adding rows in place of ORing them counts
     # the same, and no row can tell the two apart.)  The rows have a zero
     # constant and degree q-1 or q-2, so they reach the upper block; their
     # canonical odometer index fits an int64 up to q = 16.
     fld = field_for(q)
     xq1 = Poly(fld, (0,) * (q - 1) + (1,))
-    moves = [(1, 0), (3, 2), (2, 5), (q - 1, q - 2)]
+    moves = [(1, 0), (4, 3), (3, 2), (2, 5), (q - 1, q - 2)]
     for a, b in moves:
         c = fld.sub(b, a)  # c*(1 - (x - a)^(q-1)) moves only the value at a
         t = LinearTransform(fld.neg(c), 1, fld.neg(a), c)

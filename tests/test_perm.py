@@ -1,7 +1,10 @@
 """Direct property tests and the census, cross-validated against a
 plain-python brute-force oracle on small degrees."""
 
+import multiprocessing
 import os
+from concurrent.futures import Future
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -110,54 +113,93 @@ def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Swaps in a recording executor that runs each shard inline and
-    returns the pool sizes and shards it saw, on 2 usable CPUs."""
+    """Swaps in a recording `fork_pool` whose executor runs each shard it
+    is given inline, and returns the pool sizes (slots, this process
+    included) it made and the shards scanned, on 2 usable CPUs."""
     sizes, shards = [], []
+    scan = perm._scan
 
     class Inline:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __enter__(self):
-            return self
+    @contextmanager
+    def recording_pool(workers):
+        size = pool_size(workers)
+        if size > 1:
+            sizes.append(size)
+        yield Inline() if size > 1 else None
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, starts, stops):
-            shards.extend(zip(starts, stops))
-            return map(fn, starts, stops)
+    def recording_scan(*args):
+        shards.append(args[-2:])
+        return scan(*args)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(perm, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(perm, "fork_pool", recording_pool)
+    monkeypatch.setattr(perm, "_scan", recording_scan)
     return sizes, shards
 
 
-def test_census_threads_and_shards_are_capped_at_the_cpus(monkeypatch, pool_log, f11):
-    # 8 workers on 2 CPUs make 2 contiguous shards on a pool of 2, which
+def test_census_processes_and_shards_are_capped_at_the_cpus(monkeypatch, pool_log, f13):
+    # 8 workers on 2 CPUs make 2 contiguous shards on a pool of 2 slots (one
+    # forked process and this one, which scans the first shard), which
     # count every candidate once; on 1 CPU no pool is made.  The query is
-    # above the inline cut: 17.7M candidates, 177M point gathers.
+    # above the inline cut: 58M candidates, 696M point gathers.
     sizes, shards = pool_log
-    query = CensusQuery(f11, 7, True, "op")
-    assert query.space() * 10 >= perm.INLINE_GATHERS
-    assert census(query, workers=8) == census(query, workers=1)
+    query = CensusQuery(f13, 7, True, "op")
+    assert query.space() * 12 >= perm.INLINE_GATHERS
+    count = census(query, workers=8)
+    shards.sort()
     assert sizes == [2] and len(shards) == 2
     assert shards[0][0] == 0 and shards[0][1] == shards[1][0]
     assert shards[1][1] == query.space()
+    assert count == census(query, workers=1) == 494
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     census(query, workers=8)
     assert sizes == [2]
 
 
 def test_short_census_scans_run_inline(monkeypatch, pool_log):
-    # the canonical op space at q = 8 (1.8M candidates, 12.8M point
-    # gathers) is too short to share and makes no pool; q = 11 makes one
+    # the canonical op space at q = 11 (17.7M candidates, 177M point
+    # gathers) is too short to share and makes no pool; q = 13 (696M) makes one
     sizes, _ = pool_log
     monkeypatch.setattr(perm.kernels, "census_scan", lambda *args: 0)
-    census(CensusQuery(field_for(8), 7, True, "op"), workers=2)
-    assert sizes == []
     census(CensusQuery(field_for(11), 7, True, "op"), workers=2)
+    assert sizes == []
+    census(CensusQuery(field_for(13), 7, True, "op"), workers=2)
     assert sizes == [2]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """2 usable CPUs, and no forked process left over afterwards."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_census_counts_as_one_process(two_cpus):
+    # the q = 13 canonical op space is above the inline cut: on 2 workers
+    # one forked process scans the second shard
+    query = CensusQuery(field_for(13), 7, True, "op")
+    assert census(query, workers=1) == census(query, workers=2) == 494
+
+
+def test_forked_shard_error_reaches_the_caller(monkeypatch, two_cpus, f11):
+    # the fork carries the patched scan: only the second, forked shard raises
+    monkeypatch.setattr(perm, "INLINE_GATHERS", 0)
+    real = perm.kernels.census_scan
+
+    def scan(field, deg, canonical, prop, start, stop):
+        if start > 0:
+            raise ValueError(f"shard at {start}")
+        return real(field, deg, canonical, prop, start, stop)
+
+    monkeypatch.setattr(perm.kernels, "census_scan", scan)
+    with pytest.raises(ValueError, match="shard at"):
+        census(CensusQuery(f11, 4, False, "op"), workers=2)
 
 
 def test_census_budget_guard(f13):
