@@ -42,6 +42,7 @@ from .pairs import (  # noqa: F401
 from .perm import (  # noqa: F401
     CensusQuery,
     census,
+    census_counts,
     is_complete_mapping,
     is_orthomorphism,
     is_permutation,

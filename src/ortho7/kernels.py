@@ -13,25 +13,21 @@ shift; `pairs.shift_blocks` makes one call per batch of pairs.  The pair grid
 (the q-1 rows of `pair_line`) and pp_batch share one evaluator, `_full_hits`:
 Horner with one gather per step from an int16 step table, and a collision
 sieve that stops evaluating a row once one of its values repeats.  The
-census evaluates low and high coefficient blocks once each (meet in the
-middle) and gathers whole rows of per-point (or per-pair) low-block hits.
+census kernel yields the permutations of a given digit layout: it
+evaluates low and high coefficient blocks once each (meet in the middle)
+and gathers whole rows of per-point (or per-pair) low-block hits.
 `normalized_rows` is the one degree-7 normal form (monic, no constant term,
 and for p != 7 no x^6 after the shift `x6_shift`): `canon.canonical_rows`
 reads it, and `normalized_code_batch` packs it into codes (a code names a
 row up to a*f(x+c)+d) that `code_member` finds in a sorted code array, such
 as the class-image index of `families.image_codes`.
-
-Property codes: 0 = permutation, 1 = orthomorphism (f and f-x),
-2 = complete mapping (f and f+x).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnsupportedOrder
-
-PROP_PP, PROP_OP, PROP_CPP = 0, 1, 2
+from .errors import InvalidArgument, UnsupportedOrder
 
 
 def check_hit_mask_order(q: int) -> None:
@@ -83,16 +79,13 @@ def _full_hits(field, C):
 # ---------------------------------------------------------------------------
 # Census over coefficient odometers.
 #
-# Candidate index layout (least-significant digit = lowest iterated
-# coefficient, so ranges shard cleanly): the low `deg - lo` base-q digits
-# are the coefficients c[lo..deg-1] (lo = 1 when restricted to zero
-# constant term), and the top digit is lead - 1 with lead in [1, q).
-#
-# Meet in the middle: f = low + high, with the lowest d <= 3 digits in the
-# low block and the mid (next) and upper digits in the high block.  Row v
-# of the table R[x] = bits[:, L[x]] holds the hits of v + L(x) for every low
-# value: each (high value, x > 0 or pair of them) costs one row gather and one OR.
-# f -/+ x differs only in its x^1 digit: its mask is a (mid, low) sibling's.
+# A layout `digits = [(exponent, radix, offset), ...]`, lowest digit first,
+# names candidate i by its mixed-radix digits: the polynomial sum of
+# (digit + offset) * x^exponent.  Meet in the middle: f = low + high, with
+# the lowest d <= 3 digits in the low block and the mid (next) and upper
+# digits in the high block.  Row v of the table R[x] = bits[:, L[x]] holds the
+# hits of v + L(x) for every low value: each (high value, x > 0 or pair of
+# them) costs one row gather and one OR.
 
 
 def _digit_values(field, powers, idx, digits):
@@ -106,18 +99,28 @@ def _digit_values(field, powers, idx, digits):
     return val
 
 
-def census_scan(field, deg, canonical, prop, start, stop):
-    """Count property-satisfying candidates in [start, stop) of the odometer."""
+def permutation_hits(field, digits, start, stop):
+    """The permutations among candidates [start, stop) of the odometer
+    `digits`: an iterator of sorted int64 index arrays, one per step of the
+    scan that holds any.  Refuses q > 63 and a layout whose high block holds
+    an x^0 digit other than a fixed zero, at the call."""
     q = field.q
     check_hit_mask_order(q)
-    lo = 1 if canonical else 0
     # the smallest unsigned type that holds q hit bits: less memory traffic
     bits = (1 << field.add_t).astype(np.min_scalar_type((1 << q) - 1))
     # the widest d whose R (q^(d+2) entries) fits 4 MB: 3 up to q = 16, 2 up to 31
     d = next(k for k in (3, 2, 1) if k == 1 or q ** (k + 2) * bits.itemsize <= 1 << 22)
-    digits = [(e, q, 0) for e in range(lo, deg)] + [(deg, q - 1, 1)]
-    digits += [(0, 1, 0)] * (d + 1 - len(digits))  # radix 1: a fixed zero
-    powers = np.array([[field.pow(x, e) for x in range(q)] for e in range(deg + 1)])
+    digits = list(digits) + [(0, 1, 0)] * (d + 1 - len(digits))  # radix 1: a fixed zero
+    if any(e == 0 and (radix, off) != (1, 0) for e, radix, off in digits[d:]):
+        raise InvalidArgument(f"an x^0 digit must sit in the lowest {d} digits at "
+                              f"q={q}: the high block must vanish at x = 0")
+    return _hits(field, bits, d, digits, start, stop)
+
+
+def _hits(field, bits, d, digits, start, stop):
+    """The scan behind `permutation_hits`, given its mask type and low-block width."""
+    q, top = field.q, max(e for e, _, _ in digits)
+    powers = np.array([[field.pow(x, e) for x in range(q)] for e in range(top + 1)])
     nl, nm = int(np.prod([radix for _, radix, _ in digits[:d]])), digits[d][1]
     L = _digit_values(field, powers, np.arange(nl), digits[:d])
     M = _digit_values(field, powers, np.arange(nm), digits[d:d + 1])
@@ -129,18 +132,10 @@ def census_scan(field, deg, canonical, prop, start, stop):
     xs = range(1, q, 1 + pair)  # the first point of each gather
     T = [(R[x][:, None] | R[x + 1]).reshape(-1, nl) if pair and x + 1 < q else R[x] for x in xs]
     nb = nm * nl  # the (mid, low) block: candidates per upper value
-    # the sibling has x^1 digit c1 -/+ 1; it is missing when x^1 is the lead
-    # (deg = 1) and that is 0, for then f -/+ x is constant
-    stride, (_, r1, o1) = q ** (1 - lo), digits[1 - lo]
-    c1 = np.arange(nb) // stride % r1 + o1
-    c1s = (field.sub_t if prop == PROP_OP else field.add_t)[c1, 1]
-    valid = c1s >= o1
-    shift = np.where(valid, c1s - c1, 0) * stride
     # a 512 KB hit mask per step, the fastest measured from q = 8 to 61
     nu, u_stop = max(1, (1 << 19) // (nb * bits.itemsize)), -(-stop // nb)
     nc = nu * max(1, (1 << 17) // ((q - 1) * nu * nm))  # upper values per chunk: 1 MB of H
     bufs = [np.empty((nu * nm, nl), dtype=bits.dtype) for _ in range(2)]  # mask, hits
-    count = 0
     for u0 in range(start // nb, u_stop, nu):
         if (u0 - start // nb) % nc == 0:  # H: the high values at x > 0 of a chunk of steps
             U = _digit_values(field, powers, np.arange(u0, min(u0 + nc, u_stop)), digits[d + 1:])
@@ -155,12 +150,11 @@ def census_scan(field, deg, canonical, prop, start, stop):
             mask |= hits
         flags = hits.reshape(-1).view(bool)[:mask.size]  # hits is free: reuse its bytes
         full = np.equal(mask.ravel(), (1 << q) - 1, out=flags)
-        first = max(start - u0 * nb, 0)  # a shard that cuts a block counts only its slice
-        hit = np.flatnonzero(full[first:stop - u0 * nb]) + first
-        if prop != PROP_PP:  # permutations are rare: test only their siblings
-            hit = hit[valid[hit % nb] & full[hit + shift[hit % nb]]]
-        count += hit.size
-    return count
+        first = max(start - u0 * nb, 0)  # a shard that cuts a block yields only its slice
+        hit = np.flatnonzero(full[first:stop - u0 * nb])
+        if hit.size:
+            hit += u0 * nb + first
+            yield hit
 
 
 # ---------------------------------------------------------------------------

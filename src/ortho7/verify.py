@@ -15,8 +15,11 @@ compares it against the golden fixtures in data/reference_results.json:
   method_agreement  direct evaluation vs table-based search, per family
   distinctness      each pair's q^2 shifts give q^2 distinct coefficient
                     vectors (q at q=49), disjoint across pairs
-  census            the exhaustive oracle reproduces the canonical counts
-                    for q = 8, 11, 13, 17, 19, and op_total = canonical * q
+  census            one exhaustive scan per order q = 8, 11, 13, 17, 19
+                    reproduces the canonical op counts, with cpp = op and
+                    op_total = canonical * q; at 11-19 its permutation
+                    count is q(q-1) times the class-image index size, which
+                    proves the class tables complete
   audit             table-based and direct permutation tests agree on
                     random and structured samples
   properties        transversal-set cardinalities, canonical-form class
@@ -55,7 +58,7 @@ from .pairs import (
     count_ops,
     shift_blocks,
 )
-from .perm import CensusQuery, census, fork_pool
+from .perm import CensusQuery, census_counts, fork_pool
 from .poly import LinearTransform, Poly, apply_transform, eval_poly
 
 TABLE_ORDERS = (11, 13, 17, 19, 23, 25, 27, 31, 49)
@@ -312,22 +315,35 @@ def check_distinctness(seed: int = 2024,
 @_timed("census")
 def check_census(workers: int = 2,
                  reports: dict | None = None):
-    """The exhaustive census reproduces the canonical counts and the
-    classification totals satisfy op_total = canonical * q."""
+    """One exhaustive canonical census per order gives pp, op and cpp: op is
+    the published canonical count, cpp = op (f -> -f maps one set onto the
+    other), op_total = op * q, and at the table orders pp = q(q-1)|index|.
+    A permutation with zero constant term is a*g(x + c) - a*g(c) for one
+    lead a, one shift c and one g with zero constant and x^6 terms, and
+    each index code names such a g that is a permutation, so the mass
+    identity proves the class table complete."""
     ref = load_reference()
-    details = []
+    details, masses = [], []
     for q in CENSUS_ORDERS:
         want = ref["canonical_census"][str(q)]
-        got = census(CensusQuery(field_for(q), 7, True, "op"), workers=workers)
-        if got != want:
-            return False, f"q={q}: canonical census {got} != {want}"
-        details.append(f"{q}:{got}")
+        got = census_counts(CensusQuery(field_for(q), 7, True), workers=workers)
+        if got["op"] != want:
+            return False, f"q={q}: canonical census {got['op']} != {want}"
+        if got["cpp"] != got["op"]:
+            return False, f"q={q}: cpp {got['cpp']} != op {got['op']}"
+        details.append(f"{q}:{got['op']}")
         if q in TABLE_ORDERS:
             rep = _report(reports, q)
-            if rep.op_total != got * q:
+            if rep.op_total != got["op"] * q:
                 return False, (f"q={q}: op_total {rep.op_total} != "
-                               f"canonical {got} * q")
-    return True, f"canonical counts {', '.join(details)}; op_total=count*q"
+                               f"canonical {got['op']} * q")
+            index = len(image_codes(q)[0])
+            if got["pp"] != q * (q - 1) * index:
+                return False, (f"q={q}: pp {got['pp']} != q(q-1) * {index} "
+                               f"index codes: the class table is incomplete")
+            masses.append(f"{q}:{got['pp']}")
+    return True, (f"canonical counts {', '.join(details)}; cpp=op; op_total=count*q; "
+                  f"pp=q(q-1)|index| {', '.join(masses)}")
 
 
 def _audit_order(q: int, n_random: int, seed: int):

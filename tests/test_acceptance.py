@@ -12,8 +12,11 @@ Criteria and stated targets:
     characteristic-7 collapse law replaces the q^2 cardinality: each
     pair's expansion has exactly q distinct vectors, disjoint across
     pairs - see the distinctness check's docstring)
-  7 census cross-check: 0 / 660 / 494 / 272 / 228 canonical counts for
-    q = 8, 11, 13, 17, 19 (about 4-5 s on 2 workers)
+  7 census cross-check: one canonical census per order q = 8, 11, 13,
+    17, 19 gives the 0 / 660 / 494 / 272 / 228 op counts, cpp = op, and
+    at 11-19 the mass identity pp = q(q-1)|index| (24,750 / 17,940 /
+    56,848 / 38,304 permutations), which proves those class tables
+    complete (about 5-6 s on 2 workers)
   8 classification-vs-direct audit: 1e5 random polynomials per field plus
     the exhaustive x^7 + a3 x^3 + a1 x sweep, zero disagreements
   9 property suite: transversal cardinalities, canonicalisation class
@@ -106,7 +109,25 @@ def test_c6_distinctness_fails_on_a_short_pair_expansion():
 
 
 def test_c7_census_oracle():
-    _criterion(verify.check_census(workers=2, reports=_reports))
+    result = _criterion(verify.check_census(workers=2, reports=_reports))
+    assert result.detail == (
+        "canonical counts 8:0, 11:660, 13:494, 17:272, 19:228; cpp=op; "
+        "op_total=count*q; pp=q(q-1)|index| 11:24750, 13:17940, 17:56848, 19:38304")
+
+
+def test_c7_census_fails_on_an_incomplete_class_table(monkeypatch):
+    # the q = 11 index without the codes of one entry: op, cpp and the
+    # totals still agree, but the census's permutations outnumber the index
+    codes, ords, shifts = families.image_codes(11)
+    keep = ords != ords[0]
+    monkeypatch.setattr(verify, "CENSUS_ORDERS", (11,))
+    monkeypatch.setattr(verify, "image_codes",
+                        lambda q: (codes[keep], ords[keep], shifts[keep]))
+    result = verify.check_census(workers=1, reports=_reports)
+    assert not result.ok
+    assert result.detail == (f"q=11: pp 24750 != q(q-1) * {keep.sum()} index "
+                             f"codes: the class table is incomplete")
+    assert 0 < keep.sum() < 225
 
 
 def test_c8_classification_audit():

@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ortho7 import kernels
+from ortho7 import kernels, perm
 from ortho7.canon import canonical_rows
-from ortho7.errors import UnsupportedOrder
+from ortho7.errors import InvalidArgument, UnsupportedOrder
 from ortho7.families import (
     EXPECTED_COUNTS,
     audit_random,
@@ -28,14 +28,33 @@ from ortho7.perm import CensusQuery, is_orthomorphism, is_permutation
 from ortho7.poly import LinearTransform, Poly, apply_transform, eval_poly
 
 
+def _hits(fld, digits, start, stop):
+    """The permutation hits of the kernel in [start, stop), as one array."""
+    return np.concatenate([np.zeros(0, dtype=np.int64),
+                           *kernels.permutation_hits(fld, digits, start, stop)])
+
+
+def _group_aligned(start, stop, group):
+    """[start, stop) widened to whole groups of `group` candidates."""
+    return start - start % group, -(-stop // group) * group
+
+
 def test_census_range_sharding_consistency():
-    fld = field_for(11)
-    total = CensusQuery(fld, 3, False, "op").space()
-    whole = kernels.census_scan(fld, 3, False, kernels.PROP_OP, 0, total)
-    split = sum(kernels.census_scan(fld, 3, False, kernels.PROP_OP, s,
-                                    min(s + 997, total))
-                for s in range(0, total, 997))
-    assert whole == split
+    # the kernel's hits over 997-candidate slices, and perm's counts over
+    # slices of 8 whole x^1 groups (q^2 candidates each), equal those of
+    # the whole range; the degree-4 space of F_8 holds orthomorphisms
+    for q, deg in ((11, 3), (8, 4)):
+        fld = field_for(q)
+        query = CensusQuery(fld, deg, False)
+        digits, total = query.digits(), query.space()
+        whole = _hits(fld, digits, 0, total)
+        split = [_hits(fld, digits, s, min(s + 997, total)) for s in range(0, total, 997)]
+        assert np.array_equal(np.concatenate(split), whole) and whole.size
+        step = 8 * q ** 2
+        counts = sum(perm._scan(fld, digits, s, min(s + step, total))
+                     for s in range(0, total, step))
+        assert counts.tolist() == perm._scan(fld, digits, 0, total).tolist()
+    assert counts.tolist() == [1232, 336, 336]
 
 
 def _odometer_rows(fld, deg, canonical, start, stop):
@@ -55,16 +74,16 @@ def _odometer_index(fld, row, canonical):
         + (int(row[deg]) - 1) * fld.q ** (deg - lo)
 
 
-def _horner_count(fld, rows, prop):
-    """Candidates with the property, by the Horner evaluator: pp_batch of
-    the rows and, for op / cpp, of their f - x / f + x rows."""
-    ok = kernels.pp_batch(fld, rows).astype(bool)
-    if prop != kernels.PROP_PP:
+def _horner_hits(fld, rows):
+    """pp, op and cpp hit masks of coefficient rows, by the Horner
+    evaluator: pp_batch of the rows and of their f - x and f + x rows."""
+    pp = kernels.pp_batch(fld, rows).astype(bool)
+    masks = [pp]
+    for shift_t in (fld.sub_t, fld.add_t):
         shifted = rows.copy()
-        shift_t = fld.sub_t if prop == kernels.PROP_OP else fld.add_t
         shifted[:, 1] = shift_t[rows[:, 1], 1]
-        ok &= kernels.pp_batch(fld, shifted).astype(bool)
-    return int(ok.sum())
+        masks.append(pp & kernels.pp_batch(fld, shifted).astype(bool))
+    return masks
 
 
 def _degree7_hits(fld):
@@ -75,35 +94,40 @@ def _degree7_hits(fld):
     if fld.q not in EXPECTED_COUNTS:
         return {}
     entries = table_for(fld.q).entries
-    hits = {kernels.PROP_PP: np.array(entries[0].poly(fld).coeffs)}
+    hits = {"pp": np.array(entries[0].poly(fld).coeffs)}
     searches = (search_pairs_direct(fld, e) for e in entries)
     op = next((r.signatures[0] for r in searches if r.pairs), None)
     if op is not None:
         op = np.array((0,) + tuple(op[1:]))  # f + c is an orthomorphism iff f is
-        hits.update({kernels.PROP_OP: op, kernels.PROP_CPP: fld.neg_t[op]})
+        hits.update({"op": op, "cpp": fld.neg_t[op]})
     return hits
 
 
 @pytest.mark.parametrize("q", [8, 11, 16, 17, 25, 31, 41, 49])
 @pytest.mark.parametrize("deg", [1, 2, 6, 7])
 def test_census_scan_agrees_with_horner_rows(q, deg):
-    # random slices, and for degree 7 a slice around a known hit, start and
-    # end at arbitrary offsets, so they cut the census's blocks.  The scan
-    # gathers rows of three low digits at 8-16, of two at 17-31 and of one
-    # at 41 and 49 (where the f -/+ x sibling of a non-canonical row
-    # differs in the mid digit), with hits in uint8 at 8, uint16 at 11 and
-    # 16, uint32 at 17 and 31 and uint64 at 41 and 49.  It gathers the
-    # points x > 0 two per row at 8, 11 and 17 (at 8 the odd last one
-    # alone) and one per row elsewhere.  At q = 8 and 11 one slice
-    # spans more than two steps of the scan (2^19 candidates at q = 8 and
-    # 17 * 11^4 at q = 11), in degree 6 at q = 8, since no polynomial of
-    # degree q - 1 permutes F_q
+    # random slices, and for degree 7 a slice around a known hit of each
+    # property, start and end at arbitrary offsets, so they cut the
+    # census's blocks: the kernel's hits in each slice are the Horner
+    # permutations, and perm's pp, op and cpp over the slice widened to
+    # whole x^1 groups (q candidates in the canonical layout, q^2 in the
+    # full one, the whole space at degree 1) are the Horner counts.  The
+    # scan gathers rows of three low digits at 8-16, of two at 17-31 and of
+    # one at 41 and 49 (where the x^1 digit of a non-canonical row is the
+    # mid digit), with hits in uint8 at 8, uint16 at 11 and 16, uint32 at
+    # 17 and 31 and uint64 at 41 and 49.  It gathers the points x > 0 two
+    # per row at 8, 11 and 17 (at 8 the odd last one alone) and one per row
+    # elsewhere.  At q = 8 and 11 one slice spans more than two steps of
+    # the scan (2^19 candidates at q = 8 and 17 * 11^4 at q = 11), in
+    # degree 6 at q = 8, since no polynomial of degree q - 1 permutes F_q
     fld = field_for(q)
     rng = np.random.default_rng(100 * q + deg)
     hits = _degree7_hits(fld) if deg == 7 else {}
     for canonical in (False, True):
-        total = CensusQuery(fld, deg, canonical, "pp").space()
-        for prop in (kernels.PROP_PP, kernels.PROP_OP, kernels.PROP_CPP):
+        query = CensusQuery(fld, deg, canonical)
+        digits, total = query.digits(), query.space()
+        group = total if deg == 1 else q ** (2 - canonical)
+        for prop in perm.PROPERTIES:
             slices = [(s, s + int(rng.integers(1, 3000)))
                       for s in rng.integers(0, total, 2)]
             if prop in hits:
@@ -115,12 +139,46 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
                 slices.append((start, start + (1 << 20 if q == 8 else 34 * 11 ** 4) + q))
             for start, stop in slices:
                 start, stop = max(int(start), 0), min(int(stop), total)
-                want = _horner_count(fld, _odometer_rows(fld, deg, canonical,
-                                                         start, stop), prop)
-                got = kernels.census_scan(fld, deg, canonical, prop, start, stop)
-                assert got == want, (canonical, prop, start, stop)
-            if prop in hits:
-                assert want >= 1  # the last slice holds the known hit
+                lo, hi = _group_aligned(start, stop, group)
+                masks = _horner_hits(fld, _odometer_rows(fld, deg, canonical, lo, hi))
+                want = np.flatnonzero(masks[0][start - lo:stop - lo]) + start
+                got = _hits(fld, digits, start, stop)
+                assert np.array_equal(got, want), (canonical, start, stop)
+                counts = [int(m.sum()) for m in masks]
+                assert perm._scan(fld, digits, lo, hi).tolist() == counts, (canonical, lo, hi)
+            if prop in hits:  # the last slice holds the known hit
+                assert counts[perm.PROPERTIES.index(prop)] >= 1
+
+
+def test_permutation_hits_read_any_layout():
+    # a layout whose digits are not in exponent order: x^3 lowest, then
+    # x^1, x^0 (still in the low block), x^2 and the lead x^4 - 1; the
+    # hits are the Horner permutations of the rows the digits name
+    fld = field_for(8)
+    digits = [(3, 8, 0), (1, 8, 0), (0, 8, 0), (2, 8, 0), (4, 7, 1)]
+    idx = np.arange(7 * 8 ** 4)
+    rows = np.zeros((idx.size, 5), dtype=np.int64)
+    for e, radix, off in digits:
+        rows[:, e], idx = idx % radix + off, idx // radix
+    want = np.flatnonzero(kernels.pp_batch(fld, rows))
+    assert want.size and np.array_equal(_hits(fld, digits, 0, len(rows)), want)
+
+
+@pytest.mark.parametrize("q", [11, 41])
+def test_permutation_hits_refuse_an_x0_digit_in_the_high_block(q):
+    # point 0 rides on point 1's gather because the high block (every digit
+    # after the lowest d, d = 3 at q = 11 and 1 at q = 41) vanishes at x = 0:
+    # a constant-term digit there, or a fixed nonzero constant, is refused
+    # at the call; a fixed zero is not
+    fld = field_for(q)
+    d = 3 if q == 11 else 1
+    low = [(e, q, 0) for e in range(1, d + 1)]
+    lead = [(d + 2, q - 1, 1)]
+    for x0 in ((0, q, 0), (0, 2, 0), (0, 1, 1)):
+        for layout in (low + [x0] + lead, low + lead + [x0]):
+            with pytest.raises(InvalidArgument, match="x = 0"):
+                kernels.permutation_hits(fld, layout, 0, 10)
+    kernels.permutation_hits(fld, low + [(0, 1, 0)] + lead, 0, 10)
 
 
 @pytest.mark.parametrize("q", [8, 11, 13, 16])
@@ -140,6 +198,7 @@ def test_census_scan_rejects_planted_near_misses(q):
     # canonical odometer index fits an int64 up to q = 16.
     fld = field_for(q)
     xq1 = Poly(fld, (0,) * (q - 1) + (1,))
+    digits = CensusQuery(fld, q - 1, True).digits()
     moves = [(1, 0), (4, 3), (3, 2), (2, 5), (q - 1, q - 2)]
     for a, b in moves:
         c = fld.sub(b, a)  # c*(1 - (x - a)^(q-1)) moves only the value at a
@@ -148,20 +207,23 @@ def test_census_scan_rejects_planted_near_misses(q):
         row[1] = fld.add(row[1], 1)
         assert row[0] == 0 and not kernels.pp_batch(fld, [row])[0]
         at = _odometer_index(fld, row, True)
-        assert kernels.census_scan(fld, q - 1, True, kernels.PROP_PP, at, at + 1) == 0, (a, b)
+        assert _hits(fld, digits, at, at + 1).size == 0, (a, b)
     inverse = [0] * (q - 2) + [1]  # x^(q-2): gcd(q-2, q-1) = 1
     at = _odometer_index(fld, inverse, True)
-    assert kernels.census_scan(fld, q - 2, True, kernels.PROP_PP, at, at + 1) == 1
+    digits = CensusQuery(fld, q - 2, True).digits()
+    assert _hits(fld, digits, at, at + 1).tolist() == [at]
 
 
 def test_census_scan_memory_at_q61():
     # one call holds its row tables, one chunk of high values and one
     # step's masks: a few MB at q = 61, whatever the slice
     fld = field_for(61)
-    start = CensusQuery(fld, 7, True, "op").space() // 2
+    query = CensusQuery(fld, 7, True)
+    start = query.space() // 2
     tracemalloc.start()
     try:
-        kernels.census_scan(fld, 7, True, kernels.PROP_OP, start, start + 500_000)
+        for _ in kernels.permutation_hits(fld, query.digits(), start, start + 500_000):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -175,10 +237,12 @@ def test_census_scan_memory_on_long_slices(q):
     # space at q = 13 (three low digits, 58M candidates) and 60M candidates
     # at q = 19 (two low digits)
     fld = field_for(q)
-    stop = min(CensusQuery(fld, 7, True, "op").space(), 60_000_000)
+    query = CensusQuery(fld, 7, True)
+    stop = min(query.space(), 60_000_000)
     tracemalloc.start()
     try:
-        kernels.census_scan(fld, 7, True, kernels.PROP_OP, 0, stop)
+        for _ in kernels.permutation_hits(fld, query.digits(), 0, stop):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -186,16 +250,25 @@ def test_census_scan_memory_on_long_slices(q):
 
 
 def test_census_shards_of_uneven_lengths_sum_to_the_count():
-    # eight shards of odd lengths, one of them longer than a chunk of the
-    # scan's high values, cover the canonical op space of q = 11
+    # eight kernel shards of odd lengths, one of them longer than a chunk
+    # of the scan's high values, cover the canonical space of q = 11 and
+    # yield its 24,750 permutations; perm's counts over shards of odd
+    # numbers of whole x^1 groups (11 candidates) are pp, op and cpp
     fld = field_for(11)
-    total = CensusQuery(fld, 7, True, "op").space()
+    query = CensusQuery(fld, 7, True)
+    digits, total = query.digits(), query.space()
     short = [1, 99_999, 7, 3, 14_641, 1_331, 12_345]
     lengths = short[:3] + [total - sum(short)] + short[3:]
     assert sum(lengths) == total and all(n % 2 for n in lengths)
     cuts = np.cumsum([0] + lengths).tolist()
-    assert sum(kernels.census_scan(fld, 7, True, kernels.PROP_OP, a, b)
-               for a, b in zip(cuts, cuts[1:])) == 660
+    split = [_hits(fld, digits, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(split), _hits(fld, digits, 0, total))
+    assert sum(h.size for h in split) == 24_750
+    groups = [n * 11 for n in short[:3]] + [total - 11 * sum(short)] + [n * 11 for n in short[3:]]
+    assert sum(groups) == total and all(n // 11 % 2 for n in groups)
+    cuts = np.cumsum([0] + groups).tolist()
+    assert sum(perm._scan(fld, digits, a, b)
+               for a, b in zip(cuts, cuts[1:])).tolist() == [24_750, 660, 660]
 
 
 @pytest.mark.parametrize("q", [11, 13, 23, 25, 41, 49])
@@ -315,7 +388,7 @@ def test_kernels_reject_orders_above_hit_mask(q):
     fld = field_for(q)
     x7 = [0, 0, 0, 0, 0, 0, 0, 1]
     with pytest.raises(UnsupportedOrder, match="q <= 63"):
-        kernels.census_scan(fld, 2, False, kernels.PROP_OP, 0, 10)
+        kernels.permutation_hits(fld, CensusQuery(fld, 2, False).digits(), 0, 10)
     with pytest.raises(UnsupportedOrder, match="q <= 63"):
         kernels.op_pair_grid(fld, x7)
     with pytest.raises(UnsupportedOrder, match="q <= 63"):

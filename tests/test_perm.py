@@ -3,6 +3,7 @@ plain-python brute-force oracle on small degrees."""
 
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import Future
 from contextlib import contextmanager
 from itertools import product
@@ -92,12 +93,28 @@ def test_census_canonical_times_q_is_full(f5):
         assert canon * fld.q == full
 
 
-def test_census_worker_independence(monkeypatch, f11):
+def test_census_worker_independence(monkeypatch, request, f5, f11):
     # with no inline cut, this short space is sharded across the workers
     monkeypatch.setattr(perm, "INLINE_GATHERS", 0)
     q1 = census(CensusQuery(f11, 4, False, "op"), workers=1)
     q3 = census(CensusQuery(f11, 4, False, "op"), workers=3)
     assert q1 == q3
+    # then shards on 1, 2 and 3 CPUs (run inline) over both layouts, at
+    # degrees where the x^1 digit is the lead (degree 1) or next to it:
+    # every count is the brute-force one, so a cut inside a group of
+    # candidates that differ only up to the x^1 digit, which separates f
+    # from f -/+ x, fails
+    _, shards = request.getfixturevalue("pool_log")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for fld, deg, canonical in product((f5, field_for(8)), (1, 2, 3), (False, True)):
+        query = CensusQuery(fld, deg, canonical)
+        want = {prop: _brute_census(fld, deg, canonical, prop) for prop in perm.PROPERTIES}
+        for workers in (1, 2, 3):
+            shards.clear()
+            assert perm.census_counts(query, workers=workers) == want, (
+                fld.q, deg, canonical, workers)
+            groups = 1 if deg == 1 else query.space() // fld.q ** (2 - canonical)
+            assert len(shards) == -(-groups // -(-groups // workers))
 
 
 def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
@@ -165,7 +182,7 @@ def test_short_census_scans_run_inline(monkeypatch, pool_log):
     # the canonical op space at q = 11 (17.7M candidates, 177M point
     # gathers) is too short to share and makes no pool; q = 13 (696M) makes one
     sizes, _ = pool_log
-    monkeypatch.setattr(perm.kernels, "census_scan", lambda *args: 0)
+    monkeypatch.setattr(perm.kernels, "permutation_hits", lambda *args: iter(()))
     census(CensusQuery(field_for(11), 7, True, "op"), workers=2)
     assert sizes == []
     census(CensusQuery(field_for(13), 7, True, "op"), workers=2)
@@ -190,16 +207,34 @@ def test_forked_census_counts_as_one_process(two_cpus):
 def test_forked_shard_error_reaches_the_caller(monkeypatch, two_cpus, f11):
     # the fork carries the patched scan: only the second, forked shard raises
     monkeypatch.setattr(perm, "INLINE_GATHERS", 0)
-    real = perm.kernels.census_scan
+    real = perm.kernels.permutation_hits
 
-    def scan(field, deg, canonical, prop, start, stop):
+    def scan(field, digits, start, stop):
         if start > 0:
             raise ValueError(f"shard at {start}")
-        return real(field, deg, canonical, prop, start, stop)
+        return real(field, digits, start, stop)
 
-    monkeypatch.setattr(perm.kernels, "census_scan", scan)
+    monkeypatch.setattr(perm.kernels, "permutation_hits", scan)
     with pytest.raises(ValueError, match="shard at"):
         census(CensusQuery(f11, 4, False, "op"), workers=2)
+
+
+@pytest.mark.parametrize("q,deg,prop,want,today_mb", [
+    (3, 14, "op", 1_062_882, 4.7), (2, 22, "pp", 2_097_152, 9.0)])
+def test_dense_census_memory(q, deg, prop, want, today_mb):
+    # dense spaces: 2.1M permutations at q = 3, degree 14, and 2.1M at q = 2,
+    # degree 22, 16 MB as int64 either way; the hits are looked up a
+    # bounded slice at a time, so the peak stays within 1.5 times that of
+    # a scan that only counts them
+    query = CensusQuery(field_for(q), deg, False, prop)
+    tracemalloc.start()
+    try:
+        count = census(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == want
+    assert peak <= 1.5 * today_mb * 2**20, peak
 
 
 def test_census_budget_guard(f13):
