@@ -26,7 +26,6 @@ from .families import (  # noqa: F401
     audit_support,
     is_pp_by_table,
     load_family_tables,
-    serialize_family_tables,
     table_for,
 )
 from .field import Field, FieldSpec, build_field, field_for, preset_orders  # noqa: F401
@@ -37,7 +36,6 @@ from .pairs import (  # noqa: F401
     enumerate_ops,
     search_pairs_direct,
     search_pairs_table_based,
-    verify_nonexistence,
 )
 from .perm import (  # noqa: F401
     CensusQuery,

@@ -89,19 +89,6 @@ class FamilyTable:
         return [e for e in self.entries if e.exceptional]
 
 
-_HEADER = """\
-# Degree-7 permutation polynomial class representatives over F_q:
-# one linear-relation class per row, as x^7 + f5 x^5 + f4 x^4 + f3 x^3 + f2 x^2 + f1 x.
-# Non-exceptional classes first, then exceptional ones; extension-field
-# coefficients in basis form ('3+2t', t = the field's modulus root).
-# Source-side corrections, both re-proved by the load-time checks:
-#   q=27 ordinal 1 stores the canonical form of x^7 - x^3 + x;
-#   q=49 ordinal 10 reconstructs a garbled published line as
-#   x^7 + t x^5 + 5t^2 x^3 + 6t^3 x, the unique completion that is a
-#   permutation polynomial and is linearly related to no other entry.
-q,f5,f4,f3,f2,f1,exceptional,ordinal
-"""
-
 _TABLES: dict[int, FamilyTable] | None = None
 _VALIDATED: set[int] = set()
 
@@ -123,16 +110,6 @@ def _parse_tables(text: str) -> dict[int, FamilyTable]:
         entries.sort(key=lambda e: e.ordinal)
         out[q] = FamilyTable(q, tuple(entries))
     return out
-
-
-def serialize_family_tables(tables: dict[int, FamilyTable]) -> str:
-    lines = [_HEADER.rstrip("\n")]
-    for q in sorted(tables):
-        field = field_for(q)
-        for e in tables[q].entries:
-            lits = ",".join(field.format_element(c) for c in e.coeffs)
-            lines.append(f"{q},{lits},{1 if e.exceptional else 0},{e.ordinal}")
-    return "\n".join(lines) + "\n"
 
 
 def load_family_tables() -> dict[int, FamilyTable]:
@@ -185,7 +162,9 @@ _IMAGE_CACHE: dict[Field, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def table_codes(q: int) -> np.ndarray:
-    """Sorted base-q codes of the (f5..f1) tuples, for batch lookups."""
+    """Sorted base-q codes of the (f5..f1) tuples, for batch lookups.
+    No package code reads them: they stay because the benchmark's
+    `setup_verify` (perfbench/workloads.py) builds them."""
     if q not in _CODE_CACHE:
         codes = sorted(np.polyval(e.coeffs, q) for e in table_for(q).entries)
         _CODE_CACHE[q] = np.asarray(codes, dtype=np.int64)

@@ -323,6 +323,8 @@ def _load_presets() -> dict[int, dict]:
 
 
 def preset_orders() -> list[int]:
+    """The orders of the shipped preset fields: public, as the tests and
+    library users enumerate the fields `field_for` builds."""
     return sorted(_load_presets())
 
 

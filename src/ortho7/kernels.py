@@ -13,9 +13,10 @@ shift; `pairs.shift_blocks` makes one call per batch of pairs.  The pair grid
 (the q-1 rows of `pair_line`) and pp_batch share one evaluator, `_full_hits`:
 Horner with one gather per step from an int16 step table, and a collision
 sieve that stops evaluating a row once one of its values repeats.  The
-census kernel yields the permutations of a given digit layout: it
-evaluates low and high coefficient blocks once each (meet in the middle)
-and gathers whole rows of per-point (or per-pair) low-block hits.
+census kernel yields, per scan step, a boolean mask of the permutations
+among the step's candidates of a given digit layout: it evaluates low and
+high coefficient blocks once each (meet in the middle) and gathers whole
+rows of per-point (or per-pair) low-block hits.
 `normalized_rows` is the one degree-7 normal form (monic, no constant term,
 and for p != 7 no x^6 after the shift `x6_shift`): `canon.canonical_rows`
 reads it, and `normalized_code_batch` packs it into codes (a code names a
@@ -101,9 +102,15 @@ def _digit_values(field, powers, idx, digits):
 
 def permutation_hits(field, digits, start, stop):
     """The permutations among candidates [start, stop) of the odometer
-    `digits`: an iterator of sorted int64 index arrays, one per step of the
-    scan that holds any.  Refuses q > 63 and a layout whose high block holds
-    an x^0 digit other than a fixed zero, at the call."""
+    `digits`: an iterator of (first, mask) pairs, one per step of the scan,
+    where mask[i] tells whether candidate first + i is a permutation.  The
+    masks tile [start, stop) in order.  A step covers whole blocks of the
+    layout's lowest d + 1 digits (d >= 1 is the low block's width), so a
+    mask begins and ends on such a block unless start or stop cuts it.  A
+    mask is a view of the step's reused buffer: it is valid until the next
+    step.
+    Refuses q > 63 and a layout whose high block holds an x^0 digit other
+    than a fixed zero, at the call."""
     q = field.q
     check_hit_mask_order(q)
     # the smallest unsigned type that holds q hit bits: less memory traffic
@@ -151,10 +158,7 @@ def _hits(field, bits, d, digits, start, stop):
         flags = hits.reshape(-1).view(bool)[:mask.size]  # hits is free: reuse its bytes
         full = np.equal(mask.ravel(), (1 << q) - 1, out=flags)
         first = max(start - u0 * nb, 0)  # a shard that cuts a block yields only its slice
-        hit = np.flatnonzero(full[first:stop - u0 * nb])
-        if hit.size:
-            hit += u0 * nb + first
-            yield hit
+        yield u0 * nb + first, full[first:stop - u0 * nb]
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,11 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels
-from .errors import UnsupportedOrder
 from .families import (
     FamilyEntry,
     class_entries,
     class_lookup,
     field_entries,
-    load_family_tables,
 )
 from .field import Field, field_for
 from .poly import Poly
@@ -255,12 +253,3 @@ def shift_blocks(field: Field, sigs) -> Iterator[np.ndarray]:
         block[:, 0] = field.add_t[rows[:, :1], elems].ravel()
         yield block
 
-
-def verify_nonexistence(q: int) -> bool:
-    """True iff the pair search over the classes of q comes up empty.
-    Applies to the table orders {23, 27, 31} and to any q = 6 (mod 7)
-    outside {13, 27}, where the only class is x^7."""
-    kernels.check_hit_mask_order(q)
-    if q in load_family_tables() and q not in (23, 27, 31):
-        raise UnsupportedOrder(f"nonexistence result does not cover q={q}")
-    return count_ops(q).pair_total == 0

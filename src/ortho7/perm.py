@@ -4,13 +4,14 @@ The census is the independent oracle for everything the classification
 machinery produces: it iterates the full coefficient space of a degree
 (an odometer with the constant coefficient fastest, `CensusQuery.digits`)
 and counts the permutations, orthomorphisms and complete mappings in it.
-The kernel `kernels.permutation_hits` yields the permutations by meet in
-the middle; `_counts` derives all three figures from them, since f is an
-orthomorphism (a complete mapping) exactly when f and its sibling f - x
-(f + x), the candidate one step away in the x^1 coefficient, are both
-permutations.  Index ranges are sharded over `fork_pool` on whole groups of
-x^1 digits, so each sibling is in its hit's shard, and totals are sums over
-shards, hence independent of the worker count.
+The kernel `kernels.permutation_hits` marks the permutations by meet in
+the middle, one boolean mask per scan step; `_scan` derives all three
+figures from each mask, since f is an orthomorphism (a complete mapping)
+exactly when f and its sibling f - x (f + x), the candidate one step away
+in the x^1 coefficient, are both permutations: one gather into the same
+mask per hit.  Index ranges are sharded over `fork_pool` on whole groups of
+x^1 digits, so each sibling is in its hit's shard and step, and totals are
+sums over shards, hence independent of the worker count.
 """
 
 from __future__ import annotations
@@ -100,9 +101,6 @@ DEFAULT_BUDGET = 10**9
 # op (177M) takes a median 42 ms inline, 100 ms on a process's first fork pool of 2
 # (imports and fork) and 47 ms on later ones; q = 13 (696M) 169, 163 and 140 ms.
 INLINE_GATHERS = 400_000_000
-# Hits looked up at once: the lookup's temporaries stay near 1.5 MB, however
-# dense the permutations (a kernel step yields up to 2^19 of them).
-LOOKUP_HITS = 1 << 15
 
 
 def pool_size(workers: int) -> int:
@@ -135,43 +133,33 @@ def _x1_digit(digits) -> tuple[int, int, int]:
     return prod(radix for _, radix, _ in digits[:i]), *digits[i][1:]
 
 
-def _counts(field, x1, hits) -> np.ndarray:
-    """pp, op and cpp among sorted permutation `hits` that hold every hit of
-    their x^1 groups.  A hit is an orthomorphism when its sibling, the
-    candidate whose x^1 coefficient c1 is c1 - 1 in the field, is a hit too
-    (f - x), and a complete mapping likewise with c1 + 1.  Below the digit's
-    offset there is no sibling: that is the lead at degree 1, where f -/+ x
-    is constant, and as the lead is the top digit the sibling index is
-    negative, so it is never found."""
-    place, radix, off = x1
-    c1 = np.arange(radix) + off
-    digit = hits // place % radix
-    counts = [hits.size]
-    for table in (field.sub_t, field.add_t):
-        sibling = hits + (table[c1, 1] - c1).take(digit) * place
-        found = hits.take(np.searchsorted(hits, sibling), mode="clip") == sibling
-        counts.append(np.count_nonzero(found))
-    return np.array(counts, dtype=np.int64)
-
-
 def _scan(field, digits, start, stop) -> np.ndarray:
     """pp, op and cpp of candidates [start, stop), a range of whole x^1
-    groups.  The kernel's hits are gathered into slices of LOOKUP_HITS or
-    more, each looked up but for its last group, which may go on in the
-    next slice."""
-    x1 = _x1_digit(digits)
-    group = prod(x1[:2])
-    counts, pending, n = np.zeros(3, dtype=np.int64), [np.zeros(0, dtype=np.int64)], 0
-    for batch in kernels.permutation_hits(field, digits, start, stop):
-        for i in range(0, batch.size, LOOKUP_HITS):
-            pending.append(batch[i:i + LOOKUP_HITS])
-            n += pending[-1].size
-            if n >= LOOKUP_HITS:
-                hits = np.concatenate(pending)
-                cut = np.searchsorted(hits, hits[-1] - hits[-1] % group)
-                counts += _counts(field, x1, hits[:cut])
-                pending, n = [hits[cut:]], hits.size - cut
-    return counts + _counts(field, x1, np.concatenate(pending))
+    groups.  A hit is an orthomorphism when its sibling, the candidate
+    whose x^1 coefficient c1 is c1 - 1 in the field, is a hit too (f - x),
+    and a complete mapping likewise with c1 + 1.  The x^1 digit is one of
+    the layout's two lowest digits, so a kernel step (whole blocks of the
+    lowest d + 1 >= 2 digits, or the range's own ends) holds whole groups
+    and each sibling is read from the hit's own mask.  Below the digit's
+    offset there is no sibling: that is the lead at degree 1, where f -/+ x
+    is constant, and as the lead is the top digit the sibling's offset in
+    the mask is negative (which a clipped read would take as offset 0)."""
+    place, radix, off = _x1_digit(digits)
+    group = place * radix
+    c1 = np.arange(group) // place + off  # the x^1 coefficient at each offset in a group
+    # the offset from a hit to its f - x (row 0) and f + x (row 1) sibling;
+    # int32 offsets within a step (far fewer than 2^31 candidates) keep the
+    # lookup's temporaries narrow
+    shift = np.array([(t[c1, 1] - c1) * place for t in (field.sub_t, field.add_t)],
+                     dtype=np.int32)
+    pp, found = 0, np.zeros(2, dtype=np.int64)
+    for _, mask in kernels.permutation_hits(field, digits, start, stop):
+        hits = np.flatnonzero(mask).astype(np.int32)
+        sib = shift.take(hits % group, axis=1)
+        sib += hits
+        pp += hits.size
+        found += (mask.take(sib, mode="clip") & (sib >= 0)).sum(axis=1)
+    return np.array([pp, *found])
 
 
 def census_counts(query: CensusQuery, workers: int = 1,
@@ -209,5 +197,5 @@ def census(query: CensusQuery, workers: int = 1,
     """Exact count of degree-`degree` polynomials with the query's property:
     its figure among the `census_counts` of one scan.  pp counts the
     kernel's permutation hits, op and cpp the hits whose f - x or f + x
-    sibling is a hit too (`_counts`)."""
+    sibling is a hit too (`_scan`)."""
     return census_counts(query, workers, budget)[query.property]

@@ -316,8 +316,11 @@ def check_distinctness(seed: int = 2024,
 def check_census(workers: int = 2,
                  reports: dict | None = None):
     """One exhaustive canonical census per order gives pp, op and cpp: op is
-    the published canonical count, cpp = op (f -> -f maps one set onto the
-    other), op_total = op * q, and at the table orders pp = q(q-1)|index|.
+    the published canonical count, op_total = op * q, and at the table
+    orders pp = q(q-1)|index|.  cpp = op always holds, since over whole x^1
+    groups f -> f - x maps the orthomorphisms onto the complete mappings:
+    that condition only checks that the two sibling lookups agree, and no
+    count can tell their directions apart.
     A permutation with zero constant term is a*g(x + c) - a*g(c) for one
     lead a, one shift c and one g with zero constant and x^6 terms, and
     each index code names such a g that is a permutation, so the mass

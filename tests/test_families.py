@@ -25,7 +25,6 @@ from ortho7.families import (
     image_witness,
     is_pp_by_table,
     load_family_tables,
-    serialize_family_tables,
     table_for,
 )
 from ortho7.field import FieldSpec, build_field, field_for
@@ -55,6 +54,31 @@ def test_non_exceptional_entries_pass_criteria():
         entries = table_for(q).non_exceptional()
         ok = criteria_mask(field_for(q), [e.coeffs for e in entries])
         assert ok.all(), (q, [e.ordinal for e, k in zip(entries, ok) if not k])
+
+
+HEADER = """\
+# Degree-7 permutation polynomial class representatives over F_q:
+# one linear-relation class per row, as x^7 + f5 x^5 + f4 x^4 + f3 x^3 + f2 x^2 + f1 x.
+# Non-exceptional classes first, then exceptional ones; extension-field
+# coefficients in basis form ('3+2t', t = the field's modulus root).
+# Source-side corrections, both re-proved by the load-time checks:
+#   q=27 ordinal 1 stores the canonical form of x^7 - x^3 + x;
+#   q=49 ordinal 10 reconstructs a garbled published line as
+#   x^7 + t x^5 + 5t^2 x^3 + 6t^3 x, the unique completion that is a
+#   permutation polynomial and is linearly related to no other entry.
+q,f5,f4,f3,f2,f1,exceptional,ordinal
+"""
+
+
+def serialize_family_tables(tables: dict[int, FamilyTable]) -> str:
+    """The CSV text of the class tables, as `families.csv` ships it."""
+    lines = [HEADER.rstrip("\n")]
+    for q in sorted(tables):
+        field = field_for(q)
+        for e in tables[q].entries:
+            lits = ",".join(field.format_element(c) for c in e.coeffs)
+            lines.append(f"{q},{lits},{1 if e.exceptional else 0},{e.ordinal}")
+    return "\n".join(lines) + "\n"
 
 
 def test_serialisation_roundtrip_is_bit_exact():

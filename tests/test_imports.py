@@ -1,13 +1,14 @@
 """Every import in a module of the package is used by that module, and
-every private helper of the package is used somewhere in it.  A fresh
-interpreter that imports the package loads none of the costly modules
-that only some commands need.
+every private helper and module constant of the package is used somewhere
+in it.  A fresh interpreter that imports the package loads none of the
+costly modules that only some commands need.
 
 `__init__.py` imports in order to re-export, and `__future__` imports
 change compilation rather than bind a name, so both are exempt.  A private
 helper is a module-level function or class, or a method, whose name has
-one leading underscore; it is used when some module of the package names
-it, as a plain name or as an attribute.
+one leading underscore; a module constant is a module-level assignment to
+such a name or to an ALL_CAPS one.  Either is used when some module of the
+package reads it, as a plain name or as an attribute.
 """
 
 import ast
@@ -51,17 +52,28 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(tree) == ["gcd (line 2)"]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def _private_helpers(tree: ast.Module) -> dict[str, int]:
+    """The private helpers and module constants of a module, with their lines."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     nodes = [n for n in tree.body if isinstance(n, defs)]
     nodes += [m for n in nodes if isinstance(n, ast.ClassDef)
               for m in n.body if isinstance(m, defs)]
-    return {n.name: n.lineno for n in nodes
-            if n.name.startswith("_") and not n.name.endswith("__")}
+    found = {n.name: n.lineno for n in nodes if _private(n.name)}
+    for n in tree.body:
+        targets = n.targets if isinstance(n, ast.Assign) else [getattr(n, "target", None)]
+        found.update((t.id, n.lineno) for t in targets if isinstance(t, ast.Name)
+                     and (_private(t.id) or t.id.isupper()))
+    return found
 
 
 def _used_names(tree: ast.Module) -> set[str]:
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    """The names a module reads: an assignment does not use its target."""
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
 
 
@@ -84,11 +96,16 @@ def test_the_check_sees_a_dead_helper():
     sources = {
         "a.py": ("def _kept():\n    pass\n\n\ndef _dead():\n    pass\n\n\n"
                  "class _Box:\n    def _open(self):\n        pass\n\n"
-                 "    def __len__(self):\n        return 0\n"),
-        "b.py": "import a\na._kept()\nbox = a._Box()\n",
+                 "    def __len__(self):\n        return 0\n\n\n"
+                 "LIMIT = 1 << 15\n_HEADER: str = 'q,f5'\nSTEP = 2\n"
+                 "Mixed = 3\n__all__ = []\n"),
+        "b.py": "import a\na._kept()\nbox = a._Box()\nprint(a.STEP)\n",
     }
+    # a constant is dead though its own assignment names it
     assert _dead_helpers(sources) == ["a.py: _dead (line 5)",
-                                      "a.py: _open (line 10)"]
+                                      "a.py: _open (line 10)",
+                                      "a.py: LIMIT (line 17)",
+                                      "a.py: _HEADER (line 18)"]
 
 
 # a process pool (about 20 ms of imports), any executor (concurrent.futures,

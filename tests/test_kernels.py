@@ -3,6 +3,7 @@ ortho7.perm and ortho7.poly on identical inputs, and the uint64 hit-mask
 order guard."""
 
 import tracemalloc
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,11 +20,7 @@ from ortho7.families import (
     table_for,
 )
 from ortho7.field import field_for
-from ortho7.pairs import (
-    search_pairs_direct,
-    search_pairs_table_based,
-    verify_nonexistence,
-)
+from ortho7.pairs import count_ops, search_pairs_direct, search_pairs_table_based
 from ortho7.perm import CensusQuery, is_orthomorphism, is_permutation
 from ortho7.poly import LinearTransform, Poly, apply_transform, eval_poly
 
@@ -31,7 +28,8 @@ from ortho7.poly import LinearTransform, Poly, apply_transform, eval_poly
 def _hits(fld, digits, start, stop):
     """The permutation hits of the kernel in [start, stop), as one array."""
     return np.concatenate([np.zeros(0, dtype=np.int64),
-                           *kernels.permutation_hits(fld, digits, start, stop)])
+                           *(np.flatnonzero(mask) + first for first, mask
+                             in kernels.permutation_hits(fld, digits, start, stop))])
 
 
 def _group_aligned(start, stop, group):
@@ -162,6 +160,34 @@ def test_permutation_hits_read_any_layout():
         rows[:, e], idx = idx % radix + off, idx // radix
     want = np.flatnonzero(kernels.pp_batch(fld, rows))
     assert want.size and np.array_equal(_hits(fld, digits, 0, len(rows)), want)
+
+
+@pytest.mark.parametrize("q", [2, 8, 11, 17, 41])
+def test_permutation_hits_masks_tile_the_range_on_whole_groups(q):
+    # the (first, mask) steps tile any [start, stop) in order, and over a
+    # range of whole x^1 groups (the whole space at degree 1) each mask
+    # begins and ends on a group, so perm finds every f -/+ x sibling in
+    # its hit's own mask.  The orders cover every low-block width (three
+    # digits at 2-11, two at 17, one at 41) and mask type (uint8 at 2 and
+    # 8, uint16 at 11, uint32 at 17, uint64 at 41); a range spans up to
+    # about 24 steps at q = 41 (64K candidates each) and 12 at q = 17
+    fld = field_for(q)
+    rng = np.random.default_rng(q)
+    for deg, canonical in product((1, 2, 7), (False, True)):
+        query = CensusQuery(fld, deg, canonical)
+        total = query.space()
+        group = total if deg == 1 else q ** (2 - canonical)
+        for _ in range(3):
+            start = int(rng.integers(0, total))
+            stop = min(total, start + int(rng.integers(1, 1_500_000)))
+            for lo, hi in ((start, stop), _group_aligned(start, stop, group)):
+                ends = [lo]
+                for first, mask in kernels.permutation_hits(fld, query.digits(), lo, hi):
+                    assert first == ends[-1] and mask.dtype == bool and mask.size
+                    ends.append(first + mask.size)
+                assert ends[-1] == hi, (deg, canonical, lo, hi)
+            # the ends of the group-aligned range, the second one scanned
+            assert all(end % group == 0 for end in ends), (deg, canonical, ends)
 
 
 @pytest.mark.parametrize("q", [11, 41])
@@ -395,9 +421,9 @@ def test_kernels_reject_orders_above_hit_mask(q):
         kernels.pp_batch(fld, [x7])
     with pytest.raises(UnsupportedOrder, match="q <= 63"):
         audit_random(fld, 10)
-    if q % 7 == 6:  # an order the nonexistence result covers
+    if q % 7 == 6:  # an order the x^7 rule covers: its pair search needs the kernels
         with pytest.raises(UnsupportedOrder, match="q <= 63"):
-            verify_nonexistence(q)
+            count_ops(q)
 
 
 def test_normalized_codes_reject_orders_that_overflow():

@@ -17,7 +17,6 @@ from ortho7.pairs import (
     search_pairs_direct,
     search_pairs_table_based,
     shift_blocks,
-    verify_nonexistence,
 )
 from ortho7.perm import is_orthomorphism
 from ortho7.poly import LinearTransform, Poly, apply_transform
@@ -212,10 +211,12 @@ def test_q49_shift_collapse(f49):
 
 
 def test_nonexistence():
+    # the pair search over the classes of each order comes up empty: the
+    # tables at 23, 27 and 31, the lone class x^7 at 41 = 6 (mod 7)
     for q in (23, 27, 31, 41):
-        assert verify_nonexistence(q)
+        assert count_ops(q).pair_total == 0
     with pytest.raises(UnsupportedOrder):
-        verify_nonexistence(29)  # 29 = 1 (mod 7), not covered
+        count_ops(29)  # 29 = 1 (mod 7): no class table, no x^7 rule
 
 
 def test_report_serialisation_shapes(f13):

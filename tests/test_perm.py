@@ -223,9 +223,9 @@ def test_forked_shard_error_reaches_the_caller(monkeypatch, two_cpus, f11):
     (3, 14, "op", 1_062_882, 4.7), (2, 22, "pp", 2_097_152, 9.0)])
 def test_dense_census_memory(q, deg, prop, want, today_mb):
     # dense spaces: 2.1M permutations at q = 3, degree 14, and 2.1M at q = 2,
-    # degree 22, 16 MB as int64 either way; the hits are looked up a
-    # bounded slice at a time, so the peak stays within 1.5 times that of
-    # a scan that only counts them
+    # degree 22, 16 MB as int64 either way; the hits are looked up a step
+    # at a time, so the peak stays within 1.5 times that of a scan that
+    # only counts them
     query = CensusQuery(field_for(q), deg, False, prop)
     tracemalloc.start()
     try:
