@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="add one canonical census per order q=8,11,13,17,19: "
                          "its op counts, cpp = op, and the permutation count "
                          "that proves the 11-19 class tables complete "
-                         "(about 5 s on 2 workers)")
+                         "(about 6 s on 2 workers)")
     sp.add_argument("--audit-n", type=_int_at_least(0),
                     help="rows in the classification audit (default 100000)")
     sp.add_argument("--workers", type=_int_at_least(1),

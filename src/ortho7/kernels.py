@@ -86,7 +86,8 @@ def _full_hits(field, C):
 # the lowest d <= 3 digits in the low block and the mid (next) and upper
 # digits in the high block.  Row v of the table R[x] = bits[:, L[x]] holds the
 # hits of v + L(x) for every low value: each (high value, x > 0 or pair of
-# them) costs one row gather and one OR.
+# them) costs one row gather and one OR.  R and its pairs T are capped at 4 MB.
+_SCAN_CACHE: dict[tuple, tuple] = {}
 
 
 def _digit_values(field, powers, idx, digits):
@@ -108,10 +109,12 @@ def permutation_hits(field, digits, start, stop):
     layout's lowest d + 1 digits (d >= 1 is the low block's width), so a
     mask begins and ends on such a block unless start or stop cuts it.  A
     mask is a view of the step's reused buffer: it is valid until the next
-    step.
+    step.  A layout's tables are built at its first call and kept (for forks too).
     Refuses q > 63 and a layout whose high block holds an x^0 digit other
     than a fixed zero, at the call."""
-    q = field.q
+    if (key := (field, tuple(digits))) in _SCAN_CACHE:
+        return _hits(field, *_SCAN_CACHE[key], start, stop)
+    q, top = field.q, max((e for e, _, _ in digits), default=0)
     check_hit_mask_order(q)
     # the smallest unsigned type that holds q hit bits: less memory traffic
     bits = (1 << field.add_t).astype(np.min_scalar_type((1 << q) - 1))
@@ -121,12 +124,6 @@ def permutation_hits(field, digits, start, stop):
     if any(e == 0 and (radix, off) != (1, 0) for e, radix, off in digits[d:]):
         raise InvalidArgument(f"an x^0 digit must sit in the lowest {d} digits at "
                               f"q={q}: the high block must vanish at x = 0")
-    return _hits(field, bits, d, digits, start, stop)
-
-
-def _hits(field, bits, d, digits, start, stop):
-    """The scan behind `permutation_hits`, given its mask type and low-block width."""
-    q, top = field.q, max(e for e, _, _ in digits)
     powers = np.array([[field.pow(x, e) for x in range(q)] for e in range(top + 1)])
     nl, nm = int(np.prod([radix for _, radix, _ in digits[:d]])), digits[d][1]
     L = _digit_values(field, powers, np.arange(nl), digits[:d])
@@ -136,16 +133,24 @@ def _hits(field, bits, d, digits, start, stop):
     # points x, x + 1 in one gather of T[v1*q + v2] = R[x, v1] | R[x + 1, v2] where all
     # pairs fit 4 MB (q <= 11, 17; an odd last x keeps R[x]): a repeat in one loses a bit
     pair = (q - 1) // 2 * q ** (d + 2) * bits.itemsize <= 1 << 22
+    T = [(R[x][:, None] | R[x + 1]).reshape(-1, nl) if pair and x + 1 < q else R[x]
+         for x in range(1, q, 1 + pair)]
+    _SCAN_CACHE[key] = digits[d + 1:], powers, M, T, pair
+    return _hits(field, *_SCAN_CACHE[key], start, stop)
+
+
+def _hits(field, upper, powers, M, T, pair, start, stop):
+    """The scan behind `permutation_hits`, given the tables it keeps."""
+    q, (nm, nl), dtype = field.q, (M.shape[1], T[0].shape[1]), T[0].dtype
     xs = range(1, q, 1 + pair)  # the first point of each gather
-    T = [(R[x][:, None] | R[x + 1]).reshape(-1, nl) if pair and x + 1 < q else R[x] for x in xs]
     nb = nm * nl  # the (mid, low) block: candidates per upper value
     # a 512 KB hit mask per step, the fastest measured from q = 8 to 61
-    nu, u_stop = max(1, (1 << 19) // (nb * bits.itemsize)), -(-stop // nb)
+    nu, u_stop = max(1, (1 << 19) // (nb * dtype.itemsize)), -(-stop // nb)
     nc = nu * max(1, (1 << 17) // ((q - 1) * nu * nm))  # upper values per chunk: 1 MB of H
-    bufs = [np.empty((nu * nm, nl), dtype=bits.dtype) for _ in range(2)]  # mask, hits
+    bufs = [np.empty((nu * nm, nl), dtype=dtype) for _ in range(2)]  # mask, hits
     for u0 in range(start // nb, u_stop, nu):
         if (u0 - start // nb) % nc == 0:  # H: the high values at x > 0 of a chunk of steps
-            U = _digit_values(field, powers, np.arange(u0, min(u0 + nc, u_stop)), digits[d + 1:])
+            U = _digit_values(field, powers, np.arange(u0, min(u0 + nc, u_stop)), upper)
             H = field.add_t[U[1:, :, None], M[1:, None, :]].reshape(q - 1, -1)
             H, h0 = [H[x - 1] * q + H[x] if pair and x + 1 < q else H[x - 1] for x in xs], u0
         Hs = [h[(u0 - h0) * nm:(u0 - h0 + nu) * nm] for h in H]

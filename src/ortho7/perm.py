@@ -9,15 +9,15 @@ the middle, one boolean mask per scan step; `_scan` derives all three
 figures from each mask, since f is an orthomorphism (a complete mapping)
 exactly when f and its sibling f - x (f + x), the candidate one step away
 in the x^1 coefficient, are both permutations: one gather into the same
-mask per hit.  Index ranges are sharded over `fork_pool` on whole groups of
-x^1 digits, so each sibling is in its hit's shard and step, and totals are
-sums over shards, hence independent of the worker count.
+mask per hit.  Index ranges are sharded over `fork_map`, whose forks inherit
+the scan tables, on whole groups of x^1 digits, so each sibling is in its hit's
+shard and step, and totals are sums over shards, independent of the workers.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import pickle
 from dataclasses import dataclass
 from math import prod
 
@@ -97,32 +97,63 @@ class CensusQuery:
 
 
 DEFAULT_BUDGET = 10**9
-# A census of fewer point gathers (candidates x (q - 1)) runs inline: q = 11 canonical
-# op (177M) takes a median 42 ms inline, 100 ms on a process's first fork pool of 2
-# (imports and fork) and 47 ms on later ones; q = 13 (696M) 169, 163 and 140 ms.
-INLINE_GATHERS = 400_000_000
+# Fewer point gathers (candidates x (q - 1)) run inline; canonical op, inline against forked
+# on 2 workers: 2.9 / 7.5 ms at q = 8 (12.8M), 31 / 27 at 11 (177M), 174 / 95 at 13 (696M).
+INLINE_GATHERS = 50_000_000
 
 
 def pool_size(workers: int) -> int:
-    """`workers` capped at the CPUs this process may run on: any pool's size."""
+    """`workers` capped at the CPUs this process may run on: the processes of a `fork_map`."""
     affinity = getattr(os, "sched_getaffinity", None)
     return max(1, min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1))
 
 
-@contextmanager
-def fork_pool(workers: int):
-    """The one pool: `pool_size(workers) - 1` forked processes beside the caller, or None."""
-    procs = pool_size(workers) - 1
-    if procs:  # imported here: ~20 ms that `import ortho7` and one worker skip
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-    pool = (ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"))
-            if procs and "fork" in multiprocessing.get_all_start_methods() else None)
+def fork_map(fn, items, workers: int, first=None):
+    """(first(), [fn(*item) for item in items]) on `pool_size(workers)` processes,
+    this one and forked ones (none for one item or without os.fork).  Each claims
+    one item at a time by an atomic read of its 4-byte number from a pipe filled
+    (up to 16384) and closed before the fork; this one runs `first` first.  A
+    child sends back its pickled [(number, result)] or error and leaves by
+    os._exit; one that sends nothing fails the call, once all are reaped."""
+    procs = min(pool_size(workers), len(items)) - 1 if hasattr(os, "fork") else 0
+    claims, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(items))))
+    os.close(feed)
+
+    def claimed():
+        while number := os.read(claims, 4):
+            i = int.from_bytes(number, "little")
+            yield i, fn(*items[i])
+
+    children = []
     try:
-        yield pool
-    finally:  # what no process has started is dropped
-        if pool:
-            pool.shutdown(cancel_futures=True)
+        for _ in range(procs):
+            out, back = os.pipe()
+            if not (pid := os.fork()):
+                try:
+                    try:
+                        reply = list(claimed())
+                    except BaseException as exc:
+                        reply = exc
+                    os.write(back, pickle.dumps(reply))  # may wait for the caller's read
+                finally:
+                    os._exit(0)
+            os.close(back)
+            children.append((pid, out))
+        head = first() if first else None
+        results = dict(claimed())
+    finally:
+        os.close(claims)
+        replies = [b"".join(iter(lambda: os.read(out, 1 << 16), b"")) for _, out in children]
+        for pid, out in children:
+            os.close(out)
+            os.waitpid(pid, 0)
+    for reply in replies:  # a child that died, or whose error does not pickle, sent nothing
+        got = pickle.loads(reply) if reply else ChildProcessError("a forked worker sent nothing")
+        if isinstance(got, BaseException):
+            raise got
+        results.update(got)
+    return head, [results[i] for i in range(len(items))]
 
 
 def _x1_digit(digits) -> tuple[int, int, int]:
@@ -169,9 +200,8 @@ def census_counts(query: CensusQuery, workers: int = 1,
     one scan; `query.property` is not read.
 
     Deterministic for fixed inputs regardless of `workers`: the candidate
-    range is split into contiguous shards of whole x^1 groups, one per slot of
-    `pool_size(workers)` (this process scans the first), whose counts are
-    summed.
+    range is split into contiguous shards of whole x^1 groups, one per
+    process of `fork_map`, whose counts are summed.
     """
     # before the budget: no budget lets the kernels scan this order
     kernels.check_hit_mask_order(query.field.q)
@@ -184,12 +214,12 @@ def census_counts(query: CensusQuery, workers: int = 1,
             f"(q={query.field.q}, degree={query.degree})")
     digits = query.digits()
     group = prod(_x1_digit(digits)[:2])
-    with fork_pool(workers if total * (query.field.q - 1) >= INLINE_GATHERS else 1) as pool:
-        per = -(-total // group // (pool_size(workers) if pool else 1)) * group
-        cuts = [*range(0, total, per), total]
-        rest = [pool.submit(_scan, query.field, digits, a, b) for a, b in zip(cuts[1:], cuts[2:])]
-        counts = _scan(query.field, digits, 0, cuts[1]) + sum(f.result() for f in rest)
-    return dict(zip(PROPERTIES, map(int, counts)))
+    kernels.permutation_hits(query.field, digits, 0, 0)  # its tables, before any fork
+    slots = pool_size(workers if total * (query.field.q - 1) >= INLINE_GATHERS else 1)
+    per = -(-total // group // slots) * group
+    cuts = [*range(0, total, per), total]
+    _, counts = fork_map(_scan, [(query.field, digits, *ab) for ab in zip(cuts, cuts[1:])], slots)
+    return dict(zip(PROPERTIES, map(int, sum(counts))))
 
 
 def census(query: CensusQuery, workers: int = 1,

@@ -26,10 +26,10 @@ compares it against the golden fixtures in data/reference_results.json:
                     constancy, shift invariance, pointwise transform law
 
 The CLI `verify` subcommand and the acceptance test suite both run these.
-`run_suite` runs the report chain (every other check, sharing one
-`reports` memo) here, while the processes of `perm.fork_pool` (if any)
-take the audit's nine per-order items, reusing the built tables; what
-none has started when the chain ends runs here.  The audit's `elapsed` is
+`run_suite` is one `perm.fork_map`: this process runs the report chain
+(every other check, sharing one `reports` memo) while the forked ones (if
+any) claim the audit's nine per-order items, reusing the built tables;
+the items left when the chain ends run here.  The audit's `elapsed` is
 the sum of its per-order busy times.
 """
 
@@ -58,7 +58,7 @@ from .pairs import (
     count_ops,
     shift_blocks,
 )
-from .perm import CensusQuery, census_counts, fork_pool
+from .perm import CensusQuery, census_counts, fork_map
 from .poly import LinearTransform, Poly, apply_transform, eval_poly
 
 TABLE_ORDERS = (11, 13, 17, 19, 23, 25, 27, 31, 49)
@@ -445,18 +445,13 @@ def run_suite(deep: bool = False, workers: int = 2,
               audit_n: int = 100_000) -> list[CheckResult]:
     """The full battery, scheduled as the module docstring says; census if `deep`."""
     reports: dict = {}
-    with fork_pool(workers) as pool:
-        futures = [pool and pool.submit(_audit_order, q, audit_n, 7) for q in TABLE_ORDERS]
-        *chain, properties = (
-            check_family_tables(), check_non_redundancy(),
-            check_pair_fixtures(reports), check_totals(reports),
-            check_method_agreement(reports), check_distinctness(reports=reports),
-            check_properties(reports=reports))
-        # each order no worker has taken runs here, before any wait
-        parts = [_audit_order(q, audit_n, 7) if not f or f.cancel() else f
-                 for q, f in zip(TABLE_ORDERS, futures)]
-        audit = _audit_result([p if isinstance(p, tuple) else p.result() for p in parts])
-    results = [*chain, audit, properties]
+    (*chain, properties), parts = fork_map(
+        _audit_order, [(q, audit_n, 7) for q in TABLE_ORDERS], workers,
+        first=lambda: (check_family_tables(), check_non_redundancy(),
+                       check_pair_fixtures(reports), check_totals(reports),
+                       check_method_agreement(reports), check_distinctness(reports=reports),
+                       check_properties(reports=reports)))
+    results = [*chain, _audit_result(parts), properties]
     if deep:
         results.append(check_census(workers=workers, reports=reports))
     return results

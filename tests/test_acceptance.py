@@ -23,9 +23,7 @@ Criteria and stated targets:
     constancy, orthomorphism shift invariance, pointwise transform law
 """
 
-import concurrent.futures.process
 import json
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import replace
@@ -174,30 +172,23 @@ def test_one_direct_search_per_family(monkeypatch):
     assert sum(calls.values()) == 106
 
 
-class _NoPool:
-    """A ProcessPoolExecutor stand-in that starts nothing: it raises with
-    the size it was asked for."""
-
-    def __init__(self, max_workers, mp_context=None):
-        raise _PoolRequested(max_workers)
-
-
-class _PoolRequested(Exception):
-    pass
+def _no_fork():
+    """An os.fork stand-in that starts nothing."""
+    raise AssertionError("forked")
 
 
 def _lines(results):
     return [(r.name, r.ok, r.detail) for r in results]
 
 
-def test_run_suite_is_the_same_on_one_and_two_workers(monkeypatch):
+def test_run_suite_is_the_same_on_one_and_two_workers(monkeypatch, no_child_left):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     two = _lines(verify.run_suite(workers=2))
-    assert multiprocessing.active_children() == []
-    # one worker runs every audit item here and constructs no pool
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _NoPool)
+    assert no_child_left()
+    # one worker runs every audit item here and forks nothing
+    monkeypatch.setattr(os, "fork", _no_fork)
     one = _lines(verify.run_suite(workers=1))
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
     assert one == two
     assert [name for name, *_ in one] == [
         "family-tables", "non-redundancy", "pair-fixtures", "totals",
@@ -206,13 +197,18 @@ def test_run_suite_is_the_same_on_one_and_two_workers(monkeypatch):
     assert all(ok for _, ok, _ in one)
 
 
-def test_suite_pool_is_capped_at_the_cpus(monkeypatch):
-    # workers beyond the CPUs ask for no more processes than CPUs - 1
+def test_suite_pool_is_capped_at_the_cpus(monkeypatch, fork_log, no_child_left):
+    # workers beyond the CPUs fork no more processes than CPUs - 1; the
+    # report chain then stops at its first check
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _NoPool)
-    with pytest.raises(_PoolRequested) as exc:
-        verify.run_suite(workers=100_000)
-    assert exc.value.args == (2,)
+
+    def planted():
+        raise _Planted("chain")
+
+    monkeypatch.setattr(verify, "check_family_tables", planted)
+    with pytest.raises(_Planted, match="chain"):
+        verify.run_suite(workers=100_000, audit_n=1_000)
+    assert len(fork_log) == 2 and no_child_left()
 
 
 def _plant_disagreements(monkeypatch, orders):
@@ -230,13 +226,14 @@ def _plant_disagreements(monkeypatch, orders):
     monkeypatch.setattr(families, "class_lookup", planted)
 
 
-def test_audit_disagreement_fails_alike_on_one_and_two_workers(monkeypatch, capsys):
+def test_audit_disagreement_fails_alike_on_one_and_two_workers(monkeypatch, capsys,
+                                                               no_child_left):
     _plant_disagreements(monkeypatch, {49})
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     payloads = []
     for workers in ("2", "1"):
         assert cli.main(["verify", "--workers", workers, "--format", "json"]) == 1
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         payloads.append(json.loads(capsys.readouterr().out)["results"])
     details = [[(r["name"], r["ok"], r["detail"]) for r in p] for p in payloads]
     assert details[0] == details[1]
@@ -254,7 +251,7 @@ class _Planted(Exception):
     pass
 
 
-def test_an_error_in_a_forked_audit_item_propagates(monkeypatch):
+def test_an_error_in_a_forked_audit_item_propagates(monkeypatch, no_child_left):
     parent = os.getpid()
     audit_random = verify.audit_random
 
@@ -267,4 +264,4 @@ def test_an_error_in_a_forked_audit_item_propagates(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(_Planted):
         verify.run_suite(workers=2, audit_n=1_000)
-    assert multiprocessing.active_children() == []
+    assert no_child_left()

@@ -108,9 +108,9 @@ def test_the_check_sees_a_dead_helper():
                                       "a.py: _HEADER (line 18)"]
 
 
-# a process pool (about 20 ms of imports), any executor (concurrent.futures,
+# multiprocessing (about 20 ms of imports), any executor (concurrent.futures,
 # about 8 ms) and numpy.ma (14-17 ms), which a first plain np.unique call
-# imports
+# imports: the parallel scans fork with os.fork and need none of them
 COSTLY = ("multiprocessing", "concurrent.futures", "concurrent.futures.process",
           "numpy.ma")
 
@@ -131,3 +131,16 @@ def test_import_loads_no_costly_module():
 def test_distinctness_check_leaves_numpy_ma_unloaded():
     code = "from ortho7 import verify\nassert verify.check_distinctness().ok"
     assert "numpy.ma" not in _costly_modules_after(code)
+
+
+def test_forked_census_and_suite_load_no_costly_module():
+    # a 2-worker canonical census at q = 13 forks, and so does the suite's audit
+    code = ("import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from ortho7 import perm, verify\n"
+            "from ortho7.field import field_for\n"
+            "query = perm.CensusQuery(field_for(13), 7, True)\n"
+            "assert query.space() * 12 >= perm.INLINE_GATHERS\n"
+            "assert perm.census(query, workers=2) == 494\n"
+            "assert all(r.ok for r in verify.run_suite(workers=2, audit_n=1_000))")
+    assert _costly_modules_after(code) == []

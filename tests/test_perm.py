@@ -1,11 +1,9 @@
 """Direct property tests and the census, cross-validated against a
 plain-python brute-force oracle on small degrees."""
 
-import multiprocessing
 import os
+import select
 import tracemalloc
-from concurrent.futures import Future
-from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -129,41 +127,32 @@ def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
 
 
 @pytest.fixture
-def pool_log(monkeypatch):
-    """Swaps in a recording `fork_pool` whose executor runs each shard it
-    is given inline, and returns the pool sizes (slots, this process
-    included) it made and the shards scanned, on 2 usable CPUs."""
+def pool_log(monkeypatch, fork_log):
+    """Records, on 2 usable CPUs, the size (its forked processes and this
+    one) of each census `fork_map` that forks, and the shards handed to
+    any; the forks are real."""
     sizes, shards = [], []
-    scan = perm._scan
+    fork_map = perm.fork_map
 
-    class Inline:
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    @contextmanager
-    def recording_pool(workers):
-        size = pool_size(workers)
-        if size > 1:
-            sizes.append(size)
-        yield Inline() if size > 1 else None
-
-    def recording_scan(*args):
-        shards.append(args[-2:])
-        return scan(*args)
+    def recording_map(fn, items, workers, first=None):
+        shards.extend(item[-2:] for item in items)
+        forked = len(fork_log)
+        try:
+            return fork_map(fn, items, workers, first)
+        finally:
+            if len(fork_log) > forked:
+                sizes.append(1 + len(fork_log) - forked)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(perm, "fork_pool", recording_pool)
-    monkeypatch.setattr(perm, "_scan", recording_scan)
+    monkeypatch.setattr(perm, "fork_map", recording_map)
     return sizes, shards
 
 
 def test_census_processes_and_shards_are_capped_at_the_cpus(monkeypatch, pool_log, f13):
-    # 8 workers on 2 CPUs make 2 contiguous shards on a pool of 2 slots (one
-    # forked process and this one, which scans the first shard), which
-    # count every candidate once; on 1 CPU no pool is made.  The query is
-    # above the inline cut: 58M candidates, 696M point gathers.
+    # 8 workers on 2 CPUs make 2 contiguous shards on a pool of 2 (one
+    # forked process and this one), which count every candidate once; on
+    # 1 CPU nothing forks.  The query is above the inline cut: 58M
+    # candidates, 696M point gathers.
     sizes, shards = pool_log
     query = CensusQuery(f13, 7, True, "op")
     assert query.space() * 12 >= perm.INLINE_GATHERS
@@ -179,22 +168,22 @@ def test_census_processes_and_shards_are_capped_at_the_cpus(monkeypatch, pool_lo
 
 
 def test_short_census_scans_run_inline(monkeypatch, pool_log):
-    # the canonical op space at q = 11 (17.7M candidates, 177M point
-    # gathers) is too short to share and makes no pool; q = 13 (696M) makes one
+    # the canonical op space at q = 8 (1.8M candidates, 12.8M point
+    # gathers) is too short to share and forks nothing; q = 11 (177M) forks
     sizes, _ = pool_log
     monkeypatch.setattr(perm.kernels, "permutation_hits", lambda *args: iter(()))
-    census(CensusQuery(field_for(11), 7, True, "op"), workers=2)
+    census(CensusQuery(field_for(8), 7, True, "op"), workers=2)
     assert sizes == []
-    census(CensusQuery(field_for(13), 7, True, "op"), workers=2)
+    census(CensusQuery(field_for(11), 7, True, "op"), workers=2)
     assert sizes == [2]
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
+def two_cpus(monkeypatch, no_child_left):
     """2 usable CPUs, and no forked process left over afterwards."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     yield
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_forked_census_counts_as_one_process(two_cpus):
@@ -217,6 +206,97 @@ def test_forked_shard_error_reaches_the_caller(monkeypatch, two_cpus, f11):
     monkeypatch.setattr(perm.kernels, "permutation_hits", scan)
     with pytest.raises(ValueError, match="shard at"):
         census(CensusQuery(f11, 4, False, "op"), workers=2)
+
+
+@pytest.fixture
+def handshake():
+    """(signal, wait) over two pipes: wait(k) returns True once signal(k) has
+    been called in any process (k = 0 or 1), and from then on."""
+    pipes = [os.pipe() for _ in range(2)]
+    yield (lambda k: os.write(pipes[k][1], b"1"),
+           lambda k: bool(select.select([pipes[k][0]], [], [], 60)[0]))
+    for fd in sum(pipes, ()):
+        os.close(fd)
+
+
+def test_a_census_shard_that_dies_fails_the_census(monkeypatch, two_cpus, handshake, f11):
+    # a forked shard that exits in mid-scan sends nothing: the census raises
+    # rather than return the other shard's counts.  This process scans its
+    # shard once the child has claimed the other one.
+    signal, wait = handshake
+    monkeypatch.setattr(perm, "INLINE_GATHERS", 0)
+    parent, scan = os.getpid(), perm._scan
+
+    def dying(*args):
+        if os.getpid() != parent:
+            signal(0)
+            os._exit(3)
+        assert wait(0)
+        return scan(*args)
+
+    monkeypatch.setattr(perm, "_scan", dying)
+    with pytest.raises(ChildProcessError, match="sent nothing"):
+        census(CensusQuery(f11, 4, False, "op"), workers=2)
+
+
+def test_fork_map_runs_each_item_once_and_keeps_their_order(two_cpus, fork_log, handshake):
+    # the results come back in item order, from both processes: `first`
+    # runs here while the child claims, and returns once the child has run
+    # an item; the child's next item waits until this process has run one
+    signal, wait = handshake
+    parent = os.getpid()
+    runs, done = os.pipe()
+
+    def item(i):
+        os.write(done, bytes([i]))
+        if os.getpid() == parent:
+            signal(1)
+        else:
+            signal(0)
+            assert wait(1)
+        return i * i, os.getpid()
+
+    head, got = perm.fork_map(item, [(i,) for i in range(40)], 2, first=lambda: wait(0))
+    os.close(done)
+    with open(runs, "rb") as log:
+        ran = sorted(log.read())
+    assert head is True and len(fork_log) == 1
+    assert [square for square, _ in got] == [i * i for i in range(40)]
+    assert ran == list(range(40))
+    assert {pid for _, pid in got} == {parent, *fork_log}
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this error does not pickle")
+
+
+@pytest.mark.parametrize("error,raised,message", [
+    (ValueError("bad item"), ValueError, "bad item"),
+    (_Unpicklable("bad item"), ChildProcessError, "sent nothing")])
+def test_fork_map_raises_a_childs_error(two_cpus, handshake, error, raised, message):
+    # a child's error reaches this process with its type and message; one
+    # that does not pickle still fails the call, and nothing hangs.  This
+    # process claims items once the child has started one.
+    signal, wait = handshake
+    parent = os.getpid()
+
+    def item(i):
+        signal(0)
+        if os.getpid() != parent:
+            raise error
+        return i
+
+    with pytest.raises(raised, match=message):
+        perm.fork_map(item, [(i,) for i in range(8)], 2, first=lambda: wait(0))
+
+
+def test_fork_map_forks_nothing_for_one_item_or_one_cpu(monkeypatch, two_cpus, fork_log):
+    assert perm.fork_map(divmod, [(7, 2)], 2, first=lambda: "head") == ("head", [(3, 1)])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert perm.fork_map(divmod, [(i, 3) for i in range(9)], 8) == (
+        None, [divmod(i, 3) for i in range(9)])
+    assert fork_log == []
 
 
 @pytest.mark.parametrize("q,deg,prop,want,today_mb", [
