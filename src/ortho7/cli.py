@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     # None defaults: cmd_verify refuses these next to --field
     sp.add_argument("--deep", action="store_true", default=None,
                     help="add one canonical census per order q=8,11,13,17,19: "
-                         "its op counts, cpp = op, and the permutation count "
-                         "that proves the 11-19 class tables complete "
+                         "its op counts, op for every f - lam*x, and the permutation "
+                         "count that proves the 11-19 class tables complete "
                          "(about 6 s on 2 workers)")
     sp.add_argument("--audit-n", type=_int_at_least(0),
                     help="rows in the classification audit (default 100000)")

@@ -5,13 +5,13 @@ machinery produces: it iterates the full coefficient space of a degree
 (an odometer with the constant coefficient fastest, `CensusQuery.digits`)
 and counts the permutations, orthomorphisms and complete mappings in it.
 The kernel `kernels.permutation_hits` marks the permutations by meet in
-the middle, one boolean mask per scan step; `_scan` derives all three
-figures from each mask, since f is an orthomorphism (a complete mapping)
-exactly when f and its sibling f - x (f + x), the candidate one step away
-in the x^1 coefficient, are both permutations: one gather into the same
-mask per hit.  Index ranges are sharded over `fork_map`, whose forks inherit
-the scan tables, on whole groups of x^1 digits, so each sibling is in its hit's
-shard and step, and totals are sums over shards, independent of the workers.
+the middle, one boolean mask per scan step; `_scan` counts from each mask,
+for every lam in F_q*, the hits f whose sibling f - lam*x (x^1 coefficient
+c1 - lam) is a hit too, one gather of q - 1 siblings per hit: op at lam = 1,
+cpp at lam = -1.  Index ranges are sharded over `fork_map`, whose forks
+inherit the scan tables, on whole groups of x^1 digits, so each sibling is
+in its hit's shard and step, and totals are sums over shards, independent
+of the workers.
 """
 
 from __future__ import annotations
@@ -112,9 +112,12 @@ def fork_map(fn, items, workers: int, first=None):
     """(first(), [fn(*item) for item in items]) on `pool_size(workers)` processes,
     this one and forked ones (none for one item or without os.fork).  Each claims
     one item at a time by an atomic read of its 4-byte number from a pipe filled
-    (up to 16384) and closed before the fork; this one runs `first` first.  A
-    child sends back its pickled [(number, result)] or error and leaves by
-    os._exit; one that sends nothing fails the call, once all are reaped."""
+    (at most 16384, 64 KB) and closed before the fork; this one runs `first` first
+    and empties the pipe if it fails, so no child claims more.  A child sends
+    back its pickled [(number, result)] or error and leaves by os._exit; one that
+    sends nothing fails the call, once all are reaped."""
+    if len(items) > 1 << 14:  # refused before a write that would wait forever
+        raise InvalidArgument(f"fork_map takes at most 16384 items, not {len(items)}")
     procs = min(pool_size(workers), len(items)) - 1 if hasattr(os, "fork") else 0
     claims, feed = os.pipe()
     os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(items))))
@@ -143,6 +146,8 @@ def fork_map(fn, items, workers: int, first=None):
         head = first() if first else None
         results = dict(claimed())
     finally:
+        while os.read(claims, 1 << 16):  # the unclaimed items: no child takes another
+            pass
         os.close(claims)
         replies = [b"".join(iter(lambda: os.read(out, 1 << 16), b"")) for _, out in children]
         for pid, out in children:
@@ -165,25 +170,22 @@ def _x1_digit(digits) -> tuple[int, int, int]:
 
 
 def _scan(field, digits, start, stop) -> np.ndarray:
-    """pp, op and cpp of candidates [start, stop), a range of whole x^1
-    groups.  A hit is an orthomorphism when its sibling, the candidate
-    whose x^1 coefficient c1 is c1 - 1 in the field, is a hit too (f - x),
-    and a complete mapping likewise with c1 + 1.  The x^1 digit is one of
-    the layout's two lowest digits, so a kernel step (whole blocks of the
-    lowest d + 1 >= 2 digits, or the range's own ends) holds whole groups
-    and each sibling is read from the hit's own mask.  Below the digit's
-    offset there is no sibling: that is the lead at degree 1, where f -/+ x
-    is constant, and as the lead is the top digit the sibling's offset in
-    the mask is negative (which a clipped read would take as offset 0)."""
+    """[pp, n_1, ..., n_(q-1)] of candidates [start, stop), a range of whole
+    x^1 groups: n_lam counts the hits f whose sibling f - lam*x, with x^1
+    coefficient c1 - lam, is a hit too.  The x^1 digit is one of the
+    layout's two lowest digits, so a kernel step (whole blocks of the lowest
+    d + 1 >= 2 digits, or the range's own ends) holds whole groups and each
+    sibling is read from the hit's own mask.  Below the digit's offset there
+    is no sibling: that is the lead at degree 1, where f - lam*x is
+    constant, and as the lead is the top digit the sibling's offset in the
+    mask is negative (which a clipped read would take as offset 0)."""
     place, radix, off = _x1_digit(digits)
     group = place * radix
     c1 = np.arange(group) // place + off  # the x^1 coefficient at each offset in a group
-    # the offset from a hit to its f - x (row 0) and f + x (row 1) sibling;
-    # int32 offsets within a step (far fewer than 2^31 candidates) keep the
-    # lookup's temporaries narrow
-    shift = np.array([(t[c1, 1] - c1) * place for t in (field.sub_t, field.add_t)],
-                     dtype=np.int32)
-    pp, found = 0, np.zeros(2, dtype=np.int64)
+    # row lam - 1: the offset from a hit to its f - lam*x sibling; int32 offsets within a
+    # step (far fewer than 2^31 candidates) keep the lookup's temporaries narrow
+    shift = ((field.sub_t[c1, 1:].T - c1) * place).astype(np.int32, order="C")
+    pp, found = 0, np.zeros(field.q - 1, dtype=np.int64)
     for _, mask in kernels.permutation_hits(field, digits, start, stop):
         hits = np.flatnonzero(mask).astype(np.int32)
         sib = shift.take(hits % group, axis=1)
@@ -194,9 +196,10 @@ def _scan(field, digits, start, stop) -> np.ndarray:
 
 
 def census_counts(query: CensusQuery, workers: int = 1,
-                  budget: int = DEFAULT_BUDGET) -> dict[str, int]:
+                  budget: int = DEFAULT_BUDGET) -> dict:
     """Exact counts of the permutations ("pp"), orthomorphisms ("op") and
-    complete mappings ("cpp") of degree `degree` in the query's space, from
+    complete mappings ("cpp") of degree `degree` in the query's space, and
+    "lam", the list of n_lam for lam = 1..q-1 (op is n_1, cpp n_-1), from
     one scan; `query.property` is not read.
 
     Deterministic for fixed inputs regardless of `workers`: the candidate
@@ -219,13 +222,14 @@ def census_counts(query: CensusQuery, workers: int = 1,
     per = -(-total // group // slots) * group
     cuts = [*range(0, total, per), total]
     _, counts = fork_map(_scan, [(query.field, digits, *ab) for ab in zip(cuts, cuts[1:])], slots)
-    return dict(zip(PROPERTIES, map(int, sum(counts))))
+    pp, *lam = map(int, sum(counts))
+    return {"pp": pp, "op": lam[0], "cpp": lam[query.field.neg_t[1] - 1], "lam": lam}
 
 
 def census(query: CensusQuery, workers: int = 1,
            budget: int = DEFAULT_BUDGET) -> int:
     """Exact count of degree-`degree` polynomials with the query's property:
     its figure among the `census_counts` of one scan.  pp counts the
-    kernel's permutation hits, op and cpp the hits whose f - x or f + x
-    sibling is a hit too (`_scan`)."""
+    kernel's permutation hits, op and cpp the hits whose f - lam*x sibling
+    is a hit too, at lam = 1 and lam = -1 (`_scan`)."""
     return census_counts(query, workers, budget)[query.property]

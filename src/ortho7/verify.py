@@ -16,10 +16,10 @@ compares it against the golden fixtures in data/reference_results.json:
   distinctness      each pair's q^2 shifts give q^2 distinct coefficient
                     vectors (q at q=49), disjoint across pairs
   census            one exhaustive scan per order q = 8, 11, 13, 17, 19
-                    reproduces the canonical op counts, with cpp = op and
-                    op_total = canonical * q; at 11-19 its permutation
-                    count is q(q-1) times the class-image index size, which
-                    proves the class tables complete
+                    reproduces the canonical op counts, with op as the
+                    f - lam*x count at every lam and op_total = canonical * q;
+                    at 11-19 its permutation count is q(q-1) times the
+                    class-image index size: the class tables are complete
   audit             table-based and direct permutation tests agree on
                     random and structured samples
   properties        transversal-set cardinalities, canonical-form class
@@ -315,12 +315,13 @@ def check_distinctness(seed: int = 2024,
 @_timed("census")
 def check_census(workers: int = 2,
                  reports: dict | None = None):
-    """One exhaustive canonical census per order gives pp, op and cpp: op is
-    the published canonical count, op_total = op * q, and at the table
-    orders pp = q(q-1)|index|.  cpp = op always holds, since over whole x^1
-    groups f -> f - x maps the orthomorphisms onto the complete mappings:
-    that condition only checks that the two sibling lookups agree, and no
-    count can tell their directions apart.
+    """One exhaustive canonical census per order gives pp and the count n_lam
+    of permutations f with f - lam*x one too, for every lam in F_q*: op = n_1
+    is the published canonical count, op_total = op * q, and at the table
+    orders pp = q(q-1)|index|.  Every n_lam = op, since f -> mu*f maps the
+    canonical space onto itself and f - lam*x to mu*f - mu*lam*x.  The lam
+    other than 1 and -1 make that a check: over whole x^1 groups n_-lam =
+    n_lam (so cpp = op) always, as f -> f - lam*x pairs the two rows' hits.
     A permutation with zero constant term is a*g(x + c) - a*g(c) for one
     lead a, one shift c and one g with zero constant and x^6 terms, and
     each index code names such a g that is a permutation, so the mass
@@ -332,8 +333,8 @@ def check_census(workers: int = 2,
         got = census_counts(CensusQuery(field_for(q), 7, True), workers=workers)
         if got["op"] != want:
             return False, f"q={q}: canonical census {got['op']} != {want}"
-        if got["cpp"] != got["op"]:
-            return False, f"q={q}: cpp {got['cpp']} != op {got['op']}"
+        if any(n != got["op"] for n in got["lam"]):
+            return False, f"q={q}: f - lam*x counts {got['lam']} != op {got['op']}"
         details.append(f"{q}:{got['op']}")
         if q in TABLE_ORDERS:
             rep = _report(reports, q)
@@ -345,8 +346,8 @@ def check_census(workers: int = 2,
                 return False, (f"q={q}: pp {got['pp']} != q(q-1) * {index} "
                                f"index codes: the class table is incomplete")
             masses.append(f"{q}:{got['pp']}")
-    return True, (f"canonical counts {', '.join(details)}; cpp=op; op_total=count*q; "
-                  f"pp=q(q-1)|index| {', '.join(masses)}")
+    return True, (f"canonical counts {', '.join(details)}; every lam count=op; "
+                  f"op_total=count*q; pp=q(q-1)|index| {', '.join(masses)}")
 
 
 def _audit_order(q: int, n_random: int, seed: int):

@@ -13,7 +13,8 @@ Criteria and stated targets:
     pair's expansion has exactly q distinct vectors, disjoint across
     pairs - see the distinctness check's docstring)
   7 census cross-check: one canonical census per order q = 8, 11, 13,
-    17, 19 gives the 0 / 660 / 494 / 272 / 228 op counts, cpp = op, and
+    17, 19 gives the 0 / 660 / 494 / 272 / 228 op counts, which the
+    f - lam*x count equals at every lam in F_q* (lam = -1 is cpp), and
     at 11-19 the mass identity pp = q(q-1)|index| (24,750 / 17,940 /
     56,848 / 38,304 permutations), which proves those class tables
     complete (about 5-6 s on 2 workers)
@@ -109,7 +110,7 @@ def test_c6_distinctness_fails_on_a_short_pair_expansion():
 def test_c7_census_oracle():
     result = _criterion(verify.check_census(workers=2, reports=_reports))
     assert result.detail == (
-        "canonical counts 8:0, 11:660, 13:494, 17:272, 19:228; cpp=op; "
+        "canonical counts 8:0, 11:660, 13:494, 17:272, 19:228; every lam count=op; "
         "op_total=count*q; pp=q(q-1)|index| 11:24750, 13:17940, 17:56848, 19:38304")
 
 
@@ -126,6 +127,23 @@ def test_c7_census_fails_on_an_incomplete_class_table(monkeypatch):
     assert result.detail == (f"q=11: pp 24750 != q(q-1) * {keep.sum()} index "
                              f"codes: the class table is incomplete")
     assert 0 < keep.sum() < 225
+
+
+def test_c7_census_fails_on_an_f_minus_lam_x_count_that_is_not_op(monkeypatch):
+    # a census one short at lam = -1 (cpp) alone: op and the totals agree,
+    # and c7 names every lam count
+    real = verify.census_counts
+
+    def short(query, **kw):
+        got = real(query, **kw)
+        got["lam"][-1] -= 1
+        return got
+
+    monkeypatch.setattr(verify, "CENSUS_ORDERS", (11,))
+    monkeypatch.setattr(verify, "census_counts", short)
+    result = verify.check_census(workers=1, reports=_reports)
+    assert not result.ok
+    assert result.detail == f"q=11: f - lam*x counts {[660] * 9 + [659]} != op 660"
 
 
 def test_c8_classification_audit():

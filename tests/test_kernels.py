@@ -52,7 +52,9 @@ def test_census_range_sharding_consistency():
         counts = sum(perm._scan(fld, digits, s, min(s + step, total))
                      for s in range(0, total, step))
         assert counts.tolist() == perm._scan(fld, digits, 0, total).tolist()
-    assert counts.tolist() == [1232, 336, 336]
+    # pp, then the f - lam*x count at each lam in F_8*, all op = cpp (-1 = 1
+    # in characteristic 2), since f -> mu*f maps f - lam*x to mu*f - mu*lam*x
+    assert counts.tolist() == [1232] + [336] * 7
 
 
 def _odometer_rows(fld, deg, canonical, start, stop):
@@ -73,15 +75,15 @@ def _odometer_index(fld, row, canonical):
 
 
 def _horner_hits(fld, rows):
-    """pp, op and cpp hit masks of coefficient rows, by the Horner
-    evaluator: pp_batch of the rows and of their f - x and f + x rows."""
+    """The pp hit mask of coefficient rows, then one mask per lam in F_q* of
+    the rows f whose f - lam*x permutes too, by the Horner evaluator: one
+    pp_batch of the rows, then one of the hits' f - lam*x rows over every lam."""
     pp = kernels.pp_batch(fld, rows).astype(bool)
-    masks = [pp]
-    for shift_t in (fld.sub_t, fld.add_t):
-        shifted = rows.copy()
-        shifted[:, 1] = shift_t[rows[:, 1], 1]
-        masks.append(pp & kernels.pp_batch(fld, shifted).astype(bool))
-    return masks
+    shifted = np.tile(rows[pp], (fld.q - 1, 1))  # row block lam - 1: f - lam*x
+    shifted[:, 1] = fld.sub_t[shifted[:, 1], np.repeat(np.arange(1, fld.q), pp.sum())]
+    lam = np.zeros((fld.q - 1, pp.size), dtype=bool)
+    lam[:, pp] = kernels.pp_batch(fld, shifted).reshape(fld.q - 1, -1)
+    return [pp, *lam]
 
 
 def _degree7_hits(fld):
@@ -107,17 +109,19 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
     # random slices, and for degree 7 a slice around a known hit of each
     # property, start and end at arbitrary offsets, so they cut the
     # census's blocks: the kernel's hits in each slice are the Horner
-    # permutations, and perm's pp, op and cpp over the slice widened to
-    # whole x^1 groups (q candidates in the canonical layout, q^2 in the
-    # full one, the whole space at degree 1) are the Horner counts.  The
-    # scan gathers rows of three low digits at 8-16, of two at 17-31 and of
-    # one at 41 and 49 (where the x^1 digit of a non-canonical row is the
-    # mid digit), with hits in uint8 at 8, uint16 at 11 and 16, uint32 at
-    # 17 and 31 and uint64 at 41 and 49.  It gathers the points x > 0 two
-    # per row at 8, 11 and 17 (at 8 the odd last one alone) and one per row
-    # elsewhere.  At q = 8 and 11 one slice spans more than two steps of
-    # the scan (2^19 candidates at q = 8 and 17 * 11^4 at q = 11), in
-    # degree 6 at q = 8, since no polynomial of degree q - 1 permutes F_q
+    # permutations, and perm's pp and f - lam*x counts over the slice
+    # widened to whole x^1 groups (q candidates in the canonical layout, q^2
+    # in the full one, the whole space at degree 1) are the Horner counts:
+    # on a slice the lam counts need not be equal, so these tell c1 - lam
+    # from c1 + lam, which the whole space cannot.  The scan gathers rows
+    # of three low digits at 8-16, of two at 17-31 and of one at 41 and 49
+    # (where the x^1 digit of a non-canonical row is the mid digit), with
+    # hits in uint8 at 8, uint16 at 11 and 16, uint32 at 17 and 31 and
+    # uint64 at 41 and 49.  It gathers the points x > 0 two per row at 8,
+    # 11 and 17 (at 8 the odd last one alone) and one per row elsewhere.
+    # At q = 8 and 11 one slice spans more than two steps of the scan (2^19
+    # candidates at q = 8 and 17 * 11^4 at q = 11), in degree 6 at q = 8,
+    # since no polynomial of degree q - 1 permutes F_q
     fld = field_for(q)
     rng = np.random.default_rng(100 * q + deg)
     hits = _degree7_hits(fld) if deg == 7 else {}
@@ -144,8 +148,8 @@ def test_census_scan_agrees_with_horner_rows(q, deg):
                 assert np.array_equal(got, want), (canonical, start, stop)
                 counts = [int(m.sum()) for m in masks]
                 assert perm._scan(fld, digits, lo, hi).tolist() == counts, (canonical, lo, hi)
-            if prop in hits:  # the last slice holds the known hit
-                assert counts[perm.PROPERTIES.index(prop)] >= 1
+            if prop in hits:  # the last slice holds the known hit (cpp at lam = -1)
+                assert counts[{"pp": 0, "op": 1, "cpp": fld.neg_t[1]}[prop]] >= 1
 
 
 def test_permutation_hits_read_any_layout():
@@ -279,7 +283,8 @@ def test_census_shards_of_uneven_lengths_sum_to_the_count():
     # eight kernel shards of odd lengths, one of them longer than a chunk
     # of the scan's high values, cover the canonical space of q = 11 and
     # yield its 24,750 permutations; perm's counts over shards of odd
-    # numbers of whole x^1 groups (11 candidates) are pp, op and cpp
+    # numbers of whole x^1 groups (11 candidates) are pp and the f - lam*x
+    # counts, op = cpp = 660 at every lam
     fld = field_for(11)
     query = CensusQuery(fld, 7, True)
     digits, total = query.digits(), query.space()
@@ -294,7 +299,7 @@ def test_census_shards_of_uneven_lengths_sum_to_the_count():
     assert sum(groups) == total and all(n // 11 % 2 for n in groups)
     cuts = np.cumsum([0] + groups).tolist()
     assert sum(perm._scan(fld, digits, a, b)
-               for a, b in zip(cuts, cuts[1:])).tolist() == [24_750, 660, 660]
+               for a, b in zip(cuts, cuts[1:])).tolist() == [24_750] + [660] * 10
 
 
 @pytest.mark.parametrize("q", [11, 13, 23, 25, 41, 49])

@@ -3,8 +3,12 @@ plain-python brute-force oracle on small degrees."""
 
 import os
 import select
+import subprocess
+import sys
+import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -61,8 +65,10 @@ def test_pp_invariant_under_linear_transform(f11):
 
 
 def _brute_census(fld, deg, canonical, prop):
-    fn = {"pp": is_permutation, "op": is_orthomorphism,
-          "cpp": is_complete_mapping}[prop]
+    """The count of a property, or for prop = lam in F_q* of the f such that
+    f and f - lam*x permute."""
+    fn = {"pp": is_permutation, "op": is_orthomorphism, "cpp": is_complete_mapping}.get(
+        prop, lambda f: perm._bijective(f, lambda v, x: fld.sub(v, fld.mul(prop, x))))
     count = 0
     lows = (0,) if canonical else tuple(fld.elements())
     for lead in fld.nonzero():
@@ -107,6 +113,7 @@ def test_census_worker_independence(monkeypatch, request, f5, f11):
     for fld, deg, canonical in product((f5, field_for(8)), (1, 2, 3), (False, True)):
         query = CensusQuery(fld, deg, canonical)
         want = {prop: _brute_census(fld, deg, canonical, prop) for prop in perm.PROPERTIES}
+        want["lam"] = [_brute_census(fld, deg, canonical, lam) for lam in fld.nonzero()]
         for workers in (1, 2, 3):
             shards.clear()
             assert perm.census_counts(query, workers=workers) == want, (
@@ -297,6 +304,52 @@ def test_fork_map_forks_nothing_for_one_item_or_one_cpu(monkeypatch, two_cpus, f
     assert perm.fork_map(divmod, [(i, 3) for i in range(9)], 8) == (
         None, [divmod(i, 3) for i in range(9)])
     assert fork_log == []
+
+
+def test_fork_map_refuses_more_items_than_its_claim_pipe_holds():
+    # the 4-byte numbers of 16,384 items fill a 64 KB pipe before anything
+    # reads it, and one more would block os.write forever: it is refused
+    # first.  On 1 worker (nothing forks), in a fresh interpreter under a
+    # timeout, so that a hang fails the test rather than stall the suite.
+    src = str(Path(perm.__file__).parents[1])
+    code = ("from ortho7.errors import InvalidArgument\n"
+            "from ortho7.perm import fork_map\n"
+            "assert fork_map(divmod, [(7, 2)] * 16384, 1)[1] == [(3, 1)] * 16384\n"
+            "try:\n"
+            "    fork_map(divmod, [(7, 2)] * 16385, 1)\n"
+            "except InvalidArgument as exc:\n"
+            "    print(exc)\n")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=20, check=True)
+    assert out.stdout == "fork_map takes at most 16384 items, not 16385\n"
+
+
+def test_fork_map_stops_its_children_when_first_raises(two_cpus, handshake, no_child_left):
+    # `first` raises once the child has started an item: this process empties
+    # the claim pipe, so the child claims nothing after the item it holds,
+    # and the call raises that error without running the other 19 items.
+    # The child's item takes 0.2 s, far longer than the raise and the drain.
+    signal, wait = handshake
+    runs, done = os.pipe()
+
+    def item(i):
+        os.write(done, b"%d " % os.getpid())
+        signal(0)
+        time.sleep(0.2)
+        return i
+
+    def first():
+        assert wait(0)
+        raise ValueError("the report chain failed")
+
+    with pytest.raises(ValueError, match="the report chain failed"):
+        perm.fork_map(item, [(i,) for i in range(20)], 2, first=first)
+    os.close(done)
+    with open(runs, "rb") as log:
+        ran = log.read().split()
+    assert len(ran) == 1 and int(ran[0]) != os.getpid()
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("q,deg,prop,want,today_mb", [
