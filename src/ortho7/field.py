@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from math import isqrt
@@ -161,62 +162,25 @@ class Field:
         return self.literals[a]
 
     def parse_element(self, s: str) -> int:
-        """Parse an element literal.
-
-        Accepts the canonical basis form ('3+2t'), pure generator powers
-        ('t^5', reduced via the modulus), products like '4t^3', and plain
-        integers (reduced mod p for prime-subfield embedding).
-        """
+        """Parse an element literal: `signed_terms` that each match
+        `ELEMENT_TERM` ('3+2t', 't^5', '4*t^3', '--1'), spaces ignored.  A
+        digit run of any length is reduced mod p, a t exponent mod q - 1."""
         text = s.replace(" ", "")
         if not text:
             raise ParseError("empty element literal")
         acc = 0
-        i = 0
-        sign = 1
-        if text[0] in "+-":
-            sign = -1 if text[0] == "-" else 1
-            i = 1
-        term = ""
-        terms = []
-        while i <= len(text):
-            ch = text[i] if i < len(text) else None
-            if ch in ("+", "-", None):
-                if not term:
-                    raise ParseError(f"bad element literal {s!r}")
-                terms.append((sign, term))
-                if ch is None:
-                    break
-                sign = -1 if ch == "-" else 1
-                term = ""
-            else:
-                term += ch
-            i += 1
-        for sg, t in terms:
-            acc = self.add(acc, self._parse_term(t, sg, s))
+        for sign, term in signed_terms(text):
+            m = ELEMENT_TERM.fullmatch(term)
+            if m is None:
+                raise ParseError(f"bad element literal {s!r}")
+            c, t, k = m.groups()
+            val = _residue(c, self.p) if c else 1
+            if t:
+                if self.r == 1:
+                    raise ParseError(f"generator symbol in prime-field literal {s!r}")
+                val = self.mul(val, self._exp[_residue(k, self.q - 1) if k else 1])
+            acc = self.sub(acc, val) if sign < 0 else self.add(acc, val)
         return acc
-
-    def _parse_term(self, t: str, sign: int, orig: str) -> int:
-        coef = 1
-        if "t" in t:
-            if self.r == 1:
-                raise ParseError(f"generator symbol in prime-field literal {orig!r}")
-            head, _, tail = t.partition("t")
-            head = head.rstrip("*")
-            if head:
-                if not head.isdigit():
-                    raise ParseError(f"bad coefficient in {orig!r}")
-                coef = int(head)
-            k = 1
-            if tail:
-                if not tail.startswith("^") or not tail[1:].isdigit():
-                    raise ParseError(f"bad exponent in {orig!r}")
-                k = int(tail[1:])
-            val = self.mul(self.from_int(coef), self.pow(self.theta, k))
-        else:
-            if not t.isdigit():
-                raise ParseError(f"bad element literal {orig!r}")
-            val = self.from_int(int(t))
-        return self.neg(val) if sign < 0 else val
 
     def __repr__(self):
         if self.r == 1:
@@ -228,6 +192,43 @@ class Field:
 
     def __hash__(self):
         return hash(self.spec)
+
+
+# The one literal grammar: a literal is a sum of signed terms, and an
+# element term is a digit run or [c[*]]t[^k] (ASCII digits; a '*' needs c).
+# `poly._TERM_RE` reads a plain polynomial coefficient with the same text.
+ELEMENT_TERM = re.compile(
+    r"(?:(?P<c>[0-9]+)(?:\*(?=t))?|(?=t))(?P<t>t(?:\^(?P<k>[0-9]+))?)?")
+_SIGNED = re.compile(r"([+-]+)([^+-]*)")  # a sign run and the text after it
+
+
+def signed_terms(s: str) -> list[tuple[int, str]]:
+    """The (sign, term) pairs of s, split at its sign runs outside
+    parentheses.  A run multiplies into the sign of the term after it
+    ('x^7+-x' is x^7 - x, '--1' is 1); signs inside parentheses belong to
+    their term ('(3+2t)x').  A run with no term after it is a ParseError."""
+    if "+" not in s and "-" not in s:  # most table literals: no regex pass
+        return [(1, s)] if s else []
+    terms, depth = [], 0
+    for run, text in _SIGNED.findall("+" + s):
+        if depth:
+            sign, term = terms.pop()
+            terms.append((sign, term + run + text))
+        elif text:
+            terms.append((-1 if run.count("-") % 2 else 1, text))
+        else:
+            raise ParseError(f"sign without a term in {s!r}")
+        depth += text.count("(") - text.count(")")
+    return terms
+
+
+def _residue(run: str, m: int) -> int:
+    """A decimal digit run mod m.  int() may refuse a string of more than
+    640 digits, so a longer run is read 600 digits at a time."""
+    r = 0
+    while len(run) > 600:
+        r, run = (r * pow(10, 600, m) + int(run[:600])) % m, run[600:]
+    return (r * 10 ** len(run) + int(run)) % m
 
 
 def _literal(digits) -> str:

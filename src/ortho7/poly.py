@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ParseError
-from .field import Field
+from .field import ELEMENT_TERM, Field, signed_terms
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,11 @@ def apply_transform(f: Poly, t: LinearTransform) -> Poly:
 # Text I/O.  Two interchangeable literal syntaxes:
 #   vector form:   "0,2,0,0,0,0,0,1"            (ascending coefficients)
 #   symbolic form: "x^7+2x", "(3+2t)x^3+tx"     (descending or any order)
+# Both read the field's grammar: a vector entry is an element literal, a
+# symbolic term a coefficient ('(3+2t)' or one `ELEMENT_TERM`) and/or x^e.
 
 _TERM_RE = re.compile(  # a '*' needs a coefficient before it and x after it
-    r"^(?:(?:\((?P<paren>[^()]+)\)|(?P<plain>[0-9]+|[0-9]*t(?:\^[0-9]+)?))"
+    rf"^(?:(?:\((?P<paren>[^()]+)\)|(?P<plain>{ELEMENT_TERM.pattern}))"
     r"(?:\*(?=x))?)?(?P<var>x(?:\^(?P<exp>[0-9]+))?)?$"
 )
 # a bound far above any degree the package evaluates; the parser checks it
@@ -141,35 +143,10 @@ def parse_poly(field: Field, text: str) -> Poly:
     return _parse_symbolic(field, s)
 
 
-def _split_terms(s: str):
-    terms = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur:
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and depth == 0 and not cur:
-            sign = sign * (1 if ch == "+" else -1)
-        else:
-            cur += ch
-    if not cur and s:
-        raise ParseError(f"sign without a term in {s!r}")
-    if cur:
-        terms.append((sign, cur))
-    return terms
-
-
 def _parse_symbolic(field: Field, s: str) -> Poly:
     s = s.replace(" ", "")
     coeffs: dict[int, int] = {}
-    for sign, term in _split_terms(s):
+    for sign, term in signed_terms(s):
         m = _TERM_RE.match(term)
         if not m or (m.group("paren") is None and m.group("plain") is None
                      and m.group("var") is None):

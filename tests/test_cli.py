@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import random
 import tempfile
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ortho7 import cli, families, field
 from ortho7.cli import main
 from ortho7.pairs import EnumerationReport, enumerate_ops
-from ortho7.poly import format_poly
+from ortho7.poly import Poly, format_poly
 
 
 def run(capsys, *argv):
@@ -266,6 +268,29 @@ def _usage_error(capsys, *argv):
     return err
 
 
+def test_non_ascii_digits_are_one_error_line(capsys):
+    # '²' passes str.isdigit but not int(): only ASCII digits are digits
+    for argv in (("test", "--q", "25", "(²)x"), ("classify", "--q", "13", "²,²"),
+                 ("test", "--q", "25", "(t^²)x")):
+        assert _usage_error(capsys, *argv).count("\n") == 1, argv
+
+
+def test_digit_runs_past_the_int_string_limit_reduce(capsys):
+    # int() refuses strings over 4300 digits; the reference reduces the
+    # run one digit at a time
+    digits = "".join(random.Random(5000).choices("0123456789", k=5000))
+    c, k = (functools.reduce(lambda r, d: (r * 10 + int(d)) % m, digits, 0)
+            for m in (13, 24))
+    f13, f25 = field.field_for(13), field.field_for(25)
+    for fld, literal, coeffs in (
+            (f13, f"{digits}x", (0, c)),                         # plain coefficient
+            (f25, f"(t^{digits})x", (0, f25.pow(f25.theta, k))),  # t exponent
+            (f13, f"1,{digits}", (1, c))):                       # vector entry
+        code, out, _ = run(capsys, "test", "--q", str(fld.q), literal, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["poly"] == format_poly(Poly(fld, coeffs))
+
+
 def test_memory_exhaustion_is_one_error_line(capsys, monkeypatch):
     # a field too large for memory fails in its table build; the stub
     # raises there without allocating anything
@@ -345,7 +370,8 @@ _FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
     ["--p", "5", "--r", "0"], ["--p", "5", "--r", "2", "--modulus", "1,2"],
     ["--p", "5", "--r", "2", "--modulus", "a,b"], ["--q", "13", "--p", "13"]]
 _POLYS = ["x", "x^7+2x", "3x^7+7x", "x^7+6x", "x^7", "x^3", "0", "1",
-          "0,2,0,0,0,0,0,1", "1,2,3", "x^^oops", "2t", ""]
+          "0,2,0,0,0,0,0,1", "1,2,3", "x^^oops", "2t", "",
+          "(²)x", "²,1", "9" * 5000, "(3+-2)x", "(*t)x"]
 _TMP = "<tmp>"
 _PATHS = (f"{_TMP}/out.txt", f"{_TMP}/missing/out.txt")
 _COMMON = [["--format", v] for v in ("text", "json", "csv")] + [

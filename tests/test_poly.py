@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ortho7.errors import ParseError
 from ortho7.field import field_for
@@ -34,6 +35,11 @@ def test_parse_both_literal_forms(f13, f25):
     assert parse_poly(f13, "2*x").coeffs == parse_poly(f13, "2x").coeffs == (0, 2)
     assert parse_poly(f25, "(t+1)*x^3").coeffs == parse_poly(f25, "(t+1)x^3").coeffs
     assert parse_poly(f25, "t*x").coeffs == parse_poly(f25, "tx").coeffs
+    # a plain coefficient is one element term, so it may be c*t as well
+    assert parse_poly(f25, "3*t*x") == parse_poly(f25, "(3t)x") == parse_poly(f25, "3tx")
+    assert parse_poly(f25, "x^7+70*t") == parse_poly(f25, "x^7+(70t)")
+    with pytest.raises(ParseError):
+        parse_poly(f25, "(4**t)x^7")
     # exponents are bounded before the coefficient tuple is built
     assert parse_poly(f13, f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
     assert parse_poly(f13, "x^007").coeffs == parse_poly(f13, "x^7").coeffs
@@ -45,6 +51,51 @@ def test_parse_both_literal_forms(f13, f25):
     # over the split of its zeros)
     with pytest.raises(ParseError, match="bad term"):
         parse_poly(f13, "x^" + "0" * 100_000 + "y")
+
+
+@st.composite
+def _element_sum(draw):
+    """An element literal built term by term, with the value field
+    arithmetic gives it: 1-4 terms, each a sign run, then a digit run or
+    [c[*]]t[^k] with leading zeros, spaces between the pieces."""
+    fld = field_for(draw(st.sampled_from([13, 25, 49])))
+    space = st.sampled_from(["", "", " "])
+    text, value = "", 0
+    for i in range(draw(st.integers(1, 4))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=int(i > 0), max_size=3))
+        text += draw(space).join(signs) + draw(space)
+        c, k = draw(st.integers(0, 200)), draw(st.integers(0, 100))
+        zeros = "0" * draw(st.integers(0, 2))
+        if fld.r == 1 or draw(st.booleans()):  # a digit run
+            text, val = text + zeros + str(c), fld.from_int(c)
+        else:
+            coef = draw(st.sampled_from(["", zeros + str(c), zeros + str(c) + "*"]))
+            power = draw(st.sampled_from(["", f"^{zeros}{k}"]))
+            text += coef + "t" + power
+            val = fld.mul(fld.from_int(c) if coef else 1,
+                          fld.pow(fld.theta, k if power else 1))
+        value = fld.sub(value, val) if signs.count("-") % 2 else fld.add(value, val)
+        text += draw(space)
+    return fld, text, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_element_sum())
+def test_element_literals_by_construction(case):
+    fld, text, value = case
+    assert fld.parse_element(text) == value, text
+    assert parse_poly(fld, f"({text})x^2") == Poly(fld, (0, 0, value)), text
+    assert parse_poly(fld, f"{text},1") == Poly(fld, (value, 1)), text
+
+
+def test_malformed_element_literals_are_refused(f25, f49):
+    for fld in (f25, f49):
+        # '²' and the Arabic-Indic three pass str.isdigit: only 0-9 are digits
+        for text in ("*t", "4**t", "t^", "3+", "+", "(3)", "t2", "²", "\u0663"):
+            with pytest.raises(ParseError):
+                fld.parse_element(text)
+            with pytest.raises(ParseError):
+                parse_poly(fld, f"{text},1")
 
 
 def test_format_roundtrip(f13, f25):
