@@ -10,8 +10,9 @@ Construction precomputes exp/log tables for the pinned generator plus
 full q x q add/sub/mul tables, so the inner loops downstream (permutation
 checks, pair searches, the census) reduce to integer array lookups and
 can be handed to numpy wholesale; the scalar add, sub and mul read the
-same arrays.  The q element literals are built once too, so formatting
-is a tuple lookup.
+same arrays; `build_field` and `field_for` refuse an order past their
+budget, MAX_ORDER.  The q element literals are built once too, so
+formatting is a tuple lookup.
 
 The generator choice is part of the field's identity, not an
 implementation detail: the coset-transversal sets used by the canonical
@@ -45,6 +46,20 @@ from .errors import (
     ReducibleModulus,
     UnsupportedOrder,
 )
+
+
+# A Field's three q x q int64 tables (add, sub, mul) cost 24 q^2 bytes;
+# within 1 GiB, q <= 6688, past the class route's q <= 6208.
+TABLE_BYTES = 1 << 30
+MAX_ORDER = isqrt(TABLE_BYTES // 24)
+
+
+def _check_order(p: int, r: int = 1) -> None:
+    """UnsupportedOrder for p^r past MAX_ORDER; no p^r above 2^13 is formed."""
+    if r > MAX_ORDER.bit_length() or p ** r > MAX_ORDER:
+        raise UnsupportedOrder(
+            f"q={p if r == 1 else f'{p}^{r}'} is past the field-table budget: "
+            f"24*q^2 bytes within {TABLE_BYTES >> 30} GiB, q <= {MAX_ORDER}")
 
 
 def is_prime(n: int) -> bool:
@@ -285,12 +300,15 @@ def build_field(spec: FieldSpec) -> Field:
     F_p[x]/(m), so every nonzero residue is a unit, the ring is a field
     and m is irreducible and primitive.  Only when the orbit fails does
     trial division tell a reducible modulus from a non-primitive one.
+    An order past MAX_ORDER is refused before any of this.
     """
-    p, r, q = spec.p, spec.r, spec.q
+    p, r = spec.p, spec.r
+    _check_order(p)  # before is_prime, whose trial division grows as sqrt(p)
     if not is_prime(p):
         raise NonPrimeP(f"p={p} is not prime")
     if r < 1:
         raise InvalidArgument(f"extension degree r={r} must be >= 1")
+    _check_order(p, r)
     if r == 1:
         # x - g is the modulus whose x is g; some g < p is a primitive root
         return next(Field(spec, g, exp) for g in range(1, p)
@@ -306,7 +324,7 @@ def build_field(spec: FieldSpec) -> Field:
     if _has_low_factor(modulus, p):
         raise ReducibleModulus(f"{spec.modulus} is reducible over F_{p}")
     raise NonPrimitiveModulus(
-        f"root of {spec.modulus} has order < {q - 1} in F_{q}")
+        f"root of {spec.modulus} has order < {spec.q - 1} in F_{spec.q}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +354,7 @@ def field_for(q: int) -> Field:
     """Build (and cache) the preset field of order q."""
     if q in _FIELD_CACHE:
         return _FIELD_CACHE[q]
+    _check_order(q)
     presets = _load_presets()
     if q in presets:
         entry = presets[q]

@@ -35,7 +35,8 @@ alpha*f(beta*x), the lexicographically smallest (alpha, beta) by element
 index.  Both routes run it once over their hit cells, as one array of
 `kernels.scaled_rows`, sorted stably by `np.lexsort` over its integer
 columns (exact at every order); comparisons with published pair lists are
-by set.  One stream of shift blocks, `shift_blocks`, expands the pairs.
+by set.  One stream of shift blocks, `shift_blocks`, expands the pairs,
+and `write_vectors` writes its rows for `enumerate --emit`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .families import (
     field_entries,
 )
 from .field import Field, field_for
-from .poly import Poly
+from .poly import Poly, vector_form
 
 # Known discrepancies in the published tallies, reported alongside the
 # computed numbers rather than silently matched.
@@ -176,29 +177,26 @@ class EnumerationReport:
         return self.exceptional_pair_total * self.q * self.q
 
     def to_dict(self, field: Field | None = None) -> dict:
-        fld = field or field_for(self.q)
-        fmt = fld.format_element
+        fmt = (field or field_for(self.q)).format_element
         return {
             "q": self.q,
-            "families": [
-                {
-                    "ordinal": r.family.ordinal,
-                    "tuple": [fmt(c) for c in r.family.coeffs],
-                    "exceptional": r.family.exceptional,
-                    "method": r.method,
-                    "pair_count": r.pair_count,
-                    "pairs": [[fmt(a), fmt(b)] for a, b in r.pairs],
-                }
-                for r in self.per_family
-            ],
-            "totals": {
-                "pair_total": self.pair_total,
-                "op_total": self.op_total,
-                "exceptional_pair_total": self.exceptional_pair_total,
-                "exceptional_op_total": self.exceptional_op_total,
-            },
+            "families": [family_record(r, fmt) for r in self.per_family],
+            "totals": {name: getattr(self, name) for name in (
+                "pair_total", "op_total", "exceptional_pair_total",
+                "exceptional_op_total")},
             "notes": list(self.notes),
         }
+
+
+def family_record(result: PairSearchResult, fmt) -> dict:
+    """One family's pair search as the JSON record of `pairs` and
+    `enumerate`, its elements as the literals `fmt` gives."""
+    return {"ordinal": result.family.ordinal,
+            "tuple": [fmt(c) for c in result.family.coeffs],
+            "exceptional": result.family.exceptional,
+            "method": result.method,
+            "pair_count": result.pair_count,
+            "pairs": [[fmt(a), fmt(b)] for a, b in result.pairs]}
 
 
 def count_ops(field: Field | int, method: str = "direct") -> EnumerationReport:
@@ -206,15 +204,11 @@ def count_ops(field: Field | int, method: str = "direct") -> EnumerationReport:
     field (`field_entries`); an order stands for its preset field."""
     if not isinstance(field, Field):
         field = field_for(field)
+    if method not in ("direct", "table"):
+        raise ValueError(f"unknown method {method!r}")
+    search = search_pairs_direct if method == "direct" else search_pairs_table_based
+    per = [search(field, entry) for entry in field_entries(field)]
     q = field.q
-    per = []
-    for entry in field_entries(field):
-        if method == "direct":
-            per.append(search_pairs_direct(field, entry))
-        elif method == "table":
-            per.append(search_pairs_table_based(field, entry))
-        else:
-            raise ValueError(f"unknown method {method!r}")
     notes = [FIELD_NOTES[q]] if q in FIELD_NOTES else []
     return EnumerationReport(q, per, notes)
 
@@ -240,6 +234,18 @@ def enumerate_ops(q: int,
             # normal rows (x^7 coefficient alpha*beta^7*f7 != 0) of Python ints
             for row in zip(*block.T.tolist()):
                 yield Poly._of_normal(field, row)
+
+
+def write_vectors(field: Field, report: EnumerationReport, fh) -> int:
+    """Write the rows of `enumerate_ops` to fh as vector literals, one a
+    line and one write per pair (its q^2 shift rows); the rows written."""
+    lits, n = field.literals, 0
+    for res in report.per_family:
+        for block in shift_blocks(field, res.signatures):
+            fh.write("\n".join([vector_form(lits, row)
+                                for row in zip(*block.T.tolist())]) + "\n")
+            n += len(block)
+    return n
 
 
 def shift_blocks(field: Field, sigs) -> Iterator[np.ndarray]:

@@ -1,15 +1,22 @@
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ortho7 import cli, families, field
+import ortho7
+from ortho7 import cli, families, field, verify
 from ortho7.cli import main
 from ortho7.pairs import EnumerationReport, enumerate_ops
 from ortho7.poly import Poly, format_poly
@@ -357,6 +364,149 @@ def test_census_degree_zero_is_a_usage_error(capsys):
                                     "--degree", "0")
 
 
+def _disagreeing_routes(monkeypatch):
+    # the table route loses its first pair, so the two routes disagree
+    table = cli.search_pairs_table_based
+
+    def planted(fld, entry):
+        res = table(fld, entry)
+        return dataclasses.replace(res, pairs=res.pairs[1:])
+
+    monkeypatch.setattr(cli, "search_pairs_table_based", planted)
+
+
+def _planted_suite(ok):
+    def plant(monkeypatch):
+        monkeypatch.setattr(verify, "run_suite", lambda **opts: [
+            verify.CheckResult("planted", ok, "planted check", 0.0)])
+    return plant
+
+
+def _pair_at_23(monkeypatch):
+    planted = EnumerationReport(23, [SimpleNamespace(pair_count=1)])
+    monkeypatch.setattr(cli, "count_ops", lambda q: planted)
+
+
+_PAYLOAD_KEYS = ["q", "command", "results", "totals", "timings"]
+_ENVELOPES = {
+    # id: argv, plant, exit code, extra payload keys, extra timings keys
+    "test": (["test", "--q", "13", "x^7+6x"], None, 0, [], []),
+    "classify": (["classify", "--q", "13", "x^7+6x"], None, 0, [], []),
+    "pairs": (["pairs", "--q", "13", "--family", "1", "--method", "both"],
+              None, 0, [], []),
+    "pairs-disagree": (["pairs", "--q", "13", "--family", "1", "--method", "both"],
+                       _disagreeing_routes, 1, [], []),
+    "enumerate": (["enumerate", "--q", "19"], None, 0, ["results_notes"], []),
+    "enumerate-emit": (["enumerate", "--q", "13", "--emit", "<tmp>/ops.txt"], None, 0,
+                       ["results_notes", "results_emitted"], []),
+    "census": (["census", "--q", "8", "--canonical"], None, 0, [], ["candidates_per_s"]),
+    "verify": (["verify"], _planted_suite(True), 0, [], []),
+    "verify-fails": (["verify"], _planted_suite(False), 1, [], []),
+    "verify-field": (["verify", "--field", "13"], None, 0, [], []),
+    "verify-field-fails": (["verify", "--field", "23"], _pair_at_23, 1, [], []),
+    "usage-order": (["pairs", "--q", "9"], None, 2, None, None),
+    "usage-budget": (["census", "--q", "13", "--budget", "1000"], None, 2, None, None),
+    "usage-field": (["verify", "--field", "29"], None, 2, None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENVELOPES))
+def test_every_command_shares_one_envelope(case, capsys, monkeypatch, tmp_path):
+    argv, plant, want, extra, timings = _ENVELOPES[case]
+    argv = [a.replace("<tmp>", str(tmp_path)) for a in argv]
+    if plant is not None:
+        plant(monkeypatch)
+    outputs = {}
+    for fmt in ("json", "text", "csv"):
+        code, outputs[fmt], err = run(capsys, *argv, "--format", fmt)
+        assert code == want, (fmt, err)
+        if want == 2:
+            assert outputs[fmt] == "" and err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert err == "" and outputs[fmt].endswith("\n")
+    if want == 2:
+        return
+    payload = json.loads(outputs["json"])
+    assert list(payload) == _PAYLOAD_KEYS + extra
+    assert list(payload["timings"]) == ["elapsed_s"] + timings
+    assert payload["command"] == argv[0]
+    assert payload["q"] == (None if argv == ["verify"] else int(argv[2]))
+    if argv[0] == "pairs":  # the family record of `enumerate`, method included
+        family = payload["results"]["families"][0]
+        assert family["method"] == "direct" and family["methods_agree"] is (want == 0)
+        assert payload["results"]["methods_agree"] is (want == 0)
+
+
+def test_pairs_and_enumerate_print_one_family_record(capsys):
+    _, pairs_out, _ = run(capsys, "pairs", "--q", "13", "--format", "json")
+    _, enum_out, _ = run(capsys, "enumerate", "--q", "13", "--format", "json")
+    assert json.loads(pairs_out)["results"]["families"] == json.loads(enum_out)["results"]
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_INTEGER_OPTIONS = {"--q", "--p", "--r", "--family", "--degree", "--budget",
+                    "--field", "--workers", "--audit-n", "--modulus"}
+
+
+def test_integer_options_read_ascii_digits_alone(capsys):
+    # int() reads every Unicode decimal digit, so "--q ١٣" once chose F_13:
+    # each integer option, and each --modulus entry, takes '-' and 0-9 alone
+    for argv in (["test", "--q", "13", "x^7+2x"],
+                 ["test", "--p", "5", "--r", "2", "--modulus", "2,4,1", "x"],
+                 ["pairs", "--q", "13", "--family", "1"],
+                 ["census", "--q", "8", "--canonical", "--degree", "7",
+                  "--workers", "2", "--budget", "10000000"],
+                 ["verify", "--field", "13"]):
+        assert run(capsys, *argv)[0] == 0, argv
+        for i in range(1, len(argv)):
+            if argv[i - 1] in _INTEGER_OPTIONS:
+                bad = argv[:i] + [argv[i].translate(_ARABIC_INDIC)] + argv[i + 1:]
+                code, out, err = run(capsys, *bad)
+                assert code == 2 and out == "", bad
+                assert "invalid int value" in err or "--modulus must be" in err, bad
+    for option, value in (("--audit-n", "٥"), ("--workers", "١")):
+        code, _, err = run(capsys, "verify", option, value)
+        assert code == 2 and "invalid int value" in err
+    # int() also took spaces, a '+' and underscores
+    for value in (" 13", "13 ", "+13", "1_3", "²", "-", "1-3"):
+        code, _, err = run(capsys, "test", "--q", value, "x")
+        assert code == 2 and "invalid int value" in err, value
+    assert "order -3" in _usage_error(capsys, "test", "--q", "-3", "x")
+
+
+_LARGE_ORDERS = [
+    ["test", "--q", "1000000007", "x"],              # an orbit of q - 1 steps
+    ["test", "--q", "100000000000000000039", "x"],   # trial division
+    ["test", "--p", "100000000000000000039", "x"],
+    ["test", "--p", "3", "--r", "20", "--modulus",
+     ",".join(["2"] + ["0"] * 18 + ["1", "1"]), "x"],
+    ["test", "--p", "2", "--r", "1000000000", "--modulus", "1,1", "x"],  # 2^(10^9)
+    ["census", "--q", "1000000007", "--degree", "1", "--budget", "5"],
+]
+
+
+def test_large_orders_are_refused_before_any_work():
+    # each once ran for seconds or without end; a subprocess under a
+    # timeout turns such a regression into a failure, not a hung suite
+    src = str(Path(ortho7.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    script = "import sys; from ortho7.cli import main; sys.exit(main(sys.argv[1:]))"
+    procs = [subprocess.Popen([sys.executable, "-c", script, *argv], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in _LARGE_ORDERS]
+    try:
+        for argv, proc in zip(_LARGE_ORDERS, procs):
+            out, err = proc.communicate(timeout=10)
+            assert proc.returncode == 2 and out == "", (argv, err)
+            assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+            assert "field-table budget" in err, (argv, err)
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+
+
 # argv fuzzing: cheap orders only, a census budget on every census (the
 # default budget admits minute-long scans) and a --field instead of a field
 # selection on every verify (the full battery takes seconds).  --out and
@@ -368,7 +518,10 @@ _FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
     # malformed selections
     ["--q", "9"], ["--q", "-3"], ["--p", "4"], ["--r", "2"], [],
     ["--p", "5", "--r", "0"], ["--p", "5", "--r", "2", "--modulus", "1,2"],
-    ["--p", "5", "--r", "2", "--modulus", "a,b"], ["--q", "13", "--p", "13"]]
+    ["--p", "5", "--r", "2", "--modulus", "a,b"], ["--q", "13", "--p", "13"],
+    # refused: non-ASCII digits, an order past the field-table budget
+    ["--q", "١٣"], ["--q", "1000000007"],
+    ["--p", "5", "--r", "2", "--modulus", "2,٤,١"]]
 _POLYS = ["x", "x^7+2x", "3x^7+7x", "x^7+6x", "x^7", "x^3", "0", "1",
           "0,2,0,0,0,0,0,1", "1,2,3", "x^^oops", "2t", "",
           "(²)x", "²,1", "9" * 5000, "(3+-2)x", "(*t)x"]

@@ -16,6 +16,7 @@ from ortho7.errors import (
     ReducibleModulus,
     UnsupportedOrder,
 )
+from ortho7 import field
 from ortho7.field import FieldSpec, build_field, field_for, preset_orders
 
 
@@ -112,6 +113,31 @@ def test_large_field_holds_its_three_tables_and_little_else():
     assert f.add_t.nbytes == f.sub_t.nbytes == f.mul_t.nbytes == 1483**2 * 8
     assert retained <= 56 * 2**20 and peak <= 96 * 2**20, (retained, peak)
     assert f.mul(f.theta, f.inv(f.theta)) == 1 and f.add(1482, 1) == 0
+
+
+def test_orders_past_the_table_budget_are_refused_first(monkeypatch):
+    # the budget holds the three 24 q^2-byte tables and reaches q = 6208,
+    # the int64 limit of the class-image codes
+    assert 24 * field.MAX_ORDER ** 2 <= field.TABLE_BYTES < 24 * (field.MAX_ORDER + 1) ** 2
+    assert field.MAX_ORDER >= 6208
+
+    def never(*args):
+        raise AssertionError("reached")
+
+    # p^r past the budget: refused before the orbit, and without forming
+    # p^r (2^(10^9) alone takes seconds)
+    monkeypatch.setattr(field, "_orbit", never)
+    for spec in (FieldSpec(3, 20, (2,) + (0,) * 18 + (1, 1)),
+                 FieldSpec(2, 10**9, (1, 1)), FieldSpec(83, 2, (1, 1, 1))):
+        with pytest.raises(UnsupportedOrder, match="table budget"):
+            build_field(spec)
+    # an order past it: refused before the trial division of is_prime
+    monkeypatch.setattr(field, "is_prime", never)
+    for q in (field.MAX_ORDER + 1, 6691, 10**9 + 7, 10**20 + 39):
+        with pytest.raises(UnsupportedOrder, match="table budget"):
+            build_field(FieldSpec(q, 1, (0, 1)))
+        with pytest.raises(UnsupportedOrder, match="table budget"):
+            field_for(q)
 
 
 def test_inv_zero_raises(f13):
