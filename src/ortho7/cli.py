@@ -2,8 +2,9 @@
 
 Subcommands: test, classify, pairs, enumerate, census, verify.  A field
 is selected either with --q (preset or prime order) or with the explicit
---p/--r/--modulus triple.  An integer option or --modulus entry is an
-optional '-' and ASCII digits.  Each `cmd_*` returns a `Record`; `run`
+--p/--r/--modulus triple; --r or --modulus beside --q, or a --modulus
+without r > 1, is a usage error.  An integer option or --modulus entry
+is an optional '-' and ASCII digits.  Each `cmd_*` returns a `Record`; `run`
 alone times the whole command (`timings.elapsed_s`, field build and
 parsing included), builds the payload and writes it as text (default),
 json or csv; json and text carry identical numeric content.  Exit codes:
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):  # the field selection and the output
         sp.add_argument("--q", type=_integer(), help="field order (preset or prime)")
         sp.add_argument("--p", type=_integer(), help="characteristic")
-        sp.add_argument("--r", type=_integer(), default=1, help="extension degree")
+        sp.add_argument("--r", type=_integer(), help="extension degree (default 1)")
         sp.add_argument("--modulus",
                         help="comma-separated ascending modulus coefficients")
         add_output(sp)
@@ -131,9 +132,14 @@ def resolve_field(args):
         raise ParseError("select the field with exactly one of --q or "
                          "--p/--r/--modulus")
     if args.q is not None:
+        stray = [f"--{n}" for n in ("r", "modulus") if getattr(args, n) is not None]
+        if stray:
+            raise ParseError(f"--q selects the field alone; it takes no {', '.join(stray)}")
         return field_for(args.q)
-    modulus = (0, 1)
-    if args.r > 1:
+    r, modulus = 1 if args.r is None else args.r, (0, 1)
+    if r <= 1 and args.modulus is not None:
+        raise ParseError(f"--modulus needs --r > 1, got r={r}")
+    if r > 1:
         if not args.modulus:
             raise ParseError("--modulus is required when --r > 1")
         try:
@@ -141,7 +147,7 @@ def resolve_field(args):
         except ValueError:
             raise ParseError(f"--modulus must be comma-separated integers, "
                              f"got {args.modulus!r}") from None
-    return build_field(FieldSpec(args.p, args.r, modulus))
+    return build_field(FieldSpec(args.p, r, modulus))
 
 
 @dataclass

@@ -19,7 +19,9 @@ The class-image index of an order holds the normalised code of every
 image e(bx+c) of every class entry; when p != 7 the code clears the x^6
 term by a shift, so the images e(bx) already give every code, q-1 per
 entry.  Its per-entry image sets are pairwise disjoint exactly when no
-two entries are linearly related (the non-redundancy check).
+two entries are linearly related (the non-redundancy check).  The parsed
+tables, each validated order and each field's index are built once and
+kept for the process, each by a `functools.cache`.
 
 The classes of an order are its table entries or, for orders q = 6
 (mod 7) outside the tables, the one class of x^7: a degree-7 permutation
@@ -34,6 +36,7 @@ refused (`field_entries`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
@@ -89,10 +92,6 @@ class FamilyTable:
         return [e for e in self.entries if e.exceptional]
 
 
-_TABLES: dict[int, FamilyTable] | None = None
-_VALIDATED: set[int] = set()
-
-
 def _parse_tables(text: str) -> dict[int, FamilyTable]:
     rows: dict[int, list[FamilyEntry]] = {}
     for line in text.splitlines():
@@ -112,21 +111,18 @@ def _parse_tables(text: str) -> dict[int, FamilyTable]:
     return out
 
 
+@functools.cache
 def load_family_tables() -> dict[int, FamilyTable]:
-    global _TABLES
-    if _TABLES is None:
-        text = resources.files("ortho7").joinpath("data", "families.csv").read_text()
-        _TABLES = _parse_tables(text)
-    return _TABLES
+    text = resources.files("ortho7").joinpath("data", "families.csv").read_text()
+    return _parse_tables(text)
 
 
+@functools.cache
 def validate_table(q: int) -> FamilyTable:
-    """Re-prove the table for one order: counts, permutation property of
-    every entry, criteria compliance of non-exceptional entries (when
-    gcd(q,7) = 1), and contiguous 1-based ordinals."""
+    """Re-prove the table for one order, once per process: counts,
+    permutation property of every entry, criteria compliance of
+    non-exceptional entries (when gcd(q,7) = 1), contiguous ordinals."""
     table = load_family_tables()[q]
-    if q in _VALIDATED:
-        return table
     field = field_for(q)
     n_non, n_exc = EXPECTED_COUNTS[q]
     if (len(table.non_exceptional()), len(table.exceptional())) != (n_non, n_exc):
@@ -143,7 +139,6 @@ def validate_table(q: int) -> FamilyTable:
         if not e.exceptional and not ok:
             raise ValueError(f"non-exceptional entry q={q} ordinal "
                              f"{e.ordinal} fails the canonical criteria")
-    _VALIDATED.add(q)
     return table
 
 
@@ -157,18 +152,13 @@ def table_for(q: int) -> FamilyTable:
 # ---------------------------------------------------------------------------
 # Lookup structures for the kernels.
 
-_CODE_CACHE: dict[int, np.ndarray] = {}
-_IMAGE_CACHE: dict[Field, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def table_codes(q: int) -> np.ndarray:
     """Sorted base-q codes of the (f5..f1) tuples, for batch lookups.
     No package code reads them: they stay because the benchmark's
     `setup_verify` (perfbench/workloads.py) builds them."""
-    if q not in _CODE_CACHE:
-        codes = sorted(np.polyval(e.coeffs, q) for e in table_for(q).entries)
-        _CODE_CACHE[q] = np.asarray(codes, dtype=np.int64)
-    return _CODE_CACHE[q]
+    codes = sorted(np.polyval(e.coeffs, q) for e in table_for(q).entries)
+    return np.asarray(codes, dtype=np.int64)
 
 
 def class_entries(q: int) -> tuple[FamilyEntry, ...]:
@@ -206,15 +196,6 @@ def class_images(field: Field, entries):
             np.concatenate(all_shifts)[order])
 
 
-def image_overlap(codes: np.ndarray, ords: np.ndarray) -> tuple[int, int] | None:
-    """Ordinals of two entries whose images share a code in the sorted
-    output of `class_images`, or None when the image sets are disjoint."""
-    dup = np.flatnonzero(codes[1:] == codes[:-1])
-    if dup.size == 0:
-        return None
-    return int(ords[dup[0]]), int(ords[dup[0] + 1])
-
-
 def image_codes(q: int):
     """The class-image index of one order in its preset field."""
     return _class_index(field_for(q))
@@ -232,18 +213,17 @@ def field_entries(field: Field) -> tuple[FamilyEntry, ...]:
     return entries
 
 
+@functools.cache
 def _class_index(field: Field):
-    """`class_images` of every class entry in the given field, cached per
-    field.  Classes are disjoint, which is asserted during the build."""
-    if field in _IMAGE_CACHE:
-        return _IMAGE_CACHE[field]
-    q = field.q
-    index = class_images(field, field_entries(field))
-    overlap = image_overlap(*index[:2])
-    if overlap is not None:
-        raise ValueError(f"q={q}: entries {overlap[0]} and {overlap[1]} are "
-                         f"linearly related; their class images overlap")
-    _IMAGE_CACHE[field] = index
+    """`class_images` of every class entry in the given field, built once
+    per field and process.  Classes are disjoint: two entries whose images
+    share a code are refused, and the refusal is not kept."""
+    codes, ords, _ = index = class_images(field, field_entries(field))
+    dup = np.flatnonzero(codes[1:] == codes[:-1])
+    if dup.size:
+        raise ValueError(f"q={field.q}: entries {int(ords[dup[0]])} and "
+                         f"{int(ords[dup[0] + 1])} are linearly related; "
+                         f"their class images overlap")
     return index
 
 
@@ -317,15 +297,14 @@ def audit_rows(field: Field, rows,
     return report
 
 
-def audit_random(field: Field, n: int, seed: int = 0,
-                 batch: int = 1 << 14) -> AuditReport:
+def audit_random(field: Field, n: int, seed: int = 0) -> AuditReport:
     """n uniform random degree-7 polynomials (leading coefficient uniform
-    over F_q*, the rest over F_q)."""
+    over F_q*, the rest over F_q), drawn and audited 2^14 at a time."""
     rng = np.random.default_rng(seed)
     report = AuditReport(field.q)
     left = n
     while left > 0:
-        b = min(batch, left)
+        b = min(1 << 14, left)
         C = rng.integers(0, field.q, size=(b, 8), dtype=np.int64)
         C[:, 7] = rng.integers(1, field.q, size=b, dtype=np.int64)
         audit_rows(field, C, report)

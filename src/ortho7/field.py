@@ -12,7 +12,8 @@ checks, pair searches, the census) reduce to integer array lookups and
 can be handed to numpy wholesale; the scalar add, sub and mul read the
 same arrays; `build_field` and `field_for` refuse an order past their
 budget, MAX_ORDER.  The q element literals are built once too, so
-formatting is a tuple lookup.
+formatting is a tuple lookup.  `field_for` keeps each field it builds
+for the life of the process by `functools.cache`, the package's one memo.
 
 The generator choice is part of the field's identity, not an
 implementation detail: the coset-transversal sets used by the canonical
@@ -27,6 +28,7 @@ primitive modulus needs no separate irreducibility test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -330,15 +332,11 @@ def build_field(spec: FieldSpec) -> Field:
 # ---------------------------------------------------------------------------
 # Preset registry, shipped as a data file.
 
-_PRESETS = None
 
-
+@functools.cache
 def _load_presets() -> dict[int, dict]:
-    global _PRESETS
-    if _PRESETS is None:
-        raw = resources.files("ortho7").joinpath("data", "field_presets.json").read_text()
-        _PRESETS = {entry["q"]: entry for entry in json.loads(raw)["presets"]}
-    return _PRESETS
+    raw = resources.files("ortho7").joinpath("data", "field_presets.json").read_text()
+    return {entry["q"]: entry for entry in json.loads(raw)["presets"]}
 
 
 def preset_orders() -> list[int]:
@@ -347,13 +345,9 @@ def preset_orders() -> list[int]:
     return sorted(_load_presets())
 
 
-_FIELD_CACHE: dict[int, Field] = {}
-
-
+@functools.cache
 def field_for(q: int) -> Field:
-    """Build (and cache) the preset field of order q."""
-    if q in _FIELD_CACHE:
-        return _FIELD_CACHE[q]
+    """Build the preset (or prime) field of order q, once per process."""
     _check_order(q)
     presets = _load_presets()
     if q in presets:
@@ -364,10 +358,8 @@ def field_for(q: int) -> Field:
             raise NonPrimitiveModulus(
                 f"preset generator mismatch for q={q}: built {fld.theta}, "
                 f"registry says {entry['generator_index']}")
-    elif is_prime(q):
-        fld = build_field(FieldSpec(q, 1, (0, 1)))
-    else:
-        raise UnsupportedOrder(f"no preset field of order {q}; give the "
-                               f"field by p, r and modulus")
-    _FIELD_CACHE[q] = fld
-    return fld
+        return fld
+    if is_prime(q):
+        return build_field(FieldSpec(q, 1, (0, 1)))
+    raise UnsupportedOrder(f"no preset field of order {q}; give the "
+                           f"field by p, r and modulus")

@@ -26,6 +26,8 @@ as the class-image index of `families.image_codes`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidArgument, UnsupportedOrder
@@ -87,7 +89,6 @@ def _full_hits(field, C):
 # digits in the high block.  Row v of the table R[x] = bits[:, L[x]] holds the
 # hits of v + L(x) for every low value: each (high value, x > 0 or pair of
 # them) costs one row gather and one OR.  R and its pairs T are capped at 4 MB.
-_SCAN_CACHE: dict[tuple, tuple] = {}
 
 
 def _digit_values(field, powers, idx, digits):
@@ -109,11 +110,17 @@ def permutation_hits(field, digits, start, stop):
     layout's lowest d + 1 digits (d >= 1 is the low block's width), so a
     mask begins and ends on such a block unless start or stop cuts it.  A
     mask is a view of the step's reused buffer: it is valid until the next
-    step.  A layout's tables are built at its first call and kept (for forks too).
-    Refuses q > 63 and a layout whose high block holds an x^0 digit other
-    than a fixed zero, at the call."""
-    if (key := (field, tuple(digits))) in _SCAN_CACHE:
-        return _hits(field, *_SCAN_CACHE[key], start, stop)
+    step.  A layout's tables are built at its first call and kept (for forks
+    too) by `_scan_tables`.  Refuses q > 63 and a layout whose high block
+    holds an x^0 digit other than a fixed zero, at the call."""
+    return _hits(field, *_scan_tables(field, tuple(digits)), start, stop)
+
+
+@functools.cache
+def _scan_tables(field, digits):
+    """What `_hits` reads for one layout (a tuple): the upper digits, the
+    powers x^e, the mid values M, the point (or pair) tables T and whether
+    T pairs points; kept per (field, layout) with no bound on the layouts."""
     q, top = field.q, max((e for e, _, _ in digits), default=0)
     check_hit_mask_order(q)
     # the smallest unsigned type that holds q hit bits: less memory traffic
@@ -135,12 +142,11 @@ def permutation_hits(field, digits, start, stop):
     pair = (q - 1) // 2 * q ** (d + 2) * bits.itemsize <= 1 << 22
     T = [(R[x][:, None] | R[x + 1]).reshape(-1, nl) if pair and x + 1 < q else R[x]
          for x in range(1, q, 1 + pair)]
-    _SCAN_CACHE[key] = digits[d + 1:], powers, M, T, pair
-    return _hits(field, *_SCAN_CACHE[key], start, stop)
+    return digits[d + 1:], powers, M, T, pair
 
 
 def _hits(field, upper, powers, M, T, pair, start, stop):
-    """The scan behind `permutation_hits`, given the tables it keeps."""
+    """The scan behind `permutation_hits`, given the `_scan_tables`."""
     q, (nm, nl), dtype = field.q, (M.shape[1], T[0].shape[1]), T[0].dtype
     xs = range(1, q, 1 + pair)  # the first point of each gather
     nb = nm * nl  # the (mid, low) block: candidates per upper value

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from ortho7 import families, field
 from ortho7.field import FieldSpec, build_field, field_for
 
 
@@ -33,6 +34,20 @@ def f27():
 @pytest.fixture(scope="session")
 def f49():
     return field_for(49)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the caches of `field.field_for` and `families._class_index`
+    before the test and after it: a large field built in the test goes
+    with it, and so does an index built from a planted table."""
+    def clear():
+        field.field_for.cache_clear()
+        families._class_index.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ortho7
-from ortho7 import cli, families, field, verify
+from ortho7 import cli, field, verify
 from ortho7.cli import main
 from ortho7.pairs import EnumerationReport, enumerate_ops
 from ortho7.poly import Poly, format_poly
@@ -65,11 +65,9 @@ def test_classify_without_class_prints_no_witness(capsys):
     assert code == 0 and json.loads(out)["results"]["transform"] is not None
 
 
-def test_classify_past_six_digit_codes(capsys, monkeypatch):
+def test_classify_past_six_digit_codes(capsys, fresh_caches):
     # 1483 = 6 (mod 7): the class-image index answers past q = 1448; fresh
     # caches let the large field go afterwards
-    monkeypatch.setattr(field, "_FIELD_CACHE", {})
-    monkeypatch.setattr(families, "_IMAGE_CACHE", {})
     code, out, _ = run(capsys, "classify", "--q", "1483", "3x^7+x^6+2")
     assert code == 0 and "not a permutation polynomial" in out
     code, out, _ = run(capsys, "classify", "--q", "1483", "x^7")
@@ -351,12 +349,25 @@ def test_two_element_field(capsys):
     assert code == 0 and "pp = True" in out
 
 
+# field options that were once dropped without a word: each ran over F_13 or F_5
+_STRAY_FIELD_OPTIONS = [["--q", "13", "--r", "5"], ["--q", "13", "--modulus", "1,1"],
+                        ["--p", "5", "--modulus", "garbage"],
+                        ["--p", "5", "--r", "1", "--modulus", "1,2,3"]]
+
+
 def test_bad_field_spec_is_a_usage_error(capsys):
     assert "r=0" in _usage_error(capsys, "test", "--p", "5", "--r", "0", "x")
     assert "monic" in _usage_error(capsys, "test", "--p", "5", "--r", "2",
                                    "--modulus", "1,2", "x")
     assert "--modulus" in _usage_error(capsys, "test", "--p", "5", "--r", "2",
                                        "--modulus", "a,b", "x")
+    for argv in _STRAY_FIELD_OPTIONS:
+        err = _usage_error(capsys, "test", *argv, "x")
+        assert err.count("\n") == 1 and argv[-2] in err, (argv, err)
+    assert "--r, --modulus" in _usage_error(capsys, "pairs", "--q", "13", "--r", "2",
+                                            "--modulus", "2,4,1")
+    # a given --r of 1 beside --p is the default, and stays valid
+    assert run(capsys, "test", "--p", "5", "--r", "1", "x")[0] == 0
 
 
 def test_census_degree_zero_is_a_usage_error(capsys):
@@ -519,6 +530,7 @@ _FIELDS = [["--q", q] for q in ("2", "5", "8", "11", "11", "13", "13")] + [
     ["--q", "9"], ["--q", "-3"], ["--p", "4"], ["--r", "2"], [],
     ["--p", "5", "--r", "0"], ["--p", "5", "--r", "2", "--modulus", "1,2"],
     ["--p", "5", "--r", "2", "--modulus", "a,b"], ["--q", "13", "--p", "13"],
+    *_STRAY_FIELD_OPTIONS,
     # refused: non-ASCII digits, an order past the field-table budget
     ["--q", "١٣"], ["--q", "1000000007"],
     ["--p", "5", "--r", "2", "--modulus", "2,٤,١"]]

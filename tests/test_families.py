@@ -175,7 +175,7 @@ def test_image_verdict_agrees_with_linear_relation_search():
         assert _image_verdict(fld, copy, entry)
 
 
-def test_non_redundancy_flags_planted_related_pair(monkeypatch):
+def test_non_redundancy_flags_planted_related_pair(monkeypatch, fresh_caches):
     from ortho7 import verify
 
     assert verify.check_non_redundancy().ok
@@ -185,17 +185,17 @@ def test_non_redundancy_flags_planted_related_pair(monkeypatch):
         copy = _planted_copy(fld, table.entries[k], b, c)
         planted = FamilyTable(q, table.entries + (copy,))
         # the check reads the class-image index, which is rebuilt from the
-        # planted table
-        monkeypatch.setattr(families, "_IMAGE_CACHE", {})
+        # planted table once the index built before the plant is cleared
         monkeypatch.setattr(families, "table_for",
                             lambda n, q=q: planted if n == q else table_for(n))
+        fresh_caches()
         result = verify.check_non_redundancy()
         assert not result.ok
         assert result.detail.startswith(
             f"q={q}: entries {k + 1} and {copy.ordinal} are linearly related")
 
 
-def test_image_codes_cover_every_order_and_reject_overlap(monkeypatch):
+def test_image_codes_cover_every_order_and_reject_overlap(monkeypatch, fresh_caches):
     for q in sorted(EXPECTED_COUNTS):
         codes, ords, _ = image_codes(q)
         assert np.all(codes[1:] > codes[:-1])
@@ -204,8 +204,8 @@ def test_image_codes_cover_every_order_and_reject_overlap(monkeypatch):
     table = table_for(13)
     planted = FamilyTable(13, table.entries + (
         _planted_copy(fld, table.entries[0], 3, 0),))
-    monkeypatch.setattr(families, "_IMAGE_CACHE", {})
     monkeypatch.setattr(families, "table_for", lambda q: planted)
+    fresh_caches()
     with pytest.raises(ValueError, match="overlap"):
         image_codes(13)
 
@@ -245,17 +245,16 @@ def test_x7_rule_orders():
         is_pp_by_table(parse_poly(field_for(43), "x^7"))  # 43 = 1 (mod 7)
 
 
-def test_x7_rule_past_six_digit_codes(monkeypatch):
+def test_x7_rule_past_six_digit_codes(fresh_caches):
     # 1483 = 6 (mod 7) lies past q^6 < 2^63; with x^6 cleared the codes
     # have five digits.  A fresh cache lets the large field go afterwards.
-    monkeypatch.setattr(families, "_IMAGE_CACHE", {})
     fld = build_field(FieldSpec(1483, 1, (0, 1)))
     x7 = parse_poly(fld, "x^7")
     f = apply_transform(x7, LinearTransform(3, 5, 2, 9))
     assert is_pp_by_table(f).exceptional
     assert apply_transform(f, image_witness(f)) == x7
     assert is_pp_by_table(parse_poly(fld, "x^7+x")) is None
-    assert len(families._IMAGE_CACHE[fld][0]) == 1
+    assert len(families._class_index(fld)[0]) == 1
 
 
 def test_x7_rule_in_a_field_without_preset():

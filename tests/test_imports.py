@@ -1,7 +1,9 @@
 """Every import in a module of the package is used by that module, and
 every private helper and module constant of the package is used somewhere
-in it.  A fresh interpreter that imports the package loads none of the
-costly modules that only some commands need.
+in it.  No module keeps a hand-rolled memo: a `global` statement, or a
+module-level name bound to an empty {}, set() or None (`functools.cache`
+is the package's one memo).  A fresh interpreter that imports the package
+loads none of the costly modules that only some commands need.
 
 `__init__.py` imports in order to re-export, and `__future__` imports
 change compilation rather than bind a name, so both are exempt.  A private
@@ -106,6 +108,34 @@ def test_the_check_sees_a_dead_helper():
                                       "a.py: _open (line 10)",
                                       "a.py: LIMIT (line 17)",
                                       "a.py: _HEADER (line 18)"]
+
+
+_EMPTY = {ast.dump(ast.parse(text, mode="eval").body) for text in ("{}", "set()", "None")}
+
+
+def _memos(tree: ast.Module) -> list[str]:
+    """The hand-rolled memos of a module: each `global` statement, and each
+    module-level name bound to an empty {}, set() or None."""
+    found = [f"global {', '.join(n.names)} (line {n.lineno})"
+             for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    for n in tree.body:
+        if isinstance(n, (ast.Assign, ast.AnnAssign)) and n.value and ast.dump(n.value) in _EMPTY:
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            found += [f"{t.id} (line {n.lineno})" for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_no_hand_rolled_memos():
+    found = {path.name: memos for path in sorted(PACKAGE.glob("*.py"))
+             if (memos := _memos(ast.parse(path.read_text())))}
+    assert not found, found
+
+
+def test_the_check_sees_a_hand_rolled_memo():
+    tree = ast.parse("_A = None\n_B: dict = {}\nC = set()\nD = {1: 2}\nE = set([1])\n"
+                     "F: int\nG = []\n\n\ndef get():\n    global _A, C\n    return _A\n")
+    assert _memos(tree) == ["global _A, C (line 11)", "_A (line 1)", "_B (line 2)",
+                            "C (line 3)"]
 
 
 # multiprocessing (about 20 ms of imports), any executor (concurrent.futures,
