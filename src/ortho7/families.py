@@ -25,13 +25,13 @@ kept for the process, each by a `functools.cache`.
 
 The classes of an order are its table entries or, for orders q = 6
 (mod 7) outside the tables, the one class of x^7: a degree-7 permutation
-polynomial there must be linearly related to x^7 (`class_entries`).
-Membership in them has one route: a lookup of the normalised code in the
-class-image index of the caller's field (`class_lookup`), which answers
-`is_pp_by_table`, the batched audit, the classify witness and the
-table-based pair route at every order.  Table entries are encoded in the
-preset field of their order, so another field of a table order is
-refused (`field_entries`).
+polynomial there must be linearly related to x^7.  `field_entries` lists
+them for a field; table entries are encoded in the preset field of their
+order, so another field of a table order is refused.  Membership in them
+has one route: a lookup of the normalised code in the class-image index
+of the caller's field (`class_lookup`), which answers `is_pp_by_table`,
+the batched audit, the classify witness and the table-based pair route
+at every order.
 """
 
 from __future__ import annotations
@@ -161,17 +161,6 @@ def table_codes(q: int) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)
 
 
-def class_entries(q: int) -> tuple[FamilyEntry, ...]:
-    """The class representatives of one order: the table entries, or the
-    single x^7 entry for q = 6 (mod 7) outside the tables."""
-    if q in load_family_tables():
-        return table_for(q).entries
-    if q % 7 == 6:
-        return (FamilyEntry(q, (0, 0, 0, 0, 0), True, 1),)
-    raise UnsupportedOrder(f"no class table for q={q} and the x^7 rule "
-                           f"does not apply")
-
-
 def class_images(field: Field, entries):
     """Normalised codes of the images e(bx+c), (b, c) in F_q* x F_q, of
     each entry (deduplicated per entry, sorted by code) with the entry's
@@ -202,15 +191,20 @@ def image_codes(q: int):
 
 
 def field_entries(field: Field) -> tuple[FamilyEntry, ...]:
-    """`class_entries` of the field's order, refused for a table order
-    outside its preset field: table entries are encoded in the preset field
-    of their order, while the x^7 entry reads the same in every field."""
+    """The class representatives of the field's order: the table entries,
+    which are encoded in the preset field of their order and refused in
+    any other, or the single x^7 entry for q = 6 (mod 7) outside the
+    tables, which reads the same in every field."""
     q = field.q
-    entries = class_entries(q)
-    if q in load_family_tables() and field != field_for(q):
-        raise UnsupportedOrder(f"the q={q} class table is encoded in the "
-                               f"preset field {field_for(q)!r}")
-    return entries
+    if q in load_family_tables():
+        if field != field_for(q):
+            raise UnsupportedOrder(f"the q={q} class table is encoded in the "
+                                   f"preset field {field_for(q)!r}")
+        return table_for(q).entries
+    if q % 7 == 6:
+        return (FamilyEntry(q, (0, 0, 0, 0, 0), True, 1),)
+    raise UnsupportedOrder(f"no class table for q={q} and the x^7 rule "
+                           f"does not apply")
 
 
 @functools.cache
@@ -230,7 +224,7 @@ def _class_index(field: Field):
 def class_lookup(field: Field, C):
     """Look degree-7 coefficient rows (last axis of C) up in the class-image
     index of the field: the hit mask, and per row the ordinal of the matched
-    entry of `class_entries` and the (b, c) the index keeps for the matched
+    entry of `field_entries` and the (b, c) the index keeps for the matched
     code (both meaningful only where the row hits)."""
     codes, ords, shifts = _class_index(field)
     hit, pos = kernels.code_member(codes, kernels.normalized_code_batch(field, C))
@@ -245,7 +239,7 @@ def image_witness(h: Poly) -> LinearTransform:
     by the x^7 and x^0 terms."""
     fld = h.field
     _, ordv, (b, c) = class_lookup(fld, h.coeffs)
-    e = class_entries(fld.q)[int(ordv) - 1].poly(fld)
+    e = field_entries(fld)[int(ordv) - 1].poly(fld)
     b, c = int(b), int(c)
     if fld.p != 7:
         c = fld.sub(c, fld.mul(b, int(kernels.x6_shift(fld, h.coeffs))))
@@ -257,12 +251,12 @@ def image_witness(h: Poly) -> LinearTransform:
 def is_pp_by_table(h: Poly) -> FamilyEntry | None:
     """Table-based permutation test: the matching class entry, or None, by
     one lookup in the class-image index of h's field.  Supported orders are
-    those of `class_entries`, in any field for the x^7 rule, up to the
+    those of `field_entries`, in any field for the x^7 rule, up to the
     int64 limit of the codes (q <= 6208)."""
     if h.degree != 7:
         raise DegreeMismatch(f"expected degree 7, got {h.degree}")
     hit, ordv, _ = class_lookup(h.field, h.coeffs)
-    return class_entries(h.field.q)[int(ordv) - 1] if hit else None
+    return field_entries(h.field)[int(ordv) - 1] if hit else None
 
 
 @dataclass
@@ -287,7 +281,7 @@ def audit_rows(field: Field, rows,
     C = np.asarray(rows, dtype=np.int64)
     if C.size == 0:
         return report
-    direct = kernels.pp_batch(field, C).astype(bool)
+    direct = kernels.pp_batch(field, C)
     member, _, _ = class_lookup(field, C)
     report.total += len(C)
     report.pp_count += int(direct.sum())

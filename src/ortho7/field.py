@@ -98,9 +98,9 @@ class Field:
     Immutable after construction; every operation is pure, so instances
     are safe to share across threads and workers without locking.
 
-    add, sub, mul and neg are the tables' bound `item`: a plain int, also
-    for numpy integer arguments, and for one argument a flat entry (add(5)
-    is add_t.flat[5], not a TypeError).
+    add, sub, mul and neg are the tables' bound `item`, which inv, pow and
+    dlog call too: a plain int, also for numpy integer arguments, and for
+    one argument a flat entry (add(5) is add_t.flat[5], not a TypeError).
     """
 
     def __init__(self, spec: FieldSpec, theta: int, exp_table: np.ndarray):
@@ -138,14 +138,13 @@ class Field:
         # The scalar operations read the tables: `item` returns a plain int.
         self.add, self.sub, self.mul, self.neg = (
             self.add_t.item, self.sub_t.item, self.mul_t.item, self.neg_t.item)
-        self._inv, self._exp, self._log = inv.tolist(), exp_table.tolist(), log_t.tolist()
 
     # -- scalar operations ------------------------------------------------
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inv(0) in F_{self.q}")
-        return self._inv[a]
+        return self.inv_t.item(a)
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -154,12 +153,12 @@ class Field:
             if n < 0:
                 raise DivisionByZero(f"0**{n} in F_{self.q}")
             return 0
-        return self._exp[(self._log[a] * n) % (self.q - 1)]
+        return self.exp_t.item((self.log_t.item(a) * n) % (self.q - 1))
 
     def dlog(self, x: int) -> int:
         if x == 0:
             raise DlogOfZero(f"dlog(0) in F_{self.q}")
-        return self._log[x]
+        return self.log_t.item(x)
 
     def elements(self) -> range:
         return range(self.q)
@@ -195,7 +194,7 @@ class Field:
             if t:
                 if self.r == 1:
                     raise ParseError(f"generator symbol in prime-field literal {s!r}")
-                val = self.mul(val, self._exp[_residue(k, self.q - 1) if k else 1])
+                val = self.mul(val, self.exp_t.item(_residue(k, self.q - 1) if k else 1))
             acc = self.sub(acc, val) if sign < 0 else self.add(acc, val)
         return acc
 

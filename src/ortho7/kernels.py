@@ -192,7 +192,7 @@ def pair_cells(field):
 
 
 def op_pair_grid(field, coeffs8):
-    return _full_hits(field, pair_line(field, coeffs8))[pair_cells(field)].astype(np.uint8)
+    return _full_hits(field, pair_line(field, coeffs8))[pair_cells(field)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +200,8 @@ def op_pair_grid(field, coeffs8):
 
 
 def pp_batch(field, coeff_rows):
-    """Direct bijection check for each coefficient row (ascending)."""
-    C = np.asarray(coeff_rows, dtype=np.int64)
-    return _full_hits(field, C).astype(np.uint8)
+    """Direct bijection check for each coefficient row (ascending), as bools."""
+    return _full_hits(field, np.asarray(coeff_rows, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Orthomorphism pair search, shift expansion, and per-field totals.
 
 Every orthomorphism of degree 7 lives in the linear class of some class
-entry f of `families.class_entries` (the table entries, or x^7 alone at
+entry f of `families.field_entries` (the table entries, or x^7 alone at
 an order q = 6 (mod 7) outside the tables), and within one class
 orthomorphism membership is decided by the rescaling alone:
 alpha*f(beta*x) is an orthomorphism iff its shifts
@@ -49,7 +49,6 @@ import numpy as np
 from . import kernels
 from .families import (
     FamilyEntry,
-    class_entries,
     class_lookup,
     field_entries,
 )
@@ -134,7 +133,7 @@ def search_pairs_table_based(field: Field, family: FamilyEntry
     hit, ords, _ = class_lookup(field, kernels.pair_line(field, f.coeffs))
     cells = kernels.pair_cells(field)
     pairs, sigs = _dedup(field, f, hit[cells])
-    targets = class_entries(field.q)
+    targets = field_entries(field)
     zeros = [c == 0 for c in f.coeffs[2:6]]  # the x^2..x^5 support
     per_target = {t.ordinal: [] for t in targets if field.p != 7
                   and [c == 0 for c in t.coeff_row()[2:6]] == zeros}

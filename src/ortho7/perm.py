@@ -161,11 +161,17 @@ def fork_map(fn, items, workers: int, first=None):
     return head, [results[i] for i in range(len(items))]
 
 
-def _x1_digit(digits) -> tuple[int, int, int]:
+def _x1_digit(field, digits) -> tuple[int, int, int]:
     """(place value, radix, offset) of a layout's x^1 digit.  The candidates
     that differ only in the digits up to it, place * radix of them, make a
-    group: each f -/+ x is in its f's group."""
-    i = next(i for i, (e, _, _) in enumerate(digits) if e == 1)
+    group: each f -/+ x is in its f's group.  Refuses a layout unless the
+    digit is one of its two lowest and runs over F_q, or is the top digit
+    with radix q - 1 and offset 1 (the lead at degree 1)."""
+    i = next((i for i, (e, _, _) in enumerate(digits) if e == 1), 2)
+    lead = (field.q - 1, 1) if i == len(digits) - 1 else None
+    if i > 1 or digits[i][1:] not in ((field.q, 0), lead):
+        raise InvalidArgument(f"the x^1 digit of {digits} must be one of its two "
+                              f"lowest and run over F_{field.q}, or be the degree-1 lead")
     return prod(radix for _, radix, _ in digits[:i]), *digits[i][1:]
 
 
@@ -179,7 +185,7 @@ def _scan(field, digits, start, stop) -> np.ndarray:
     is no sibling: that is the lead at degree 1, where f - lam*x is
     constant, and as the lead is the top digit the sibling's offset in the
     mask is negative (which a clipped read would take as offset 0)."""
-    place, radix, off = _x1_digit(digits)
+    place, radix, off = _x1_digit(field, digits)
     group = place * radix
     c1 = np.arange(group) // place + off  # the x^1 coefficient at each offset in a group
     # row lam - 1: the offset from a hit to its f - lam*x sibling; int32 offsets within a
@@ -216,7 +222,7 @@ def census_counts(query: CensusQuery, workers: int = 1,
             f"census space {total} exceeds budget {budget} "
             f"(q={query.field.q}, degree={query.degree})")
     digits = query.digits()
-    group = prod(_x1_digit(digits)[:2])
+    group = prod(_x1_digit(query.field, digits)[:2])
     kernels.permutation_hits(query.field, digits, 0, 0)  # its tables, before any fork
     slots = pool_size(workers if total * (query.field.q - 1) >= INLINE_GATHERS else 1)
     per = -(-total // group // slots) * group

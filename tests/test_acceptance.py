@@ -20,8 +20,9 @@ Criteria and stated targets:
     complete (about 5-6 s on 2 workers)
   8 classification-vs-direct audit: 1e5 random polynomials per field plus
     the exhaustive x^7 + a3 x^3 + a1 x sweep, zero disagreements
-  9 property suite: canonicalisation class constancy, orthomorphism
-    shift invariance, pointwise transform law
+  9 property suite: canonicalisation class constancy and orthomorphism
+    shift invariance (the pointwise transform law is
+    tests/test_poly.py::test_transform_pointwise_identity_exhaustive)
 """
 
 import json

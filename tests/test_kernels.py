@@ -15,8 +15,8 @@ from ortho7.errors import InvalidArgument, UnsupportedOrder
 from ortho7.families import (
     EXPECTED_COUNTS,
     audit_random,
-    class_entries,
     class_lookup,
+    field_entries,
     table_for,
 )
 from ortho7.field import field_for
@@ -306,7 +306,7 @@ def test_census_shards_of_uneven_lengths_sum_to_the_count():
 def test_op_pair_grid_agrees_with_scalar_check(q):
     fld = field_for(q)
     mul = fld.mul
-    for e in class_entries(q)[:3]:
+    for e in field_entries(fld)[:3]:
         f = e.poly(fld).coeffs
         grid = kernels.op_pair_grid(fld, f)
         assert grid.shape == (q - 1, q - 1)
@@ -358,6 +358,16 @@ def test_pp_batch_agrees_with_scalar_check():
             assert bool(bit) == want, (q, row)
 
 
+def test_evaluators_return_the_bool_mask_of_the_rows_leading_shape():
+    fld = field_for(13)
+    rows = np.zeros((2, 3, 8), dtype=np.int64)
+    rows[..., 7] = 1
+    mask = kernels.pp_batch(fld, rows)
+    assert mask.dtype == bool and mask.shape == (2, 3)
+    grid = kernels.op_pair_grid(fld, rows[0, 0])
+    assert grid.dtype == bool and grid.shape == (12, 12)
+
+
 @pytest.mark.parametrize("q", [11, 13, 49])
 def test_pp_batch_catches_a_repeat_at_the_last_element(q):
     # e + c*(1 - (x - a)^(q-1)) moves the value of the class entry e at
@@ -396,7 +406,7 @@ def test_class_lookup_agrees_with_canonical_route(q):
     # a*e(bx+c)+d of every entry, so that positives occur, and the same rows
     # with the x coefficient moved by one, mostly near misses
     related = []
-    for e in class_entries(q):
+    for e in field_entries(fld):
         for _ in range(4):
             a, b = (int(v) for v in rng.integers(1, q, 2))
             c, d = (int(v) for v in rng.integers(0, q, 2))
@@ -408,7 +418,7 @@ def test_class_lookup_agrees_with_canonical_route(q):
     hit, _, _ = class_lookup(fld, C)
     assert hit[300:300 + len(related)].all()
     tuples, _ = canonical_rows(fld, C)
-    coeffs = {e.coeffs for e in class_entries(q)}
+    coeffs = {e.coeffs for e in field_entries(fld)}
     for row, h, t in zip(C, hit, tuples.tolist()):
         assert bool(h) == (tuple(t) in coeffs), (q, row)
 

@@ -8,7 +8,7 @@ import pytest
 from ortho7 import kernels
 from ortho7.errors import UnsupportedOrder
 from ortho7.field import field_for
-from ortho7.families import class_entries, table_for
+from ortho7.families import field_entries, table_for
 from ortho7.pairs import (
     EnumerationReport,
     _dedup,
@@ -98,7 +98,7 @@ def test_dedup_matches_the_unique_reference(q):
     # random row of full support) 8-digit base-q row codes overflow int64
     fld = field_for(q)
     rng = np.random.default_rng(q)
-    polys = [e.poly(fld) for e in class_entries(q)]
+    polys = [e.poly(fld) for e in field_entries(fld)]
     if q == 251:
         polys.append(Poly(fld, tuple(rng.integers(1, q, 8).tolist())))
     for f in polys:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ortho7 import perm
-from ortho7.errors import BudgetExceeded
+from ortho7.errors import BudgetExceeded, InvalidArgument
 from ortho7.field import field_for
 from ortho7.perm import (
     CensusQuery,
@@ -388,6 +388,18 @@ def test_census_refuses_spaces_beyond_an_int64_index():
     # 2^63 candidates are still indexable: only the budget refuses them
     with pytest.raises(BudgetExceeded, match="budget 1 "):
         census(CensusQuery(f2, 63, False, "pp"), budget=1)
+
+
+@pytest.mark.parametrize("digits", [
+    [(1, 1, 0), (2, 1, 1)],  # x^1 fixed: x^2 permutes F_8, x^2 - lam*x for no lam
+    [(0, 8, 0), (2, 7, 1)],  # no x^1 digit
+    [(0, 8, 0), (2, 8, 0), (1, 8, 0), (3, 7, 1)],  # x^1 above the two lowest digits
+])
+def test_scan_refuses_layouts_whose_siblings_it_cannot_read(digits):
+    # the f - lam*x sibling sits in the hit's own group only when the x^1
+    # digit is one of the two lowest and runs over F_q (or is the degree-1 lead)
+    with pytest.raises(InvalidArgument, match="x\\^1 digit"):
+        perm._scan(field_for(8), digits, 0, 1)
 
 
 def test_census_space_formula(f11):
