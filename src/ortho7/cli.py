@@ -113,13 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", type=_integer(),
                     help="run only the totals check, for one order")
     # None defaults: cmd_verify refuses these next to --field
+    census = verify_mod.CENSUS_ORDERS
+    tabled = ",".join(str(q) for q in census if q in verify_mod.TABLE_ORDERS)
     sp.add_argument("--deep", action="store_true", default=None,
-                    help="add one canonical census per order q=8,11,13,17,19: "
-                         "its op counts, op for every f - lam*x, and the permutation "
-                         "count that proves the 11-19 class tables complete "
-                         "(about 6 s on 2 workers)")
-    sp.add_argument("--audit-n", type=_integer(0),
-                    help="rows in the classification audit (default 100000)")
+                    help=f"add one canonical census per order q={','.join(map(str, census))}: "
+                         "its op counts, op for every f - lam*x, and the permutation count that "
+                         f"proves the {tabled} class tables complete (about 6 s on 2 workers)")
     sp.add_argument("--workers", type=_integer(1),
                     help="CPUs to use, capped at the usable ones: forked "
                          "processes plus this one (default 2)")
@@ -287,11 +286,11 @@ def cmd_census(args) -> Record:
 
 
 def cmd_verify(args) -> Record:
-    suite_opts = {name: getattr(args, name) for name in ("deep", "audit_n", "workers")
+    suite_opts = {name: getattr(args, name) for name in ("deep", "workers")
                   if getattr(args, name) is not None}
     if args.field is not None:
         if suite_opts:
-            flags = ", ".join("--" + name.replace("_", "-") for name in suite_opts)
+            flags = ", ".join("--" + name for name in suite_opts)
             raise ParseError(f"--field runs the totals check alone; it takes no {flags}")
         q = args.field
         want = verify_mod.load_reference()["op_totals"].get(str(q))

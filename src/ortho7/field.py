@@ -101,6 +101,7 @@ class Field:
     add, sub, mul and neg are the tables' bound `item`, which inv, pow and
     dlog call too: a plain int, also for numpy integer arguments, and for
     one argument a flat entry (add(5) is add_t.flat[5], not a TypeError).
+    inv, pow and dlog refuse an element outside [0, q): InvalidArgument.
     """
 
     def __init__(self, spec: FieldSpec, theta: int, exp_table: np.ndarray):
@@ -141,13 +142,18 @@ class Field:
 
     # -- scalar operations ------------------------------------------------
 
+    def _element(self, a: int) -> int:
+        if not 0 <= a < self.q:
+            raise InvalidArgument(f"{a} is not an element of F_{self.q}")
+        return a
+
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self._element(a) == 0:
             raise DivisionByZero(f"inv(0) in F_{self.q}")
         return self.inv_t.item(a)
 
     def pow(self, a: int, n: int) -> int:
-        if a == 0:
+        if self._element(a) == 0:
             if n == 0:
                 return 1
             if n < 0:
@@ -156,7 +162,7 @@ class Field:
         return self.exp_t.item((self.log_t.item(a) * n) % (self.q - 1))
 
     def dlog(self, x: int) -> int:
-        if x == 0:
+        if self._element(x) == 0:
             raise DlogOfZero(f"dlog(0) in F_{self.q}")
         return self.log_t.item(x)
 

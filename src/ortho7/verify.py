@@ -8,20 +8,20 @@ compares it against the golden fixtures in data/reference_results.json:
                     (their class-image sets are pairwise disjoint)
   pair_fixtures     per-family pair sets vs the published lists (compared
                     as the polynomials they name, so representative choice
-                    cannot matter), per-system counts for q=25, and the
-                    q=49 per-family totals plus its published a=0 list
+                    cannot matter), every order's per-family pair counts,
+                    and the per-system counts for q=25
   totals            orthomorphism totals, exceptional subtotals, and the
-                    nonexistence orders
+                    nonexistence orders (the fixture's zero totals)
   method_agreement  direct evaluation vs table-based search, per family
   distinctness      each pair's q^2 shifts give q^2 distinct coefficient
                     vectors (q at q=49), disjoint across pairs
-  census            one exhaustive scan per order q = 8, 11, 13, 17, 19
+  census            one exhaustive scan per order of CENSUS_ORDERS
                     reproduces the canonical op counts, with op as the
                     f - lam*x count at every lam and op_total = canonical * q;
-                    at 11-19 its permutation count is q(q-1) times the
-                    class-image index size: the class tables are complete
+                    at those in TABLE_ORDERS too, pp = q(q-1)|index|: the
+                    class tables are complete
   audit             table-based and direct permutation tests agree on
-                    random and structured samples
+                    AUDIT_ROWS random rows per order and a structured sweep
   properties        canonical-form class constancy, shift invariance
 
 The CLI `verify` subcommand and the acceptance test suite both run these.
@@ -50,7 +50,6 @@ from .families import (
     audit_random,
     audit_support,
     image_codes,
-    load_family_tables,
     table_for,
 )
 from .field import field_for
@@ -65,6 +64,7 @@ from .poly import LinearTransform
 TABLE_ORDERS = tuple(EXPECTED_COUNTS)
 PAPER_ORDERS = (11, 13, 17, 19, 25, 49)  # the orders with orthomorphisms
 CENSUS_ORDERS = (8, 11, 13, 17, 19)
+AUDIT_ROWS = 100_000  # random rows per order; c8 pins the audit's detail
 
 
 @dataclass
@@ -87,13 +87,12 @@ def load_reference() -> dict:
 
 def _timed(name):
     def wrap(fn):
+        @functools.wraps(fn)
         def inner(*args, **kwargs) -> CheckResult:
             t0 = time.perf_counter()
             ok, detail = fn(*args, **kwargs)
             return CheckResult(name, ok, detail, time.perf_counter() - t0)
 
-        inner.__name__ = fn.__name__
-        inner.__doc__ = fn.__doc__
         return inner
 
     return wrap
@@ -112,15 +111,14 @@ def _report(reports: dict | None, q: int, method: str = "direct") -> Enumeration
 def check_family_tables():
     """Counts per field, permutation property of every entry, criteria
     compliance of non-exceptional entries (validated on load)."""
-    problems = []
+    problems, total = [], 0
     for q in TABLE_ORDERS:
         try:
-            table_for(q)  # validates counts, entries and criteria
+            total += len(table_for(q).entries)  # validates counts, entries, criteria
         except Exception as e:  # validation failure
             problems.append(f"q={q}: {e}")
     if problems:
         return False, "; ".join(problems)
-    total = sum(len(load_family_tables()[q].entries) for q in TABLE_ORDERS)
     return True, f"{total} entries across {len(TABLE_ORDERS)} fields validated"
 
 
@@ -156,18 +154,16 @@ def _published_signature_sets(q: int):
     """Published pair lists mapped to the polynomials they name."""
     ref = load_reference()
     field = field_for(q)
-    table = table_for(q)
     defects = ref.get("pair_list_defects", {}).get(str(q), {})
     out = {}
     for ord_str, pair_lits in ref["pair_lists"].get(str(q), {}).items():
         ordinal = int(ord_str)
-        entry = table.entries[ordinal - 1]
-        f = entry.poly(field)
+        row = table_for(q).entries[ordinal - 1].coeff_row()
         corrupt = {tuple(p) for p in
                    defects.get(ord_str, {}).get("corrupt", [])}
         ab = np.array([[field.parse_element(lit) for lit in p] for p in pair_lits
                        if tuple(p) not in corrupt], dtype=np.int64).reshape(-1, 2)
-        rows = kernels.scaled_rows(field, f.coeffs, ab[:, 0], ab[:, 1])
+        rows = kernels.scaled_rows(field, row, ab[:, 0], ab[:, 1])
         out[ordinal] = (set(map(tuple, rows.tolist())), defects.get(ord_str, {}))
     return out
 
@@ -177,9 +173,10 @@ def check_pair_fixtures(reports: dict | None = None):
     """Computed pair sets vs the published lists.
 
     Lists are compared as sets of generated polynomials alpha*f(beta*x)
-    (invariant under the choice of pair representative).  For q = 25 the
-    per-system deduplicated counts are the authoritative figures; for
-    q = 49 the per-family totals and the explicit a = 0 list are checked.
+    (invariant under the choice of pair representative).  Each order's
+    per-family pair counts are compared in one piece, families without a
+    published list included; for q = 25 the per-system deduplicated counts
+    are the authoritative figures.
     """
     ref = load_reference()
     problems = []
@@ -197,25 +194,15 @@ def check_pair_fixtures(reports: dict | None = None):
                 problems.append(
                     f"q={q} family {ordinal}: computed {len(got)} classes, "
                     f"published {len(sigs)} (+{missing_allowed} known gaps)")
-        # per-family counts, including families without published lists
-        for ord_str, count in ref["family_pair_counts"][str(q)].items():
-            got_n = by_ord[int(ord_str)].pair_count
-            if got_n != count:
-                problems.append(f"q={q} family {ord_str}: {got_n} pairs, "
-                                f"expected {count}")
-        for r in rep.per_family:
-            if (str(r.family.ordinal) not in ref["family_pair_counts"][str(q)]
-                    and r.pair_count):
-                problems.append(f"q={q} family {r.family.ordinal}: unexpected "
-                                f"{r.pair_count} pairs")
+        # every family's count: the fixture lists the families with pairs
+        counts = {str(o): r.pair_count for o, r in by_ord.items() if r.pair_count}
+        if counts != ref["family_pair_counts"][str(q)]:
+            problems.append(f"q={q}: family pair counts {counts}, expected "
+                            f"{ref['family_pair_counts'][str(q)]}")
     # q=25 per-system counts against the published equation-by-equation data
-    got_systems = []
-    for r in _report(reports, 25, "table").per_family:
-        for s in r.systems:
-            got_systems.append([r.family.ordinal, s.target_ordinal,
-                                int(s.vanishing), s.pair_count])
-    want_systems = load_reference()["system_counts"]["25"]
-    if sorted(got_systems) != sorted(want_systems):
+    got_systems = [[r.family.ordinal, s.target_ordinal, int(s.vanishing), s.pair_count]
+                   for r in _report(reports, 25, "table").per_family for s in r.systems]
+    if sorted(got_systems) != sorted(ref["system_counts"]["25"]):
         problems.append(f"q=25 system counts differ: {got_systems}")
     if problems:
         return False, "; ".join(problems)
@@ -225,8 +212,8 @@ def check_pair_fixtures(reports: dict | None = None):
 @_timed("totals")
 def check_totals(reports: dict | None = None):
     """Orthomorphism totals and exceptional pair subtotals.  A nonexistence
-    order (23, 27, 31, 41) is one whose expected total is 0: its pair
-    search over `field_entries` comes back empty."""
+    order is one whose expected total is 0: its pair search over
+    `field_entries` comes back empty."""
     ref = load_reference()
     problems = []
     for q_str, want in ref["op_totals"].items():
@@ -241,7 +228,8 @@ def check_totals(reports: dict | None = None):
     if problems:
         return False, "; ".join(problems)
     counts = ", ".join(f"{q}:{ref['op_totals'][str(q)]}" for q in PAPER_ORDERS)
-    return True, f"totals exact ({counts}; 0 for 23/27/31/41)"
+    nonexistent = "/".join(q for q, want in ref["op_totals"].items() if not want)
+    return True, f"totals exact ({counts}; 0 for {nonexistent})"
 
 
 @_timed("method-agreement")
@@ -362,7 +350,7 @@ def _audit_result(parts) -> CheckResult:
         f"zero disagreements"), sum(busy))
 
 
-def check_audit(n_random: int = 100_000) -> CheckResult:
+def check_audit(n_random: int = AUDIT_ROWS) -> CheckResult:
     """Zero disagreements between the table route and direct evaluation:
     n_random random degree-7 polynomials per supported field plus the
     exhaustive x^7 + a3 x^3 + a1 x sweep."""
@@ -380,7 +368,7 @@ def check_properties(reports: dict | None = None):
     for q in (q for q in TABLE_ORDERS if q % 7):
         field = field_for(q)
         entry = table_for(q).non_exceptional()[0]
-        f = entry.poly(field).coeffs
+        f = entry.coeff_row()
         if q <= 13:
             a, b, c = np.indices((q - 1, q - 1, q)).reshape(3, -1)
             a, b, d = a + 1, b + 1, np.zeros_like(c)
@@ -413,12 +401,11 @@ def check_properties(reports: dict | None = None):
     return True, "class constancy, shift invariance"
 
 
-def run_suite(deep: bool = False, workers: int = 2,
-              audit_n: int = 100_000) -> list[CheckResult]:
+def run_suite(deep: bool = False, workers: int = 2) -> list[CheckResult]:
     """The full battery, scheduled as the module docstring says; census if `deep`."""
     reports: dict = {}
     (*chain, properties), parts = fork_map(
-        _audit_order, [(q, audit_n) for q in TABLE_ORDERS], workers,
+        _audit_order, [(q, AUDIT_ROWS) for q in TABLE_ORDERS], workers,
         first=lambda: (check_family_tables(), check_non_redundancy(),
                        check_pair_fixtures(reports), check_totals(reports),
                        check_method_agreement(reports), check_distinctness(reports),

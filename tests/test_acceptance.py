@@ -47,7 +47,8 @@ def _criterion(result):
 
 
 def test_c1_family_table_validation():
-    _criterion(verify.check_family_tables())
+    result = _criterion(verify.check_family_tables())
+    assert result.detail == "105 entries across 9 fields validated"
 
 
 def test_c2_non_redundancy():
@@ -61,8 +62,27 @@ def test_c3_pair_fixtures():
     _criterion(verify.check_pair_fixtures(_reports))
 
 
+def test_c3_pair_fixtures_fails_on_a_pair_moved_between_unlisted_families():
+    # q = 49 publishes a list for family 2 alone: a pair moved from family 3
+    # to family 4 keeps every list and total, but not the per-family counts
+    rep = verify._report(_reports, 49)
+    per = list(rep.per_family)
+    src, dst = per[2:4]
+    per[2] = replace(src, pairs=src.pairs[1:], signatures=src.signatures[1:])
+    per[3] = replace(dst, pairs=dst.pairs + src.pairs[:1],
+                     signatures=dst.signatures + src.signatures[:1])
+    planted = {**_reports, 49: EnumerationReport(49, per, list(rep.notes))}
+    result = verify.check_pair_fixtures(planted)
+    assert not result.ok
+    want = {"2": 40, "3": 320, "4": 320, "5": 320, "6": 320, "7": 320}
+    moved = {**want, "3": 319, "4": 321}
+    assert result.detail == f"q=49: family pair counts {moved}, expected {want}"
+
+
 def test_c4_totals():
-    _criterion(verify.check_totals(_reports))
+    result = _criterion(verify.check_totals(_reports))
+    assert result.detail == ("totals exact (11:7260, 13:6422, 17:4624, 19:4332, "
+                             "25:60000, 49:3937640; 0 for 23/27/31/41)")
 
 
 def test_c5_method_agreement():
@@ -226,7 +246,7 @@ def test_suite_pool_is_capped_at_the_cpus(monkeypatch, fork_log, no_child_left):
 
     monkeypatch.setattr(verify, "check_family_tables", planted)
     with pytest.raises(_Planted, match="chain"):
-        verify.run_suite(workers=100_000, audit_n=1_000)
+        verify.run_suite(workers=100_000)
     assert len(fork_log) == 2 and no_child_left()
 
 
@@ -282,5 +302,5 @@ def test_an_error_in_a_forked_audit_item_propagates(monkeypatch, no_child_left):
     monkeypatch.setattr(verify, "audit_random", raising)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(_Planted):
-        verify.run_suite(workers=2, audit_n=1_000)
+        verify.run_suite(workers=2)
     assert no_child_left()

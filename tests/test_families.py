@@ -319,7 +319,7 @@ def _regenerate_table(q):
     rows = np.zeros((len(tuples), 8), dtype=np.int64)
     rows[:, 5:0:-1], rows[:, 7] = tuples, 1
     keep = pp_batch(fld, rows)
-    return set(map(tuple, tuples[keep.astype(bool)].tolist()))
+    return set(map(tuple, tuples[keep].tolist()))
 
 
 @pytest.mark.parametrize("q", [11, 13])

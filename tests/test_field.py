@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ortho7.errors import (
     DivisionByZero,
     DlogOfZero,
+    InvalidArgument,
     NonPrimeP,
     NonPrimitiveModulus,
     ParseError,
@@ -145,6 +146,15 @@ def test_inv_zero_raises(f13):
         f13.inv(0)
     with pytest.raises(DivisionByZero):
         f13.pow(0, -1)
+
+
+def test_inv_pow_dlog_refuse_integers_outside_the_field(f49):
+    # a negative element would read the tables from their end
+    # (inv(-1) was the inverse of 48), and q itself ran past them
+    for a in (-1, 49):
+        for op in (f49.inv, f49.dlog, lambda a: f49.pow(a, 1)):
+            with pytest.raises(InvalidArgument, match="not an element of F_49"):
+                op(a)
 
 
 def test_pow_reduces_exponent_mod_group_order(f13, f25):

@@ -78,7 +78,7 @@ def _horner_hits(fld, rows):
     """The pp hit mask of coefficient rows, then one mask per lam in F_q* of
     the rows f whose f - lam*x permutes too, by the Horner evaluator: one
     pp_batch of the rows, then one of the hits' f - lam*x rows over every lam."""
-    pp = kernels.pp_batch(fld, rows).astype(bool)
+    pp = kernels.pp_batch(fld, rows)
     shifted = np.tile(rows[pp], (fld.q - 1, 1))  # row block lam - 1: f - lam*x
     shifted[:, 1] = fld.sub_t[shifted[:, 1], np.repeat(np.arange(1, fld.q), pp.sum())]
     lam = np.zeros((fld.q - 1, pp.size), dtype=bool)
