@@ -34,8 +34,7 @@ from .pairs import (  # noqa: F401
     PairSearchResult,
     count_ops,
     enumerate_ops,
-    search_pairs_direct,
-    search_pairs_table_based,
+    search_pairs,
 )
 from .perm import (  # noqa: F401
     CensusQuery,

@@ -29,8 +29,7 @@ from .field import FieldSpec, build_field, field_for
 from .pairs import (
     count_ops,
     family_record,
-    search_pairs_direct,
-    search_pairs_table_based,
+    search_pairs,
     write_vectors,
 )
 from .perm import (
@@ -223,12 +222,11 @@ def cmd_pairs(args) -> Record:
             raise ParseError(f"--family must be in 1..{len(entries)} for "
                              f"q={field.q}, got {args.family}")
         entries = [entries[args.family - 1]]
-    searches = {"direct": search_pairs_direct, "table": search_pairs_table_based}
+    routes = [search_pairs(field, entries, method) for method in ("direct", "table")
+              if args.method in (method, "both")]
     results, lines = [], []
     rows = [["q", "family", "method", "alpha", "beta"]]
-    for entry in entries:
-        found = [search(field, entry) for method, search in searches.items()
-                 if args.method in (method, "both")]
+    for entry, *found in zip(entries, *routes):
         rec = family_record(found[0], field.format_element)
         if args.method == "both":
             rec["methods_agree"] = found[0].pairs == found[1].pairs

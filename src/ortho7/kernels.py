@@ -1,5 +1,5 @@
-"""Hot inner loops: candidate census, pair-grid scans, batch checks,
-shift expansion and class-image code lookups.
+"""Hot inner loops: candidate census, batch checks, the pair line, shift
+expansion and class-image code lookups.
 
 Vectorised numpy throughout.  All kernels operate on the integer element
 encoding and take the field's add/sub/mul tables as arrays, so they are
@@ -9,14 +9,15 @@ order).  Every kernel given polynomials takes them as coefficient rows
 on the last axis (ascending powers).  One primitive, `scaled_rows`, gives
 every rescaling alpha*f(beta*x): the pair dedup (a lexsort of its rows)
 and the published pair lists read it.  It is `expand_shifts` with a zero
-shift; `pairs.shift_blocks` makes one call per batch of pairs.  The pair grid
-(the q-1 rows of `pair_line`) and pp_batch share one evaluator, `_full_hits`:
-Horner with one gather per step from an int16 step table, and a collision
-sieve that stops evaluating a row once one of its values repeats.  The
-census kernel yields, per scan step, a boolean mask of the permutations
-among the step's candidates of a given digit layout: it evaluates low and
-high coefficient blocks once each (meet in the middle) and gathers whole
-rows of per-point (or per-pair) low-block hits.
+shift; `pairs.shift_blocks` makes one call per batch of pairs.  One
+evaluator, `_full_hits`, runs pp_batch on the audit rows and on the line
+rows (`pair_line`) of the pair search: Horner with one gather per step
+from an int16 step table, and a collision sieve that stops evaluating a
+row once one of its values repeats.  The census kernel yields, per scan
+step, a boolean mask of the permutations among the step's candidates of
+a given digit layout: it evaluates low and high coefficient blocks once
+each (meet in the middle) and gathers whole rows of per-point (or
+per-pair) low-block hits.
 `normalized_rows` is the one degree-7 normal form (monic, no constant term,
 and for p != 7 no x^6 after the shift `x6_shift`): `canon.canonical_rows`
 reads it, and `normalized_code_batch` packs it into codes (a code names a
@@ -173,26 +174,24 @@ def _hits(field, upper, powers, M, T, pair, start, stop):
 
 
 # ---------------------------------------------------------------------------
-# Pair grid: indicator over (alpha, beta) in (F_q*)^2 of whether
-# alpha*f(beta*x) - x evaluates to a permutation (the orthomorphism pairs
-# when f is a permutation polynomial).  At y = beta*x it is alpha*(f(y) -
-# lam*y), lam = (alpha*beta)^-1: the line rows f - lam*x decide the cells.
+# Pair line: at y = beta*x, alpha*f(beta*x) - x is alpha*(f(y) - lam*y),
+# lam = (alpha*beta)^-1, so the line rows f - lam*x decide every (alpha,
+# beta) in (F_q*)^2: pp_batch(field, pair_line(field, f))[...,
+# pair_cells(field)] is the orthomorphism pair grid of a permutation f.
 
 
-def pair_line(field, coeffs8):
-    """The rows f - lam*x over lam in F_q*, as one array L[lam-1], (q-1, 8)."""
-    L = np.tile(np.asarray(coeffs8, dtype=np.int64), (field.q - 1, 1))
-    L[:, 1] = field.sub_t[L[:, 1], np.arange(1, field.q)]
+def pair_line(field, C):
+    """The rows f - lam*x over lam in F_q* of each row f of C (last axis),
+    as one array L[..., lam-1, :] of shape C.shape[:-1] + (q-1, n)."""
+    C = np.asarray(C, dtype=np.int64)
+    L = np.repeat(C[..., None, :], field.q - 1, axis=-2)
+    L[..., 1] = field.sub_t[L[..., 1], np.arange(1, field.q)]
     return L
 
 
 def pair_cells(field):
     """The line index lam-1 of each cell [alpha-1, beta-1], shape (q-1, q-1)."""
     return field.inv_t[field.mul_t[1:, 1:]] - 1
-
-
-def op_pair_grid(field, coeffs8):
-    return _full_hits(field, pair_line(field, coeffs8))[pair_cells(field)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ search coming back empty at every class of its order.
 Two independent routes produce the pair sets from the q-1 rows f - lam*x
 of `kernels.pair_line`: alpha*f(beta*x) - x is alpha*(f - lam*x)(beta*x),
 lam = (alpha*beta)^-1, so one row decides each cell (`pair_cells`).
+`search_pairs` decides the rows of a batch of classes (every class of an
+order, in `count_ops`) in one kernel call of either route.
 
   direct      evaluate each row over the whole field, keep the bijections;
   table_based never evaluate: a row is a permutation polynomial iff its
@@ -32,11 +34,11 @@ Agreement of the two routes per family is part of the acceptance suite.
 
 Deduplication keeps, for each distinct coefficient vector of
 alpha*f(beta*x), the lexicographically smallest (alpha, beta) by element
-index.  Both routes run it once over their hit cells, as one array of
-`kernels.scaled_rows`, sorted stably by `np.lexsort` over its integer
-columns (exact at every order); comparisons with published pair lists are
-by set.  One stream of shift blocks, `shift_blocks`, expands the pairs,
-and `write_vectors` writes its rows for `enumerate --emit`.
+index.  Both routes run it once per class over its hit cells, as one
+array of `kernels.scaled_rows`, sorted stably by `np.lexsort` over its
+integer columns (exact at every order); comparisons with published pair
+lists are by set.  One stream of shift blocks, `shift_blocks`, expands
+the pairs, and `write_vectors` writes its rows for `enumerate --emit`.
 """
 
 from __future__ import annotations
@@ -106,46 +108,47 @@ def _dedup(field: Field, f: Poly, hit) -> tuple[tuple, tuple]:
     return pairs, tuple(map(tuple, rows[first].tolist()))
 
 
-def search_pairs_direct(field: Field, family: FamilyEntry) -> PairSearchResult:
-    """All deduplicated (alpha, beta) with alpha*f(beta*x) an orthomorphism,
-    by direct evaluation of alpha*f(beta*x) - x over the field."""
-    f = family.poly(field)
-    pairs, sigs = _dedup(field, f, kernels.op_pair_grid(field, f.coeffs))
-    return PairSearchResult(family, "direct", pairs, sigs)
+def search_pairs(field: Field, entries, method: str = "direct"
+                 ) -> list[PairSearchResult]:
+    """One result per class entry f of the sequence `entries`, in order:
+    the deduplicated (alpha, beta) with alpha*f(beta*x) an orthomorphism,
+    from one `pp_batch` call (method "direct") or one `class_lookup` call
+    ("table") over the line rows of all entries.
 
-
-# ---------------------------------------------------------------------------
-# Table-based route.
-
-
-def search_pairs_table_based(field: Field, family: FamilyEntry
-                             ) -> PairSearchResult:
-    """Pair search that never evaluates the polynomial: class-image lookups
-    of the line rows f - lam*x, spread over (F_q*)^2, grouped by target.
-
-    For gcd(q, 7) = 1 every target with the source's x^2..x^5 support has
-    a system, and every hit falls in one of them: alpha*f(beta*x) - x has
-    no x^6 or constant term, so a relation to a target has c = d = 0 and
-    keeps the support.  A target with a zero x-coefficient is marked
-    vanishing (the x-coefficient of alpha*f(beta*x) - x must vanish).
+    The table route groups each entry's pairs by target.  For gcd(q, 7) = 1
+    every target with the source's x^2..x^5 support has a system, and
+    every hit falls in one of them: alpha*f(beta*x) - x has no x^6 or
+    constant term, so a relation to a target has c = d = 0 and keeps the
+    support.  A target with a zero x-coefficient is marked vanishing (the
+    x-coefficient of alpha*f(beta*x) - x must vanish).
     """
-    f = family.poly(field)
-    hit, ords, _ = class_lookup(field, kernels.pair_line(field, f.coeffs))
-    cells = kernels.pair_cells(field)
-    pairs, sigs = _dedup(field, f, hit[cells])
-    targets = field_entries(field)
-    zeros = [c == 0 for c in f.coeffs[2:6]]  # the x^2..x^5 support
-    per_target = {t.ordinal: [] for t in targets if field.p != 7
-                  and [c == 0 for c in t.coeff_row()[2:6]] == zeros}
-    # a polynomial lies in one class: each system's pairs are the kept
-    # pairs whose image hits its target
-    for a, b in pairs:
-        ordv = int(ords[cells[a - 1, b - 1]])
-        assert field.p == 7 or ordv in per_target, (family.ordinal, ordv)
-        per_target.setdefault(ordv, []).append((a, b))
-    return PairSearchResult(family, "table_based", pairs, sigs, systems=tuple(
-        SystemResult(o, field.p != 7 and targets[o - 1].coeff_row()[1] == 0,
-                     tuple(per_target[o])) for o in sorted(per_target)))
+    if method not in ("direct", "table"):
+        raise ValueError(f"unknown method {method!r}")
+    lines = kernels.pair_line(field, [e.coeff_row() for e in entries])  # (m, q-1, 8)
+    if method == "direct":
+        hit = kernels.pp_batch(field, lines)
+    else:
+        hit, ords, _ = class_lookup(field, lines)
+        targets = field_entries(field)
+    cells, out = kernels.pair_cells(field), []
+    for k, (e, h) in enumerate(zip(entries, hit)):
+        pairs, sigs = _dedup(field, e.poly(field), h[cells])
+        if method == "direct":
+            out.append(PairSearchResult(e, "direct", pairs, sigs))
+            continue
+        zeros = [c == 0 for c in e.coeff_row()[2:6]]  # the x^2..x^5 support
+        per_target = {t.ordinal: [] for t in targets if field.p != 7
+                      and [c == 0 for c in t.coeff_row()[2:6]] == zeros}
+        # a polynomial lies in one class: each system's pairs are the kept
+        # pairs whose image hits its target
+        for a, b in pairs:
+            ordv = int(ords[k, cells[a - 1, b - 1]])
+            assert field.p == 7 or ordv in per_target, (e.ordinal, ordv)
+            per_target.setdefault(ordv, []).append((a, b))
+        out.append(PairSearchResult(e, "table_based", pairs, sigs, systems=tuple(
+            SystemResult(o, field.p != 7 and targets[o - 1].coeff_row()[1] == 0,
+                         tuple(per_target[o])) for o in sorted(per_target))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +206,7 @@ def count_ops(field: Field | int, method: str = "direct") -> EnumerationReport:
     field (`field_entries`); an order stands for its preset field."""
     if not isinstance(field, Field):
         field = field_for(field)
-    if method not in ("direct", "table"):
-        raise ValueError(f"unknown method {method!r}")
-    search = search_pairs_direct if method == "direct" else search_pairs_table_based
-    per = [search(field, entry) for entry in field_entries(field)]
+    per = search_pairs(field, field_entries(field), method)
     q = field.q
     notes = [FIELD_NOTES[q]] if q in FIELD_NOTES else []
     return EnumerationReport(q, per, notes)

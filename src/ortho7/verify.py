@@ -234,7 +234,8 @@ def check_totals(reports: dict | None = None):
 
 @_timed("method-agreement")
 def check_method_agreement(reports: dict | None = None):
-    """search_pairs_direct == search_pairs_table_based for every family."""
+    """The direct and the table route of `search_pairs` find the same pairs
+    for every family of every table order."""
     families = 0
     for q in TABLE_ORDERS:
         for d, t in zip(_report(reports, q).per_family,

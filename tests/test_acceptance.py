@@ -190,16 +190,19 @@ def test_c9_property_suite_fails_on_a_non_orthomorphism():
 
 def test_one_direct_search_per_family(monkeypatch):
     # totals, method agreement and the property suite share one reports
-    # memo: each table family is searched directly once, and so is x^7 at
-    # q = 41, the nonexistence order without a table
-    calls = Counter()
-    search = pairs.search_pairs_direct
+    # memo: each order is searched once per route, all its classes in one
+    # call (10 direct, 9 table), so each table family is searched directly
+    # once, and so is x^7 at q = 41, the nonexistence order without a table
+    calls, searched = Counter(), Counter()
+    search = pairs.search_pairs
 
-    def counted(field, family):
-        calls[field.q, family.coeffs] += 1
-        return search(field, family)
+    def counted(field, entries, method="direct"):
+        calls[field.q, method] += 1
+        if method == "direct":
+            searched.update((field.q, e.coeffs) for e in entries)
+        return search(field, entries, method)
 
-    monkeypatch.setattr(pairs, "search_pairs_direct", counted)
+    monkeypatch.setattr(pairs, "search_pairs", counted)
     reports = {}
     for check in (verify.check_totals, verify.check_method_agreement,
                   verify.check_properties):
@@ -207,8 +210,11 @@ def test_one_direct_search_per_family(monkeypatch):
     want = Counter((q, e.coeffs) for q in verify.TABLE_ORDERS
                    for e in table_for(q).entries)
     want[41, (0, 0, 0, 0, 0)] += 1
-    assert calls == want
-    assert sum(calls.values()) == 106
+    assert searched == want
+    assert sum(searched.values()) == 106
+    assert calls == Counter([(q, "direct") for q in (*verify.TABLE_ORDERS, 41)]
+                            + [(q, "table") for q in verify.TABLE_ORDERS])
+    assert sum(calls.values()) == 19
 
 
 def _no_fork():

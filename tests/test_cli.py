@@ -375,14 +375,15 @@ def test_census_degree_zero_is_a_usage_error(capsys):
 
 
 def _disagreeing_routes(monkeypatch):
-    # the table route loses its first pair, so the two routes disagree
-    table = cli.search_pairs_table_based
+    # the table route loses each family's first pair, so the routes disagree
+    search = cli.search_pairs
 
-    def planted(fld, entry):
-        res = table(fld, entry)
-        return dataclasses.replace(res, pairs=res.pairs[1:])
+    def planted(fld, entries, method="direct"):
+        found = search(fld, entries, method)
+        return found if method == "direct" else [
+            dataclasses.replace(res, pairs=res.pairs[1:]) for res in found]
 
-    monkeypatch.setattr(cli, "search_pairs_table_based", planted)
+    monkeypatch.setattr(cli, "search_pairs", planted)
 
 
 def _planted_suite(ok):

@@ -14,13 +14,14 @@ from ortho7.canon import canonical_rows
 from ortho7.errors import InvalidArgument, UnsupportedOrder
 from ortho7.families import (
     EXPECTED_COUNTS,
+    FamilyEntry,
     audit_random,
     class_lookup,
     field_entries,
     table_for,
 )
 from ortho7.field import field_for
-from ortho7.pairs import count_ops, search_pairs_direct, search_pairs_table_based
+from ortho7.pairs import count_ops, search_pairs
 from ortho7.perm import CensusQuery, is_orthomorphism, is_permutation
 from ortho7.poly import LinearTransform, Poly, apply_transform, eval_poly
 
@@ -95,8 +96,7 @@ def _degree7_hits(fld):
         return {}
     entries = table_for(fld.q).entries
     hits = {"pp": np.array(entries[0].poly(fld).coeffs)}
-    searches = (search_pairs_direct(fld, e) for e in entries)
-    op = next((r.signatures[0] for r in searches if r.pairs), None)
+    op = next((r.signatures[0] for r in search_pairs(fld, entries) if r.pairs), None)
     if op is not None:
         op = np.array((0,) + tuple(op[1:]))  # f + c is an orthomorphism iff f is
         hits.update({"op": op, "cpp": fld.neg_t[op]})
@@ -304,12 +304,15 @@ def test_census_shards_of_uneven_lengths_sum_to_the_count():
 
 @pytest.mark.parametrize("q", [11, 13, 23, 25, 41, 49])
 def test_op_pair_grid_agrees_with_scalar_check(q):
+    # the grid of each class is its line rows, evaluated in one batch,
+    # spread over the cells
     fld = field_for(q)
     mul = fld.mul
-    for e in field_entries(fld)[:3]:
-        f = e.poly(fld).coeffs
-        grid = kernels.op_pair_grid(fld, f)
-        assert grid.shape == (q - 1, q - 1)
+    entries = field_entries(fld)[:3]
+    F = [e.poly(fld).coeffs for e in entries]
+    grids = kernels.pp_batch(fld, kernels.pair_line(fld, F))[:, kernels.pair_cells(fld)]
+    assert grids.shape == (len(F), q - 1, q - 1)
+    for e, f, grid in zip(entries, F, grids):
         for a in range(1, q):
             for b in range(1, q):
                 # alpha * f(beta x): coefficient i is alpha * f_i * beta^i
@@ -321,21 +324,24 @@ def test_op_pair_grid_agrees_with_scalar_check(q):
 @pytest.mark.parametrize("q", sorted(EXPECTED_COUNTS))
 def test_pair_line_agrees_with_the_full_plane(q):
     # the reference is the whole (alpha, beta) plane of alpha*f(beta*x) - x,
-    # built from scaled_rows; both routes read only the q-1 line rows
+    # built from scaled_rows; both routes read only the q-1 line rows, of
+    # every class at once
     fld = field_for(q)
     s = np.arange(1, q)
     cells = kernels.pair_cells(fld)
-    for e in table_for(q).entries:
+    entries = table_for(q).entries
+    lines = kernels.pair_line(fld, [e.coeff_row() for e in entries])
+    grids = kernels.pp_batch(fld, lines)[:, cells]
+    hits, ords, _ = class_lookup(fld, lines)
+    for k, (e, res) in enumerate(zip(entries, search_pairs(fld, entries, "table"))):
         f = e.poly(fld).coeffs
         plane = kernels.scaled_rows(fld, f, s[:, None], s)
         plane[..., 1] = fld.sub_t[plane[..., 1], 1]
-        assert np.array_equal(kernels.op_pair_grid(fld, f), kernels.pp_batch(fld, plane))
+        assert np.array_equal(grids[k], kernels.pp_batch(fld, plane))
         want_hit, want_ords, _ = class_lookup(fld, plane)
-        hit, ords, _ = class_lookup(fld, kernels.pair_line(fld, f))
-        assert np.array_equal(hit[cells], want_hit), e
-        assert np.array_equal(ords[cells][want_hit], want_ords[want_hit]), e
+        assert np.array_equal(hits[k][cells], want_hit), e
+        assert np.array_equal(ords[k][cells][want_hit], want_ords[want_hit]), e
         # the table route files each kept pair under its cell's ordinal
-        res = search_pairs_table_based(fld, e)
         filed = [(a, b, t.target_ordinal) for t in res.systems for a, b in t.pairs]
         assert sorted(filed) == sorted(
             (a, b, int(want_ords[a - 1, b - 1])) for a, b in res.pairs), e
@@ -364,8 +370,10 @@ def test_evaluators_return_the_bool_mask_of_the_rows_leading_shape():
     rows[..., 7] = 1
     mask = kernels.pp_batch(fld, rows)
     assert mask.dtype == bool and mask.shape == (2, 3)
-    grid = kernels.op_pair_grid(fld, rows[0, 0])
-    assert grid.dtype == bool and grid.shape == (12, 12)
+    lines = kernels.pair_line(fld, rows)
+    assert lines.shape == (2, 3, 12, 8)
+    grids = kernels.pp_batch(fld, lines)[..., kernels.pair_cells(fld)]
+    assert grids.dtype == bool and grids.shape == (2, 3, 12, 12)
 
 
 @pytest.mark.parametrize("q", [11, 13, 49])
@@ -431,7 +439,7 @@ def test_kernels_reject_orders_above_hit_mask(q):
     with pytest.raises(UnsupportedOrder, match="q <= 63"):
         kernels.permutation_hits(fld, CensusQuery(fld, 2, False).digits(), 0, 10)
     with pytest.raises(UnsupportedOrder, match="q <= 63"):
-        kernels.op_pair_grid(fld, x7)
+        search_pairs(fld, [FamilyEntry(q, (0,) * 5, True, 1)])
     with pytest.raises(UnsupportedOrder, match="q <= 63"):
         kernels.pp_batch(fld, [x7])
     with pytest.raises(UnsupportedOrder, match="q <= 63"):

@@ -14,8 +14,7 @@ from ortho7.pairs import (
     _dedup,
     count_ops,
     enumerate_ops,
-    search_pairs_direct,
-    search_pairs_table_based,
+    search_pairs,
     shift_blocks,
 )
 from ortho7.perm import is_orthomorphism
@@ -30,7 +29,7 @@ def _family(q, coeffs):
 
 
 def test_family1_pairs_q13(f13):
-    res = search_pairs_direct(f13, _family(13, (0, 0, 0, 0, 2)))
+    res = search_pairs(f13, [_family(13, (0, 0, 0, 0, 2))])[0]
     assert set(res.pairs) == {(2, 5), (1, 10), (1, 3), (1, 5),
                               (2, 9), (2, 8), (2, 10), (1, 7)}
     assert all(is_orthomorphism(Poly(f13, sig)) for sig in res.signatures)
@@ -38,19 +37,19 @@ def test_family1_pairs_q13(f13):
 
 def test_family_pairs_q17():
     f17 = field_for(17)
-    res = search_pairs_direct(f17, _family(17, (1, 0, 13, 0, 7)))
+    res = search_pairs(f17, [_family(17, (1, 0, 13, 0, 7))])[0]
     assert set(res.pairs) == {(1, 12), (2, 6), (3, 4), (4, 3),
                               (5, 16), (6, 2), (7, 9), (8, 10)}
 
 
 def test_family_pairs_empty_q23():
     f23 = field_for(23)
-    res = search_pairs_direct(f23, _family(23, (1, 1, 0, 4, 9)))
+    res = search_pairs(f23, [_family(23, (1, 1, 0, 4, 9))])[0]
     assert res.pairs == ()
 
 
 def test_table_route_per_system_q13(f13):
-    res = search_pairs_table_based(f13, _family(13, (0, 0, 0, 0, 2)))
+    res = search_pairs(f13, [_family(13, (0, 0, 0, 0, 2))], "table")[0]
     by_target = {(s.target_ordinal, s.vanishing): set(s.pairs)
                  for s in res.systems}
     # matching against family 1 itself gives (2,5) and (1,10)
@@ -61,7 +60,7 @@ def test_table_route_per_system_q13(f13):
 
 
 def test_table_route_per_system_family3_q13(f13):
-    res = search_pairs_table_based(f13, _family(13, (0, 0, 2, 0, 8)))
+    res = search_pairs(f13, [_family(13, (0, 0, 2, 0, 8))], "table")[0]
     by_target = {(s.target_ordinal, s.vanishing): set(s.pairs)
                  for s in res.systems}
     assert by_target[(3, False)] == {(5, 7), (3, 3), (2, 11),
@@ -74,7 +73,7 @@ def test_dedup_keeps_smallest_representative(f13):
     # (5,1) and (2,9) scale family 2 to the same polynomial 5x^7+4x;
     # the canonical representative is the lexicographically smaller (2,9)
     fam = _family(13, (0, 0, 0, 0, 6))
-    res = search_pairs_direct(f13, fam)
+    res = search_pairs(f13, [fam])[0]
     assert (2, 9) in res.pairs and (5, 1) not in res.pairs
     rows = kernels.scaled_rows(f13, fam.poly(f13).coeffs, [5, 2], [1, 9])
     assert rows[0].tolist() == rows[1].tolist()
@@ -132,10 +131,30 @@ def test_shift_blocks_match_the_scalar_transform(q):
 @pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 49])
 def test_method_agreement(q):
     fld = field_for(q)
-    for e in table_for(q).entries:
-        d = search_pairs_direct(fld, e)
-        t = search_pairs_table_based(fld, e)
+    entries = table_for(q).entries
+    for e, d, t in zip(entries, search_pairs(fld, entries),
+                       search_pairs(fld, entries, "table")):
         assert d.pairs == t.pairs, (q, e.ordinal)
+
+
+@pytest.mark.parametrize("method", ["direct", "table"])
+@pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 49, 41])
+def test_a_batch_files_each_class_under_that_class(q, method):
+    # one kernel call decides the whole batch, and each class gets what a
+    # batch of that class alone gets, in the batch's order: a batch that
+    # swapped or merged the hits of two classes would differ at the orders
+    # with pairs.  A class named twice gets two equal results.
+    fld = field_for(q)
+    entries = field_entries(fld)
+    batch = search_pairs(fld, entries, method)
+    assert batch == [search_pairs(fld, [e], method)[0] for e in entries]
+    twice = search_pairs(fld, [entries[-1], entries[0], entries[-1]], method)
+    assert twice == [batch[-1], batch[0], batch[-1]]
+
+
+def test_search_pairs_refuses_an_unknown_method(f13):
+    with pytest.raises(ValueError, match="unknown method"):
+        search_pairs(f13, table_for(13).entries, "tables")
 
 
 @pytest.mark.parametrize("q,total,exc", [(11, 60, 20), (13, 38, 4),

@@ -48,6 +48,11 @@ ARGVS = (
     [[*argv, "--format", fmt] for argv in _EXAMPLES for fmt in ("text", "json", "csv")]
     + [["census", "--q", str(q), "--degree", "7", "--canonical", "--property", prop,
         "--format", "json"] for q in (8, 11, 13, 16, 17, 19) for prop in ("pp", "op", "cpp")]
+    # both pair routes at every table order (25 is a README example), and
+    # a batch of one: entry 10 at q = 49, the reconstructed one
+    + [["pairs", "--q", str(q), "--method", "both", "--format", "json"]
+       for q in (11, 13, 17, 19, 23, 27, 31, 49)]
+    + [["pairs", "--q", "49", "--family", "10", "--method", "both", "--format", "json"]]
     + [["verify", *deep, "--workers", w, "--format", "json"]
        for deep in ([], ["--deep"]) for w in ("1", "2")]
     + [["enumerate", "--q", "25", "--emit", EMIT]]

@@ -115,9 +115,16 @@ MUTANTS = (
            "if not r.family.exceptional)",
            ("verify.check_totals",)),
     Mutant("table-route-drops-lam-1", "pairs.py",
-           "pairs, sigs = _dedup(field, f, hit[cells])",
-           "pairs, sigs = _dedup(field, f, hit[cells] & (cells > 0))",
+           "        hit, ords, _ = class_lookup(field, lines)\n",
+           "        hit, ords, _ = class_lookup(field, lines)\n        hit[:, 0] = False\n",
            ("verify.check_method_agreement",)),
+    # search_pairs decides every class of a batch in one kernel call: each
+    # class's dedup must read its own hit row
+    Mutant("batch-hits-reversed", "pairs.py",
+           "enumerate(zip(entries, hit))",
+           "enumerate(zip(entries, hit[::-1]))",
+           ("verify.check_pair_fixtures",
+            "tests/test_pairs.py::test_a_batch_files_each_class_under_that_class")),
     Mutant("shift-block-repeats", "pairs.py",
            "block[:, 0] = field.add_t[rows[:, :1], elems].ravel()",
            "block[:, 0] = field.add_t[rows[:, :1], elems // 2].ravel()",
