@@ -249,7 +249,6 @@ def cmd_pairs(args) -> Record:
 def cmd_enumerate(args) -> Record:
     field = resolve_field(args)
     report = count_ops(field)
-    summary = report.to_dict(field)
     lines = [f"q={field.q}: pair_total={report.pair_total} "
              f"op_total={report.op_total} "
              f"(exceptional pairs {report.exceptional_pair_total})"]
@@ -259,7 +258,10 @@ def cmd_enumerate(args) -> Record:
         with open(args.emit, "w") as fh:
             extra["results_emitted"] = n = write_vectors(field, report, fh)
         lines.append(f"wrote {n} coefficient vectors to {args.emit}")
-    return Record(field.q, summary["families"], summary["totals"], lines,
+    totals = {name: getattr(report, name) for name in (
+        "pair_total", "op_total", "exceptional_pair_total", "exceptional_op_total")}
+    return Record(field.q, [family_record(r, field.format_element)
+                            for r in report.per_family], totals, lines,
                   [["q", "family", "pair_count"]] + [
                       [field.q, r.family.ordinal, r.pair_count]
                       for r in report.per_family], extra=extra)

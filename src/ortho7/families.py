@@ -3,10 +3,10 @@
 Each supported field order ships the complete list of linear-relation
 class representatives x^7 + f5 x^5 + ... + f1 x (non-exceptional classes
 first, then the exceptional ones), transcribed from the published
-classification and re-proved at load time: every entry must pass the
-direct permutation check, and non-exceptional entries must satisfy the
-canonical-form criteria whenever gcd(q, 7) = 1.  A transcription error
-therefore cannot survive import.
+classification.  Import validates nothing: `load_family_tables` parses
+the rows as they are, and `table_for` re-proves an order at its first
+call.  Every entry must pass the direct permutation check, and the
+non-exceptional ones the canonical-form criteria when gcd(q, 7) = 1.
 
 Two table entries required source-side corrections, both pinned down by
 recomputation (see the data file header): the q = 27 representative is
@@ -15,13 +15,13 @@ is an editorial reconstruction of a garbled line, validated as the
 unique completion that is a permutation polynomial and is not linearly
 related to any other entry.
 
-The class-image index of an order holds the normalised code of every
-image e(bx+c) of every class entry; when p != 7 the code clears the x^6
-term by a shift, so the images e(bx) already give every code, q-1 per
-entry.  Its per-entry image sets are pairwise disjoint exactly when no
-two entries are linearly related (the non-redundancy check).  The parsed
-tables, each validated order and each field's index are built once and
-kept for the process, each by a `functools.cache`.
+The class-image index of an order holds the distinct normalised codes
+of the images e(bx+c) of its class entries and their ordinals; when
+p != 7 the code clears the x^6 term by a shift, so the images e(bx)
+already give every code, q-1 per entry.  Its per-entry image sets are
+pairwise disjoint exactly when no two entries are linearly related (the
+non-redundancy check).  The parsed tables, each validated order and each
+field's index are kept for the process, each by a `functools.cache`.
 
 The classes of an order are its table entries or, for orders q = 6
 (mod 7) outside the tables, the one class of x^7: a degree-7 permutation
@@ -29,9 +29,9 @@ polynomial there must be linearly related to x^7.  `field_entries` lists
 them for a field; table entries are encoded in the preset field of their
 order, so another field of a table order is refused.  Membership in them
 has one route: a lookup of the normalised code in the class-image index
-of the caller's field (`class_lookup`), which answers `is_pp_by_table`,
-the batched audit, the classify witness and the table-based pair route
-at every order.
+of the caller's field (`class_lookup`, each row's class ordinal or 0),
+which answers `is_pp_by_table`, the batched audit, the classify witness
+and the table-based pair route at every order.
 """
 
 from __future__ import annotations
@@ -161,28 +161,28 @@ def table_codes(q: int) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)
 
 
-def class_images(field: Field, entries):
-    """Normalised codes of the images e(bx+c), (b, c) in F_q* x F_q, of
-    each entry (deduplicated per entry, sorted by code) with the entry's
-    ordinal and first (b, c) per code: the codes of the monic zero-constant
-    members of each class, since a and d of a*e(bx+c)+d are forced.  When
-    p != 7 the code of e(bx+c) is that of e(bx), so only c = 0 is built."""
+def _image_grid(field: Field, C):
+    """The normalised codes of the images e(bx+c) of each degree-7 row e of
+    C (last axis) over the image grid, shape C.shape[:-1] + (n,), and the
+    grid's b and c: b-major over F_q* x F_q, or c = 0 alone when p != 7,
+    where the code of e(bx+c) is that of e(bx)."""
     q = field.q
     nc = q if field.p == 7 else 1
     bs = np.repeat(np.arange(1, q, dtype=np.int64), nc)
     cs = np.tile(np.arange(nc, dtype=np.int64), q - 1)
-    all_codes, all_ords, all_shifts = [], [], []
-    for e in entries:
-        rows = kernels.expand_shifts(field, e.coeff_row(), bs, cs)
-        codes, first = np.unique(kernels.normalized_code_batch(field, rows),
-                                 return_index=True)
-        all_codes.append(codes)
-        all_ords.append(np.full(len(codes), e.ordinal, dtype=np.int64))
-        all_shifts.append(np.stack([bs[first], cs[first]], axis=1))
-    codes = np.concatenate(all_codes)
-    order = np.argsort(codes, kind="stable")
-    return (codes[order], np.concatenate(all_ords)[order],
-            np.concatenate(all_shifts)[order])
+    rows = kernels.expand_shifts(field, np.asarray(C)[..., None, :], bs, cs)
+    return kernels.normalized_code_batch(field, rows), bs, cs
+
+
+def class_images(field: Field, entries):
+    """Normalised codes of the images e(bx+c) of every entry over the image
+    grid, with the entry's ordinal, sorted by (code, ordinal), repeats
+    kept: the codes of the monic zero-constant members of each class,
+    since a and d of a*e(bx+c)+d are forced."""
+    codes = _image_grid(field, [e.coeff_row() for e in entries])[0]
+    ords = np.repeat([e.ordinal for e in entries], codes.shape[-1])
+    order = np.lexsort((ords, codes.ravel()))
+    return codes.ravel()[order], ords[order]
 
 
 def image_codes(q: int):
@@ -209,38 +209,39 @@ def field_entries(field: Field) -> tuple[FamilyEntry, ...]:
 
 @functools.cache
 def _class_index(field: Field):
-    """`class_images` of every class entry in the given field, built once
-    per field and process.  Classes are disjoint: two entries whose images
-    share a code are refused, and the refusal is not kept."""
-    codes, ords, _ = index = class_images(field, field_entries(field))
-    dup = np.flatnonzero(codes[1:] == codes[:-1])
-    if dup.size:
-        raise ValueError(f"q={field.q}: entries {int(ords[dup[0]])} and "
-                         f"{int(ords[dup[0] + 1])} are linearly related; "
+    """The distinct `class_images` codes of the field's class entries and
+    their ordinals, once per field and process.  Classes are disjoint: two
+    entries whose images share a code are refused, and the refusal is not kept."""
+    codes, ords = class_images(field, field_entries(field))
+    first = np.diff(codes, prepend=-1) != 0  # the first of each run: codes >= 0
+    clash = np.flatnonzero(~first[1:] & (ords[1:] != ords[:-1]))
+    if clash.size:
+        raise ValueError(f"q={field.q}: entries {int(ords[clash[0]])} and "
+                         f"{int(ords[clash[0] + 1])} are linearly related; "
                          f"their class images overlap")
-    return index
+    return codes[first], ords[first]
 
 
 def class_lookup(field: Field, C):
     """Look degree-7 coefficient rows (last axis of C) up in the class-image
-    index of the field: the hit mask, and per row the ordinal of the matched
-    entry of `field_entries` and the (b, c) the index keeps for the matched
-    code (both meaningful only where the row hits)."""
-    codes, ords, shifts = _class_index(field)
+    index of the field: per row the ordinal of its class among
+    `field_entries` (ordinals run from 1), or 0 for a row in no class."""
+    codes, ords = _class_index(field)
     hit, pos = kernels.code_member(codes, kernels.normalized_code_batch(field, C))
-    return hit, ords[pos], shifts[pos]
+    return np.where(hit, ords[pos], 0)
 
 
 def image_witness(h: Poly) -> LinearTransform:
     """A t with apply_transform(h, t) the class entry e matched for h (which
-    must be in a class).  The index holds a (b, c) whose e(bx+c) has h's
-    code, so e(bx+c) = u*h(x+s) + v with s the `x6_shift` of h (s = 0 when
-    p = 7); with c' = c - b*s, e = u*h((x-c')/b) + v, and u and v are forced
-    by the x^7 and x^0 terms."""
+    must be in a class).  The first (b, c) of the image grid whose e(bx+c)
+    has h's code gives e(bx+c) = u*h(x+s) + v with s the `x6_shift` of h
+    (s = 0 when p = 7); with c' = c - b*s, e = u*h((x-c')/b) + v, and u and
+    v are forced by the x^7 and x^0 terms."""
     fld = h.field
-    _, ordv, (b, c) = class_lookup(fld, h.coeffs)
-    e = field_entries(fld)[int(ordv) - 1].poly(fld)
-    b, c = int(b), int(c)
+    e = field_entries(fld)[int(class_lookup(fld, h.coeffs)) - 1].poly(fld)
+    codes, bs, cs = _image_grid(fld, e.coeffs)
+    i = int(np.argmax(codes == kernels.normalized_code_batch(fld, h.coeffs)))
+    b, c = int(bs[i]), int(cs[i])
     if fld.p != 7:
         c = fld.sub(c, fld.mul(b, int(kernels.x6_shift(fld, h.coeffs))))
     u = fld.mul(fld.mul(e.coeff(7), fld.pow(b, 7)), fld.inv(h.coeff(7)))
@@ -255,13 +256,12 @@ def is_pp_by_table(h: Poly) -> FamilyEntry | None:
     int64 limit of the codes (q <= 6208)."""
     if h.degree != 7:
         raise DegreeMismatch(f"expected degree 7, got {h.degree}")
-    hit, ordv, _ = class_lookup(h.field, h.coeffs)
-    return field_entries(h.field)[int(ordv) - 1] if hit else None
+    ordv = int(class_lookup(h.field, h.coeffs))
+    return field_entries(h.field)[ordv - 1] if ordv else None
 
 
 @dataclass
 class AuditReport:
-    q: int
     total: int = 0
     pp_count: int = 0
     disagreements: list = dc_field(default_factory=list)
@@ -277,12 +277,12 @@ def audit_rows(field: Field, rows,
     the direct permutation check on each degree-7 coefficient row;
     disagreements are collected, not raised."""
     if report is None:
-        report = AuditReport(field.q)
+        report = AuditReport()
     C = np.asarray(rows, dtype=np.int64)
     if C.size == 0:
         return report
     direct = kernels.pp_batch(field, C)
-    member, _, _ = class_lookup(field, C)
+    member = class_lookup(field, C) > 0
     report.total += len(C)
     report.pp_count += int(direct.sum())
     for i in np.nonzero(direct != member)[0]:
@@ -295,7 +295,7 @@ def audit_random(field: Field, n: int, seed: int = 0) -> AuditReport:
     """n uniform random degree-7 polynomials (leading coefficient uniform
     over F_q*, the rest over F_q), drawn and audited 2^14 at a time."""
     rng = np.random.default_rng(seed)
-    report = AuditReport(field.q)
+    report = AuditReport()
     left = n
     while left > 0:
         b = min(1 << 14, left)

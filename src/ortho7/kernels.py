@@ -10,8 +10,8 @@ on the last axis (ascending powers).  One primitive, `scaled_rows`, gives
 every rescaling alpha*f(beta*x): the pair dedup (a lexsort of its rows)
 and the published pair lists read it.  It is `expand_shifts` with a zero
 shift; `pairs.shift_blocks` makes one call per batch of pairs.  One
-evaluator, `_full_hits`, runs pp_batch on the audit rows and on the line
-rows (`pair_line`) of the pair search: Horner with one gather per step
+evaluator, `pp_batch`, checks the audit rows and the line rows
+(`pair_line`) of the pair search: Horner with one gather per step
 from an int16 step table, and a collision sieve that stops evaluating a
 row once one of its values repeats.  The census kernel yields, per scan
 step, a boolean mask of the permutations among the step's candidates of
@@ -39,45 +39,6 @@ def check_hit_mask_order(q: int) -> None:
     if q > 63:
         raise UnsupportedOrder(f"the evaluation kernels pack hits in uint64 "
                                f"and need q <= 63, got q={q}")
-
-
-def _full_hits(field, C):
-    """Evaluate polynomials at every x of the field by Horner and report
-    which are permutations.
-
-    `C[..., i]` is the array of x^i coefficients (coefficient rows on the
-    last axis, any length).  The hits of each row are ORed into a uint64
-    mask; the result is the boolean array, of shape C.shape[:-1], of full
-    masks.  A row whose value repeats can never fill its mask, so it is
-    sieved out: once at least half of the rows still carried have
-    collided, only the live ones are kept.  A random row lives about
-    sqrt(pi*q/2) points rather than q.  The accumulator is carried times
-    q, so each Horner step is one gather of acc*q + c from the int16 table
-    step[x, a*q + c] = (a*x + c)*q (q^2 <= 3969 fits).
-    """
-    q = field.q
-    check_hit_mask_order(q)
-    step = (field.add_t.astype(np.int16) * q)[field.mul_t.T].reshape(q, q * q)
-    deg = C.shape[-1] - 1
-    cols = C.reshape(-1, deg + 1).T.astype(np.int16)  # one contiguous row per power
-    cols[deg] *= q
-    pos = np.arange(cols.shape[1])
-    mask = np.zeros(pos.size, dtype=np.uint64)
-    clash = np.zeros(pos.size, dtype=bool)
-    bits = np.uint64(1) << (np.arange(q * q) // q).astype(np.uint64)  # [v*q] = 1 << v
-    for x in range(q):
-        sx, acc = step[x], cols[deg]
-        for i in range(deg - 1, -1, -1):
-            acc = sx.take(acc + cols[i])
-        seen = mask | bits.take(acc)
-        clash |= seen == mask
-        mask = seen
-        if 2 * np.count_nonzero(clash) >= max(clash.size, 1):
-            live = ~clash
-            cols, pos, mask, clash = cols[:, live], pos[live], mask[live], clash[live]
-    out = np.zeros(C.shape[:-1], dtype=bool)
-    out.flat[pos] = mask == np.uint64((1 << q) - 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +160,43 @@ def pair_cells(field):
 
 
 def pp_batch(field, coeff_rows):
-    """Direct bijection check for each coefficient row (ascending), as bools."""
-    return _full_hits(field, np.asarray(coeff_rows, dtype=np.int64))
+    """Direct bijection check of each coefficient row: evaluate it at every
+    x of the field by Horner and report whether it is a permutation.
+
+    `coeff_rows[..., i]` is the array of x^i coefficients (rows on the
+    last axis, any length).  The hits of each row are ORed into a uint64
+    mask; the result is the boolean array of full masks, of the rows'
+    leading shape.  A row whose value repeats can never fill its mask, so it is
+    sieved out: once at least half of the rows still carried have
+    collided, only the live ones are kept.  A random row lives about
+    sqrt(pi*q/2) points rather than q.  The accumulator is carried times
+    q, so each Horner step is one gather of acc*q + c from the int16 table
+    step[x, a*q + c] = (a*x + c)*q (q^2 <= 3969 fits).
+    """
+    q = field.q
+    check_hit_mask_order(q)
+    C = np.asarray(coeff_rows, dtype=np.int64)
+    step = (field.add_t.astype(np.int16) * q)[field.mul_t.T].reshape(q, q * q)
+    deg = C.shape[-1] - 1
+    cols = C.reshape(-1, deg + 1).T.astype(np.int16)  # one contiguous row per power
+    cols[deg] *= q
+    pos = np.arange(cols.shape[1])
+    mask = np.zeros(pos.size, dtype=np.uint64)
+    clash = np.zeros(pos.size, dtype=bool)
+    bits = np.uint64(1) << (np.arange(q * q) // q).astype(np.uint64)  # [v*q] = 1 << v
+    for x in range(q):
+        sx, acc = step[x], cols[deg]
+        for i in range(deg - 1, -1, -1):
+            acc = sx.take(acc + cols[i])
+        seen = mask | bits.take(acc)
+        clash |= seen == mask
+        mask = seen
+        if 2 * np.count_nonzero(clash) >= max(clash.size, 1):
+            live = ~clash
+            cols, pos, mask, clash = cols[:, live], pos[live], mask[live], clash[live]
+    out = np.zeros(C.shape[:-1], dtype=bool)
+    out.flat[pos] = mask == np.uint64((1 << q) - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

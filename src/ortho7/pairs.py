@@ -128,7 +128,8 @@ def search_pairs(field: Field, entries, method: str = "direct"
     if method == "direct":
         hit = kernels.pp_batch(field, lines)
     else:
-        hit, ords, _ = class_lookup(field, lines)
+        ords = class_lookup(field, lines)
+        hit = ords > 0
         targets = field_entries(field)
     cells, out = kernels.pair_cells(field), []
     for k, (e, h) in enumerate(zip(entries, hit)):
@@ -177,17 +178,6 @@ class EnumerationReport:
     @property
     def exceptional_op_total(self) -> int:
         return self.exceptional_pair_total * self.q * self.q
-
-    def to_dict(self, field: Field | None = None) -> dict:
-        fmt = (field or field_for(self.q)).format_element
-        return {
-            "q": self.q,
-            "families": [family_record(r, fmt) for r in self.per_family],
-            "totals": {name: getattr(self, name) for name in (
-                "pair_total", "op_total", "exceptional_pair_total",
-                "exceptional_op_total")},
-            "notes": list(self.notes),
-        }
 
 
 def family_record(result: PairSearchResult, fmt) -> dict:

@@ -25,6 +25,8 @@ Criteria and stated targets:
     tests/test_poly.py::test_transform_pointwise_identity_exhaustive)
 """
 
+import ast
+import copy
 import json
 import os
 from collections import Counter
@@ -34,7 +36,7 @@ from types import SimpleNamespace
 import pytest
 
 from ortho7 import cli, families, pairs, verify
-from ortho7.families import table_for
+from ortho7.families import FamilyTable, table_for
 from ortho7.pairs import EnumerationReport, count_ops
 
 _reports: dict[int, EnumerationReport] = {}
@@ -49,6 +51,31 @@ def _criterion(result):
 def test_c1_family_table_validation():
     result = _criterion(verify.check_family_tables())
     assert result.detail == "105 entries across 9 fields validated"
+
+
+@pytest.mark.parametrize("plant, detail", [
+    (lambda es: es[:-1], "table counts for q=13 do not match the expected 14+1"),
+    (lambda es: es[:-1] + (replace(es[-1], ordinal=16),),
+     "non-contiguous ordinals in table q=13"),
+    # x^7 + x is not a permutation of F_13
+    (lambda es: (replace(es[0], coeffs=(0, 0, 0, 0, 1)),) + es[1:],
+     "table entry q=13 ordinal 1 is not a permutation polynomial"),
+    # x^7 + 11x = e(2x)/2^7 for entry 1, x^7 + 2x: in its class, not canonical
+    (lambda es: (replace(es[0], coeffs=(0, 0, 0, 0, 11)),) + es[1:],
+     "non-exceptional entry q=13 ordinal 1 fails the canonical criteria"),
+], ids=["counts", "ordinals", "non-permutation", "criteria"])
+def test_c1_family_tables_fail_on_each_refusal(monkeypatch, plant, detail):
+    # the parsed q = 13 table replaced by a planted copy; validate_table's
+    # cache is emptied before and after, so no planted verdict outlives it
+    tables = families.load_family_tables()
+    planted = {**tables, 13: FamilyTable(13, plant(tables[13].entries))}
+    monkeypatch.setattr(families, "load_family_tables", lambda: planted)
+    families.validate_table.cache_clear()
+    try:
+        result = verify.check_family_tables()
+    finally:
+        families.validate_table.cache_clear()
+    assert (result.ok, result.detail) == (False, f"q=13: {detail}")
 
 
 def test_c2_non_redundancy():
@@ -79,14 +106,70 @@ def test_c3_pair_fixtures_fails_on_a_pair_moved_between_unlisted_families():
     assert result.detail == f"q=49: family pair counts {moved}, expected {want}"
 
 
+def _planted_reference(monkeypatch, edit):
+    """verify reading a copy of the fixture changed by `edit`; the cached
+    fixture itself is left alone."""
+    ref = copy.deepcopy(verify.load_reference())
+    edit(ref)
+    monkeypatch.setattr(verify, "load_reference", lambda: ref)
+
+
+def test_c3_pair_fixtures_fails_on_a_listed_non_pair(monkeypatch):
+    # (1, 1) gives x^7 + 2x - x = x^7 + x, no permutation of F_13
+    _planted_reference(monkeypatch,
+                       lambda ref: ref["pair_lists"]["13"]["1"].append(["1", "1"]))
+    result = verify.check_pair_fixtures(_reports)
+    assert (result.ok, result.detail) == (
+        False, "q=13 family 1: published list names 1 non-pairs")
+
+
+def test_c3_pair_fixtures_fails_on_a_wrong_gap_count(monkeypatch):
+    _planted_reference(monkeypatch, lambda ref: ref["pair_lists"]["13"]["1"].pop())
+    result = verify.check_pair_fixtures(_reports)
+    assert (result.ok, result.detail) == (
+        False, "q=13 family 1: computed 8 classes, published 7 (+0 known gaps)")
+
+
+def test_c3_pair_fixtures_fails_on_a_q25_system_count(monkeypatch):
+    # the detail lists the computed systems, which are the true fixture's
+    want = sorted(verify.load_reference()["system_counts"]["25"])
+    _planted_reference(monkeypatch,
+                       lambda ref: ref["system_counts"]["25"][0].__setitem__(3, 13))
+    result = verify.check_pair_fixtures(_reports)
+    head = "q=25 system counts differ: "
+    assert not result.ok and result.detail.startswith(head)
+    assert sorted(ast.literal_eval(result.detail.removeprefix(head))) == want
+
+
 def test_c4_totals():
     result = _criterion(verify.check_totals(_reports))
     assert result.detail == ("totals exact (11:7260, 13:6422, 17:4624, 19:4332, "
                              "25:60000, 49:3937640; 0 for 23/27/31/41)")
 
 
+@pytest.mark.parametrize("key, want, detail", [
+    ("op_totals", 6423, "q=13: op_total 6422 != 6423"),
+    ("exceptional_pair_totals", 5, "q=13: exceptional pairs 4 != 5"),
+])
+def test_c4_totals_fail_on_a_wrong_figure(monkeypatch, key, want, detail):
+    _planted_reference(monkeypatch, lambda ref: ref[key].__setitem__("13", want))
+    result = verify.check_totals(_reports)
+    assert (result.ok, result.detail) == (False, detail)
+
+
 def test_c5_method_agreement():
     _criterion(verify.check_method_agreement())
+
+
+def test_c5_method_agreement_fails_on_a_pair_one_route_misses():
+    # the table route's q = 11 report without the first pair of family 6,
+    # the first family with pairs
+    rep = count_ops(11, "table")
+    per = list(rep.per_family)
+    i = next(k for k, r in enumerate(per) if r.pairs)
+    per[i] = replace(per[i], pairs=per[i].pairs[1:])
+    result = verify.check_method_agreement({(11, "table"): EnumerationReport(11, per)})
+    assert (result.ok, result.detail) == (False, "q=11 family 6: direct 10 vs table 9 pairs")
 
 
 def test_c6_distinctness():
@@ -138,11 +221,11 @@ def test_c7_census_oracle():
 def test_c7_census_fails_on_an_incomplete_class_table(monkeypatch):
     # the q = 11 index without the codes of one entry: op, cpp and the
     # totals still agree, but the census's permutations outnumber the index
-    codes, ords, shifts = families.image_codes(11)
+    codes, ords = families.image_codes(11)
     keep = ords != ords[0]
     monkeypatch.setattr(verify, "CENSUS_ORDERS", (11,))
     monkeypatch.setattr(verify, "image_codes",
-                        lambda q: (codes[keep], ords[keep], shifts[keep]))
+                        lambda q: (codes[keep], ords[keep]))
     result = verify.check_census(workers=1, reports=_reports)
     assert not result.ok
     assert result.detail == (f"q=11: pp 24750 != q(q-1) * {keep.sum()} index "
@@ -167,6 +250,26 @@ def test_c7_census_fails_on_an_f_minus_lam_x_count_that_is_not_op(monkeypatch):
     assert result.detail == f"q=11: f - lam*x counts {[660] * 9 + [659]} != op 660"
 
 
+def _canned_census(monkeypatch, op):
+    """c7 at q = 11 alone, its census replaced by canned counts."""
+    monkeypatch.setattr(verify, "CENSUS_ORDERS", (11,))
+    monkeypatch.setattr(verify, "census_counts",
+                        lambda query, **kw: {"op": op, "lam": [op] * 10, "pp": 24_750})
+
+
+def test_c7_census_fails_on_a_wrong_canonical_count(monkeypatch):
+    _canned_census(monkeypatch, 661)
+    result = verify.check_census(workers=1, reports=_reports)
+    assert (result.ok, result.detail) == (False, "q=11: canonical census 661 != 660")
+
+
+def test_c7_census_fails_when_op_total_is_not_the_count_times_q(monkeypatch):
+    # the census agrees with the fixture; the pair search lost one pair
+    _canned_census(monkeypatch, 660)
+    result = verify.check_census(workers=1, reports={11: SimpleNamespace(op_total=7260 - 121)})
+    assert (result.ok, result.detail) == (False, "q=11: op_total 7139 != canonical 660 * q")
+
+
 def test_c8_classification_audit():
     # the permutation count shows a row the evaluator dropped even where
     # the table route dropped it too
@@ -186,6 +289,33 @@ def test_c9_property_suite_fails_on_a_non_orthomorphism():
     result = verify.check_properties(reports={11: SimpleNamespace(per_family=[fake])})
     assert not result.ok
     assert result.detail == "q=11: shift (0,0) breaks OP"
+
+
+def test_c9_property_suite_fails_on_a_non_canonical_entry(monkeypatch):
+    # x^7 + 6x^2 = e(2x)/2^7 for the first q = 11 entry e = x^7 + 5x^2
+    table = table_for(11)
+    planted = FamilyTable(11, (replace(table.entries[0], coeffs=(0, 0, 0, 6, 0)),)
+                          + table.entries[1:])
+    monkeypatch.setattr(verify, "table_for", lambda q: planted if q == 11 else table_for(q))
+    result = verify.check_properties(reports=_reports)
+    assert (result.ok, result.detail) == (False, "q=11: table entry not canonical")
+
+
+def test_c9_property_suite_names_the_transform_that_breaks_constancy(monkeypatch):
+    # the canonical tuple of row 5, the image under the fifth transform of
+    # the q = 11 grid (a, b, c) = (1, 1, 4), moved off the entry's
+    real = verify.canonical_rows
+
+    def planted(field, rows):
+        tuples, t = real(field, rows)
+        tuples = tuples.copy()
+        tuples[5] = (tuples[5] + 1) % field.q
+        return tuples, t
+
+    monkeypatch.setattr(verify, "canonical_rows", planted)
+    result = verify.check_properties(reports=_reports)
+    assert (result.ok, result.detail) == (
+        False, "q=11: class constancy fails under LinearTransform(a=1, b=1, c=4, d=0)")
 
 
 def test_one_direct_search_per_family(monkeypatch):
@@ -257,16 +387,17 @@ def test_suite_pool_is_capped_at_the_cpus(monkeypatch, fork_log, no_child_left):
 
 
 def _plant_disagreements(monkeypatch, orders):
-    """The class index misreads the first row of every batch at `orders`;
-    forked workers inherit the patch."""
+    """The class index misreads the first row of every batch at `orders`,
+    a class for a miss and a miss for a class; forked workers inherit the
+    patch."""
     lookup = families.class_lookup
 
     def planted(field, C):
-        hit, ords, shifts = lookup(field, C)
+        ords = lookup(field, C)
         if field.q in orders:
-            hit = hit.copy()
-            hit[0] = not hit[0]
-        return hit, ords, shifts
+            ords = ords.copy()
+            ords[0] = 0 if ords[0] else 1
+        return ords
 
     monkeypatch.setattr(families, "class_lookup", planted)
 

@@ -222,6 +222,10 @@ def test_usage_error_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error:" in err, argv
         assert "Traceback" not in err, argv
+    # a field of order p^r, r > 1, needs its modulus
+    code, _, err = run(capsys, "test", "--p", "5", "--r", "2", "x")
+    assert code == 2 and "--modulus is required when --r > 1" in err
+    assert "Traceback" not in err
 
 
 def test_verify_single_field(capsys):

@@ -332,20 +332,19 @@ def test_pair_line_agrees_with_the_full_plane(q):
     entries = table_for(q).entries
     lines = kernels.pair_line(fld, [e.coeff_row() for e in entries])
     grids = kernels.pp_batch(fld, lines)[:, cells]
-    hits, ords, _ = class_lookup(fld, lines)
+    ords = class_lookup(fld, lines)
     for k, (e, res) in enumerate(zip(entries, search_pairs(fld, entries, "table"))):
         f = e.poly(fld).coeffs
         plane = kernels.scaled_rows(fld, f, s[:, None], s)
         plane[..., 1] = fld.sub_t[plane[..., 1], 1]
         assert np.array_equal(grids[k], kernels.pp_batch(fld, plane))
-        want_hit, want_ords, _ = class_lookup(fld, plane)
-        assert np.array_equal(hits[k][cells], want_hit), e
-        assert np.array_equal(ords[k][cells][want_hit], want_ords[want_hit]), e
+        want = class_lookup(fld, plane)
+        assert np.array_equal(ords[k][cells], want), e
         # the table route files each kept pair under its cell's ordinal
         filed = [(a, b, t.target_ordinal) for t in res.systems for a, b in t.pairs]
         assert sorted(filed) == sorted(
-            (a, b, int(want_ords[a - 1, b - 1])) for a, b in res.pairs), e
-        assert all(want_hit[a - 1, b - 1] for a, b in res.pairs), e
+            (a, b, int(want[a - 1, b - 1])) for a, b in res.pairs), e
+        assert all(want[a - 1, b - 1] > 0 for a, b in res.pairs), e
 
 
 def test_pp_batch_agrees_with_scalar_check():
@@ -423,12 +422,14 @@ def test_class_lookup_agrees_with_canonical_route(q):
     near = np.array(related)
     near[:, 1] = fld.add_t[near[:, 1], 1]
     C = np.vstack([C, related, near])
-    hit, _, _ = class_lookup(fld, C)
-    assert hit[300:300 + len(related)].all()
+    ords = class_lookup(fld, C)
+    assert ords[300:300 + len(related)].tolist() == [
+        e.ordinal for e in field_entries(fld) for _ in range(4)]
+    # a row's ordinal is that of the entry its canonical tuple names, or 0
     tuples, _ = canonical_rows(fld, C)
-    coeffs = {e.coeffs for e in field_entries(fld)}
-    for row, h, t in zip(C, hit, tuples.tolist()):
-        assert bool(h) == (tuple(t) in coeffs), (q, row)
+    ordinal = {e.coeffs: e.ordinal for e in field_entries(fld)}
+    for row, o, t in zip(C, ords.tolist(), tuples.tolist()):
+        assert o == ordinal.get(tuple(t), 0), (q, row)
 
 
 @pytest.mark.parametrize("q", [67, 83])

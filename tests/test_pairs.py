@@ -1,11 +1,13 @@
 """Pair search, both routes, against the published fixtures."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from ortho7 import kernels
+from ortho7.cli import main
 from ortho7.errors import UnsupportedOrder
 from ortho7.field import field_for
 from ortho7.families import field_entries, table_for
@@ -238,12 +240,14 @@ def test_nonexistence():
         count_ops(29)  # 29 = 1 (mod 7): no class table, no x^7 rule
 
 
-def test_report_serialisation_shapes(f13):
-    rep = count_ops(13)
-    d = rep.to_dict(f13)
+def test_report_serialisation_shapes(capsys):
+    # the JSON of `enumerate`: one family record per class and the totals
+    assert main(["enumerate", "--q", "13", "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["q"] == 13
-    assert d["totals"]["op_total"] == 6422
-    assert len(d["families"]) == 15
-    rec = d["families"][0]
+    assert d["totals"] == {"pair_total": 38, "op_total": 6422,
+                           "exceptional_pair_total": 4, "exceptional_op_total": 676}
+    assert len(d["results"]) == 15
+    rec = d["results"][0]
     assert set(rec) == {"ordinal", "tuple", "exceptional", "method",
                         "pair_count", "pairs"}

@@ -71,8 +71,8 @@ MUTANTS = (
            (_HORNER, "tests/test_perm.py::test_census_against_bruteforce")),
     # the class-image index (ROADMAP item 9)
     Mutant("index-drops-a-class", "families.py",
-           "index = class_images(field, field_entries(field))",
-           "index = class_images(field, field_entries(field)[1:])",
+           "codes, ords = class_images(field, field_entries(field))",
+           "codes, ords = class_images(field, field_entries(field)[1:])",
            ("verify.check_audit", "verify.check_census")),
     Mutant("x6-shift-sign", "kernels.py",
            "return field.neg_t[mul[C[..., 6], field.inv_t[mul[field.from_int(7), C[..., 7]]]]]",
@@ -80,10 +80,21 @@ MUTANTS = (
            ("verify.check_audit",
             "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route")),
     Mutant("index-code-flipped", "families.py",
-           "    dup = np.flatnonzero(codes[1:] == codes[:-1])\n",
-           "    codes[-1] ^= 1\n    dup = np.flatnonzero(codes[1:] == codes[:-1])\n",
+           "return codes[first], ords[first]",
+           "return codes[first] ^ (codes[first] == codes[-1]), ords[first]",
            ("verify.check_audit",
             "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route")),
+    # a lookup answers 0 for a row in no class
+    Mutant("lookup-miss-reads-a-class", "families.py",
+           "return np.where(hit, ords[pos], 0)",
+           "return ords[pos]",
+           ("verify.check_audit",
+            "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route")),
+    # only equal codes of two classes overlap: x^7 alone repeats q - 1 times
+    Mutant("index-refuses-repeats", "families.py",
+           "clash = np.flatnonzero(~first[1:] & (ords[1:] != ords[:-1]))",
+           "clash = np.flatnonzero(~first[1:])",
+           ("verify.check_non_redundancy",)),
     # the pair grid's line index (CHANGES.md)
     Mutant("pair-cells-uninverted", "kernels.py",
            "return field.inv_t[field.mul_t[1:, 1:]] - 1",
@@ -115,8 +126,8 @@ MUTANTS = (
            "if not r.family.exceptional)",
            ("verify.check_totals",)),
     Mutant("table-route-drops-lam-1", "pairs.py",
-           "        hit, ords, _ = class_lookup(field, lines)\n",
-           "        hit, ords, _ = class_lookup(field, lines)\n        hit[:, 0] = False\n",
+           "        hit = ords > 0\n",
+           "        hit = ords > 0\n        hit[:, 0] = False\n",
            ("verify.check_method_agreement",)),
     # search_pairs decides every class of a batch in one kernel call: each
     # class's dedup must read its own hit row
