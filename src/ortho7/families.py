@@ -44,7 +44,7 @@ import numpy as np
 
 from . import kernels
 from .canon import criteria_mask
-from .errors import DegreeMismatch, UnsupportedOrder
+from .errors import DegreeMismatch, InvalidArgument, UnsupportedOrder
 from .field import Field, field_for
 from .poly import LinearTransform, Poly, eval_poly
 from .perm import is_permutation
@@ -232,13 +232,14 @@ def class_lookup(field: Field, C):
 
 
 def image_witness(h: Poly) -> LinearTransform:
-    """A t with apply_transform(h, t) the class entry e matched for h (which
-    must be in a class).  The first (b, c) of the image grid whose e(bx+c)
-    has h's code gives e(bx+c) = u*h(x+s) + v with s the `x6_shift` of h
-    (s = 0 when p = 7); with c' = c - b*s, e = u*h((x-c')/b) + v, and u and
-    v are forced by the x^7 and x^0 terms."""
-    fld = h.field
-    e = field_entries(fld)[int(class_lookup(fld, h.coeffs)) - 1].poly(fld)
+    """A t with apply_transform(h, t) the class entry e matched for h, or
+    InvalidArgument for an h in no class.  The first (b, c) of the image grid
+    whose e(bx+c) has h's code gives e(bx+c) = u*h(x+s) + v with s the
+    `x6_shift` of h (s = 0 when p = 7); with c' = c - b*s, e = u*h((x-c')/b)
+    + v, and u and v are forced by the x^7 and x^0 terms."""
+    if (entry := is_pp_by_table(h)) is None:
+        raise InvalidArgument(f"{h} is in no class at q={h.field.q}: no witness to give")
+    fld, e = h.field, entry.poly(h.field)
     codes, bs, cs = _image_grid(fld, e.coeffs)
     i = int(np.argmax(codes == kernels.normalized_code_batch(fld, h.coeffs)))
     b, c = int(bs[i]), int(cs[i])

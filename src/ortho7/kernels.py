@@ -6,23 +6,23 @@ encoding and take the field's add/sub/mul tables as arrays, so they are
 field-agnostic.  The evaluating kernels pack each candidate's hits into
 one integer of at most 64 bits, so they require q <= 63 (every supported
 order).  Every kernel given polynomials takes them as coefficient rows
-on the last axis (ascending powers).  One primitive, `scaled_rows`, gives
-every rescaling alpha*f(beta*x): the pair dedup (a lexsort of its rows)
-and the published pair lists read it.  It is `expand_shifts` with a zero
-shift; `pairs.shift_blocks` makes one call per batch of pairs.  One
-evaluator, `pp_batch`, checks the audit rows and the line rows
-(`pair_line`) of the pair search: Horner with one gather per step
-from an int16 step table, and a collision sieve that stops evaluating a
-row once one of its values repeats.  The census kernel yields, per scan
-step, a boolean mask of the permutations among the step's candidates of
-a given digit layout: it evaluates low and high coefficient blocks once
-each (meet in the middle) and gathers whole rows of per-point (or
-per-pair) low-block hits.
-`normalized_rows` is the one degree-7 normal form (monic, no constant term,
-and for p != 7 no x^6 after the shift `x6_shift`): `canon.canonical_rows`
-reads it, and `normalized_code_batch` packs it into codes (a code names a
-row up to a*f(x+c)+d) that `code_member` finds in a sorted code array, such
-as the class-image index of `families.image_codes`.
+on the last axis (ascending powers).  One evaluator, `pp_batch`, checks
+the audit rows and the line rows (`pair_line`) of the pair search: Horner
+with one gather per step from an int16 step table, and a collision sieve
+that stops evaluating a row once one of its values repeats.  The census
+kernel yields, per scan step, a boolean mask of the permutations among the
+step's candidates of a given digit layout: it evaluates low and high
+coefficient blocks once each (meet in the middle) and gathers whole rows
+of per-point (or per-pair) low-block hits.
+One synthetic division, `_taylor_shift` (f -> f(x + c) through the flat
+tables), serves `expand_shifts` (f(b*x + c): `pairs.shift_blocks` makes one
+call per batch of pairs, and `scaled_rows`, every rescaling alpha*f(beta*x)
+of the pair dedup and the published pair lists, is alpha times it at c = 0)
+and `normalized_rows`, the one degree-7 normal form (monic, no constant
+term, and for p != 7 no x^6 after the shift `x6_shift`):
+`canon.canonical_rows` reads it, and `normalized_code_batch` packs it into
+codes (a code names a row up to a*f(x+c)+d) that `code_member` finds in a
+sorted code array, such as the class-image index of `families.image_codes`.
 """
 
 from __future__ import annotations
@@ -200,8 +200,21 @@ def pp_batch(field, coeff_rows):
 
 
 # ---------------------------------------------------------------------------
-# Shift expansion: the coefficient rows of f(b*x + c), for many (b, c) at
-# once.
+# Shift expansion: the coefficient rows of f(b*x + c), for many (b, c) at once.
+
+
+def _taylor_shift(field, a, c, lo=0):
+    """Replace the coefficient columns `a` (a list, lead last) by those of
+    f(x + c): the Taylor shift, repeated synthetic division a_j += c*a_{j+1},
+    each step one gather from the flat tables.  Columns below `lo` are
+    neither read nor written (they may be None)."""
+    q, n = field.q, len(a)
+    mulf, addf = field.mul_t.ravel(), field.add_t.ravel()
+    cq = np.asarray(c, dtype=np.int64) * q
+    top = mulf[cq + a[-1]]  # c * lead, read by every step of a_{n-2}: the lead stays
+    for k in range(n - 1):
+        for j in range(n - 2, max(k, lo) - 1, -1):
+            a[j] = addf[a[j] * q + (top if j == n - 2 else mulf[cq + a[j + 1]])]
 
 
 def expand_shifts(field, C, bs, cs):
@@ -210,27 +223,22 @@ def expand_shifts(field, C, bs, cs):
     C is one coefficient row (shape (n,)) or a batch (shape (..., n)); its
     leading axes broadcast with the arrays `bs` and `cs` like numpy
     operands, and the result has shape broadcast + (n,).  f(x + c) comes
-    from repeated synthetic division (the Taylor shift: n(n-1)/2 steps of
-    a_j += c * a_{j+1}), exact polynomial arithmetic in the field, so
+    from `_taylor_shift`, exact polynomial arithmetic in the field, so
     characteristic effects such as (x+c)^7 = x^7 + c^7 when p = 7 come out
     right; coefficient j is then scaled by b^j.
     """
-    mul, add = field.mul_t, field.add_t
+    q, mulf = field.q, field.mul_t.ravel()
     C = np.asarray(C, dtype=np.int64)
-    bs = np.asarray(bs, dtype=np.int64)
-    cs = np.asarray(cs, dtype=np.int64)
-    n = C.shape[-1]
-    a = [C[..., i] for i in range(n)]
+    bs, cs = np.asarray(bs, dtype=np.int64), np.asarray(cs, dtype=np.int64)
+    a = [C[..., i] for i in range(C.shape[-1])]
     if cs.any():
-        for k in range(n - 1):
-            for j in range(n - 2, k - 1, -1):
-                a[j] = add[a[j], mul[cs, a[j + 1]]]
+        _taylor_shift(field, a, cs)
     shape = np.broadcast_shapes(C.shape[:-1], bs.shape, cs.shape)
-    out = np.empty(shape + (n,), dtype=np.int64)
+    out = np.empty(shape + C.shape[-1:], dtype=np.int64)
     bpow = np.ones_like(bs)
-    for j in range(n):
-        out[..., j] = mul[a[j], bpow]
-        bpow = mul[bpow, bs]
+    for j, aj in enumerate(a):
+        out[..., j] = mulf[aj * q + bpow]
+        bpow = mulf[bpow * q + bs]
     return out
 
 
@@ -251,26 +259,16 @@ def x6_shift(field, C):
 
 def normalized_rows(field, C):
     """The degree-7 normal form of rows (last axis of C), as the list of
-    its x^1..x^6 coefficient arrays: h(x + c)/h7 less its constant term,
-    with c the `x6_shift` of each row when p != 7 (its x^6 is then zero)
-    and c = 0 in characteristic 7, where x^6 cannot be cleared."""
-    q = field.q
-    # flat tables: one index add per gather instead of numpy's 2-D indexing
-    mulf, addf = field.mul_t.ravel(), field.add_t.ravel()
+    its x^1..x^6 coefficient arrays: the monic h/h7 shifted to h(x + c)/h7
+    by `_taylor_shift`, less its constant term (never computed), with c the
+    `x6_shift` of each row when p != 7 (its x^6 is then zero) and c = 0 in
+    characteristic 7, where x^6 cannot be cleared."""
     C = np.asarray(C, dtype=np.int64)
-    aq = field.inv_t[C[..., 7]] * q
-    h = [None] + [mulf[aq + C[..., i]] for i in range(1, 7)]  # monic h1..h6
+    mulf, aq = field.mul_t.ravel(), field.inv_t[C[..., 7]] * field.q
+    h = [None] + [mulf[aq + C[..., i]] for i in range(1, 7)] + [1]  # the lead is 1
     if field.p != 7:
-        # the synthetic division of `expand_shifts` on the monic row
-        # (a_7 = 1), without the steps that only reach a_0 or the final a_6
-        s = x6_shift(field, C)
-        sq = s * q
-        for k in range(6):
-            h[6] = addf[h[6] * q + s]
-            for j in range(5, max(k, 1) - 1, -1):
-                h[j] = addf[h[j] * q + mulf[sq + h[j + 1]]]
-        h[6] = np.zeros_like(s)  # the final a_6 is zero by the choice of s
-    return h[1:]
+        _taylor_shift(field, h, x6_shift(field, C), lo=1)
+    return h[1:7]
 
 
 def normalized_code_batch(field, C):

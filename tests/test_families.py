@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from importlib import resources
 
-from ortho7.canon import canonicalize, criteria_mask, solve_linear_relation
-from ortho7.errors import DegreeMismatch, UnsupportedOrder
+from ortho7.canon import canonical_rows, canonicalize, criteria_mask, solve_linear_relation
+from ortho7.errors import DegreeMismatch, InvalidArgument, UnsupportedOrder
 from ortho7 import families
 from ortho7.families import (
     EXPECTED_COUNTS,
@@ -54,6 +54,15 @@ def test_non_exceptional_entries_pass_criteria():
         entries = table_for(q).non_exceptional()
         ok = criteria_mask(field_for(q), [e.coeffs for e in entries])
         assert ok.all(), (q, [e.ordinal for e, k in zip(entries, ok) if not k])
+
+
+@pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31])
+def test_every_entry_is_its_own_canonical_form(q):
+    # every entry of a p != 7 table, the exceptional ones included, is the
+    # canonical form of its own row: one canonical_rows call per order
+    entries = table_for(q).entries
+    tuples, _ = canonical_rows(field_for(q), [e.coeff_row() for e in entries])
+    assert [tuple(t) for t in tuples.tolist()] == [e.coeffs for e in entries]
 
 
 HEADER = """\
@@ -226,6 +235,16 @@ def test_image_witness_maps_related_polynomials_onto_their_entry():
                 assert apply_transform(f, witness) == e, (q, entry.ordinal)
         # the scalar reference search finds the same transform among its own
         assert witness in solve_linear_relation(e, f), q
+
+
+@pytest.mark.parametrize("q", [13, 49])
+def test_image_witness_refuses_a_polynomial_in_no_class(q):
+    # x^7 + x permutes neither F_13 nor F_49, so no class holds it and no
+    # transform maps it onto an entry: the refusal names it and the order
+    f = parse_poly(field_for(q), "x^7+x")
+    assert is_pp_by_table(f) is None and not is_permutation(f)
+    with pytest.raises(InvalidArgument, match=rf"^x\^7\+x is in no class at q={q}:"):
+        image_witness(f)
 
 
 def test_x7_rule_orders():

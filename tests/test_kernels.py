@@ -244,7 +244,7 @@ def test_census_scan_rejects_planted_near_misses(q):
     assert _hits(fld, digits, at, at + 1).tolist() == [at]
 
 
-def test_census_scan_memory_at_q61():
+def test_permutation_hits_memory_at_q61():
     # one call holds its row tables, one chunk of high values and one
     # step's masks: a few MB at q = 61, whatever the slice
     fld = field_for(61)
@@ -261,7 +261,7 @@ def test_census_scan_memory_at_q61():
 
 
 @pytest.mark.parametrize("q", [13, 19])
-def test_census_scan_memory_on_long_slices(q):
+def test_permutation_hits_memory_on_long_slices(q):
     # the high values come for a chunk of steps at a time (about 1 MB), so
     # a long slice peaks no higher than a short one: the whole canonical
     # space at q = 13 (three low digits, 58M candidates) and 60M candidates

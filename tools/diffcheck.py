@@ -55,7 +55,14 @@ ARGVS = (
     + [["pairs", "--q", "49", "--family", "10", "--method", "both", "--format", "json"]]
     + [["verify", *deep, "--workers", w, "--format", "json"]
        for deep in ([], ["--deep"]) for w in ("1", "2")]
-    + [["enumerate", "--q", "25", "--emit", EMIT]]
+    # classify at more orders: an image a*e(bx+c)+d of entry 2, and x^7+x,
+    # which lies in no class
+    + [["classify", "--q", q, f, "--format", "json"] for q, member in (
+        ("11", "7x^7+9x^6+9x^5+5x^4+9x^3+5x^2+6x"),
+        ("25", "4x^7+x^6+x^5+3x^2+(3+4t)x+(3+3t)"),
+        ("31", "3x^7+7x^6+28x^5+27x^4+12x^3+9x^2+9x+14")) for f in (member, "x^7+x")]
+    # the characteristic-7 shift expansion: (x+c)^7 = x^7 + c^7
+    + [["enumerate", "--q", q, "--emit", EMIT] for q in ("25", "49")]
 )
 
 _RUN = "import sys; sys.path.insert(0, sys.argv[1]); from ortho7.cli import main; " \

@@ -117,6 +117,14 @@ MUTANTS = (
            "ok = (lead < ck[t]) & (gt1 < n // ck[t])",
            "ok = (lead < ck[t] - 1) & (gt1 < n // ck[t])",
            ("verify.check_family_tables",)),
+    # the one synthetic division behind the shifts and the normal form:
+    # each pass stops a step short
+    Mutant("taylor-shift-pass-short", "kernels.py",
+           "for j in range(n - 2, max(k, lo) - 1, -1):",
+           "for j in range(n - 2, max(k, lo), -1):",
+           ("verify.check_audit",
+            "tests/test_kernels.py::test_expand_shifts_matches_apply_transform",
+            "tests/test_kernels.py::test_normalized_rows_match_the_scalar_reduction")),
     Mutant("code-radix", "kernels.py",
            "code = code * field.q + h[i]",
            "code = code * (field.q - 1) + h[i]",
