@@ -280,8 +280,6 @@ def audit_rows(field: Field, rows,
     if report is None:
         report = AuditReport()
     C = np.asarray(rows, dtype=np.int64)
-    if C.size == 0:
-        return report
     direct = kernels.pp_batch(field, C)
     member = class_lookup(field, C) > 0
     report.total += len(C)

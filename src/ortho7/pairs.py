@@ -97,11 +97,12 @@ class PairSearchResult:
         return len(self.pairs)
 
 
-def _dedup(field: Field, f: Poly, hit) -> tuple[tuple, tuple]:
+def _dedup(field: Field, f, hit) -> tuple[tuple, tuple]:
     """The lex-smallest pair per distinct alpha*f(beta*x) among the cells
-    of the (q-1, q-1) hit mask, ascending, and their coefficient vectors."""
+    of the (q-1, q-1) hit mask, ascending, and their coefficient vectors;
+    f is a coefficient row, lowest degree first."""
     a, b = np.nonzero(hit)  # C order: ascending (alpha, beta)
-    rows = kernels.scaled_rows(field, f.coeffs, a + 1, b + 1)
+    rows = kernels.scaled_rows(field, f, a + 1, b + 1)
     order = np.lexsort(rows.T)  # stable: a run of equal rows starts at its smallest pair
     first = np.sort(order[np.diff(rows[order], axis=0, prepend=-1).any(axis=1)])
     pairs = tuple(zip((a[first] + 1).tolist(), (b[first] + 1).tolist()))
@@ -133,7 +134,7 @@ def search_pairs(field: Field, entries, method: str = "direct"
         targets = field_entries(field)
     cells, out = kernels.pair_cells(field), []
     for k, (e, h) in enumerate(zip(entries, hit)):
-        pairs, sigs = _dedup(field, e.poly(field), h[cells])
+        pairs, sigs = _dedup(field, e.coeff_row(), h[cells])
         if method == "direct":
             out.append(PairSearchResult(e, "direct", pairs, sigs))
             continue

@@ -214,6 +214,9 @@ def census_counts(query: CensusQuery, workers: int = 1,
     """
     # before the budget: no budget lets the kernels scan this order
     kernels.check_hit_mask_order(query.field.q)
+    if query.degree > 64:  # (q-1)*q^(degree-1) >= 2^(degree-1): too many at every order
+        raise BudgetExceeded(f"census degree {query.degree} > 64: its space exceeds the "
+                             f"int64 index limit 2^63 at every order")
     total = query.space()
     if total > 1 << 63:  # the kernels index candidates with int64
         raise BudgetExceeded(f"census space {total} exceeds the int64 index limit 2^63")

@@ -3,9 +3,11 @@
 Coefficient vectors are ascending tuples of element indexes with trailing
 zeros trimmed; the zero polynomial is the empty tuple.  Polynomials are
 immutable values, so transforms always return fresh objects and sharing
-across workers is safe.  The scalar `apply_transform` is the reference
-the tests hold the array kernels to; the degree-7 normal form itself has
-one home, `kernels.normalized_rows`.
+across workers is safe.  The scalar `apply_transform`, Horner's rule over
+polynomials in the field's scalar arithmetic, calls no kernel: it is the
+reference the tests hold the array kernels to, and `canonicalize` checks
+its witness with it.  The degree-7 normal form itself has one home,
+`kernels.normalized_rows`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
 from .field import ELEMENT_TERM, Field, signed_terms
 
 
@@ -78,39 +80,24 @@ def eval_poly(f: Poly, x: int) -> int:
     return acc
 
 
-def _binomials(field: Field, n: int):
-    """Pascal rows 0..n as field elements (entries reduced mod p, so
-    characteristic effects like 7*h7 = 0 when p = 7 come out right)."""
-    rows = [[1]]
-    for i in range(1, n + 1):
-        prev = rows[-1]
-        row = [1]
-        for j in range(1, i):
-            row.append(field.add(prev[j - 1], prev[j]))
-        row.append(1)
-        rows.append(row)
-    return rows
-
-
 def apply_transform(f: Poly, t: LinearTransform) -> Poly:
-    """Fully expanded coefficient vector of a*f(bx+c)+d."""
+    """Fully expanded coefficient vector of a*f(bx+c)+d: the Horner rule of
+    `eval_poly` with the polynomial bx + c in place of the point x, in the
+    field's scalar arithmetic and no kernel, as the kernels' shifts and
+    normal form are held to it.  Refuses a, b, c or d outside [0, q) with
+    InvalidArgument, before any arithmetic."""
     fld = f.field
-    deg = f.degree
-    if deg < 0:
-        return Poly(fld, (t.d,))
-    binom = _binomials(fld, deg)
-    bpow = [fld.pow(t.b, j) for j in range(deg + 1)]
-    cpow = [fld.pow(t.c, j) for j in range(deg + 1)]
-    out = [0] * (deg + 1)
-    for i, fi in enumerate(f.coeffs):
-        if fi == 0:
-            continue
-        for j in range(i + 1):
-            term = fld.mul(fld.mul(binom[i][j], bpow[j]), cpow[i - j])
-            out[j] = fld.add(out[j], fld.mul(fi, term))
-    out = [fld.mul(t.a, v) for v in out]
-    out[0] = fld.add(out[0], t.d)
-    return Poly(fld, tuple(out))
+    for name, v in zip("abcd", t.as_tuple()):
+        if not 0 <= v < fld.q:
+            raise InvalidArgument(f"transform {name}={v} is not an element of F_{fld.q}")
+    mul, add = fld.mul, fld.add
+    g = [0]  # the zero polynomial
+    for fi in reversed(f.coeffs):  # g <- g*(bx + c) + f_i
+        g = [add(mul(t.c, gj), mul(t.b, gj_1)) for gj, gj_1 in zip(g + [0], [0] + g)]
+        g[0] = add(g[0], fi)
+    g = [mul(t.a, v) for v in g]
+    g[0] = add(g[0], t.d)
+    return Poly(fld, tuple(g))
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,11 @@ compares it against the golden fixtures in data/reference_results.json:
 The CLI `verify` subcommand and the acceptance test suite both run these.
 `run_suite` is one `perm.fork_map`: this process runs the report chain
 (every other check, sharing one `reports` memo) while the forked ones (if
-any) claim the audit's nine per-order items, reusing the built tables;
-the items left when the chain ends run here.  The audit's `elapsed` is
-the sum of its per-order busy times.
+any) claim the audit's nine per-order items; the items left when the
+chain ends run here.  The fork comes before the chain, so a child
+inherits only the tables built before `run_suite` and builds those its
+audit orders need itself.  The audit's `elapsed` is the sum of its
+per-order busy times.
 """
 
 from __future__ import annotations

@@ -232,6 +232,11 @@ def test_canonicalize_guards(f13, f49):
         canonicalize(parse_poly(f49, "x^7+tx"))
 
 
+def test_canonical_rows_refuse_a_row_without_x7(f13):
+    with pytest.raises(DegreeMismatch, match="^canonical forms need degree-7 rows$"):
+        canonical_rows(f13, [parse_poly(f13, "x^7+2x").coeffs, (0, 1, 0, 0, 0, 0, 0, 0)])
+
+
 def test_solve_linear_relation_fixtures(f13):
     h = parse_poly(f13, "x^7+2x")
     assert any(t.as_tuple() == (1, 1, 0, 0) for t in solve_linear_relation(h, h))

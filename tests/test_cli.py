@@ -345,6 +345,10 @@ def test_census_order_above_hit_mask(capsys):
 def test_census_beyond_an_int64_index_is_refused(capsys):
     assert "int64" in _usage_error(capsys, "census", "--q", "31", "--degree", "30",
                                    "--property", "pp", "--budget", str(10**60))
+    # past degree 64 the degree alone is refused, before q^(degree-1) is formed
+    for degree in ("65", "100000", "1000000000"):
+        assert f"degree {degree} > 64" in _usage_error(capsys, "census", "--q", "11",
+                                                       "--degree", degree)
 
 
 def test_two_element_field(capsys):
@@ -551,7 +555,7 @@ _FLAGS = {
     "pairs": [["--family", v] for v in ("-1", "0", "1", "3", "99")] + [
         ["--method", v] for v in ("direct", "table", "both")],
     "enumerate": [["--emit", v] for v in _PATHS],
-    "census": [["--degree", v] for v in ("0", "1", "2", "7")] + [
+    "census": [["--degree", v] for v in ("0", "1", "2", "7", "65", "100000", "1000000000")] + [
         ["--property", v] for v in ("pp", "op", "cpp")] + [["--canonical"]]
         + _WORKERS,
     "verify": [["--deep"]] + _WORKERS,

@@ -289,6 +289,11 @@ def test_x7_rule_in_a_field_without_preset():
     assert ords.tolist() == [1, 0]
 
 
+def test_an_order_without_a_class_table_is_refused():
+    with pytest.raises(UnsupportedOrder, match="^no class table for q=29$"):
+        table_for(29)
+
+
 def test_table_orders_need_the_preset_field():
     # the q = 25 entries are encoded in the preset field; under another
     # primitive modulus the same integers are other polynomials

@@ -116,6 +116,16 @@ def test_large_field_holds_its_three_tables_and_little_else():
     assert f.mul(f.theta, f.inv(f.theta)) == 1 and f.add(1482, 1) == 0
 
 
+def test_a_preset_whose_generator_disagrees_is_refused(monkeypatch, fresh_caches):
+    # the registry names 2 as the generator of F_13; a registry naming 6,
+    # also primitive, disagrees with the built field
+    entry = dict(field._load_presets()[13], generator_index=6)
+    monkeypatch.setattr(field, "_load_presets", lambda: {13: entry})
+    with pytest.raises(NonPrimitiveModulus,
+                       match="^preset generator mismatch for q=13: built 2, registry says 6$"):
+        field_for(13)
+
+
 def test_orders_past_the_table_budget_are_refused_first(monkeypatch):
     # the budget holds the three 24 q^2-byte tables and reaches q = 6208,
     # the int64 limit of the class-image codes

@@ -303,7 +303,7 @@ def test_census_shards_of_uneven_lengths_sum_to_the_count():
 
 
 @pytest.mark.parametrize("q", [11, 13, 23, 25, 41, 49])
-def test_op_pair_grid_agrees_with_scalar_check(q):
+def test_pair_line_agrees_with_the_scalar_check(q):
     # the grid of each class is its line rows, evaluated in one batch,
     # spread over the cells
     fld = field_for(q)

@@ -306,6 +306,17 @@ def test_fork_map_forks_nothing_for_one_item_or_one_cpu(monkeypatch, two_cpus, f
     assert fork_log == []
 
 
+def test_fork_map_refuses_too_many_items_before_any_pipe_or_fork(
+        monkeypatch, two_cpus, fork_log, no_child_left):
+    def never():
+        raise AssertionError("a pipe was made")
+
+    monkeypatch.setattr(os, "pipe", never)
+    with pytest.raises(InvalidArgument, match="^fork_map takes at most 16384 items, not 16385$"):
+        perm.fork_map(divmod, [()] * 16385, 2)
+    assert fork_log == [] and no_child_left()
+
+
 def test_fork_map_refuses_more_items_than_its_claim_pipe_holds():
     # the 4-byte numbers of 16,384 items fill a 64 KB pipe before anything
     # reads it, and one more would block os.write forever: it is refused
@@ -388,6 +399,20 @@ def test_census_refuses_spaces_beyond_an_int64_index():
     # 2^63 candidates are still indexable: only the budget refuses them
     with pytest.raises(BudgetExceeded, match="budget 1 "):
         census(CensusQuery(f2, 63, False, "pp"), budget=1)
+
+
+def test_census_refuses_a_degree_past_64_before_forming_its_space():
+    # (q-1)*q^(degree-1) >= 2^(degree-1) > 2^63 at every order: refused by
+    # the degree alone, where forming q^(10^9) would not end
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^census degree 1000000000 > 64: .* limit 2\^63"):
+        census(CensusQuery(field_for(11), 10**9))
+    assert time.perf_counter() - t0 < 1
+
+
+def test_census_query_refuses_an_unknown_property(f13):
+    with pytest.raises(InvalidArgument, match="^unknown property 'xx'$"):
+        CensusQuery(f13, 7, False, "xx")
 
 
 @pytest.mark.parametrize("digits", [

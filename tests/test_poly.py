@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ortho7.errors import ParseError
+from ortho7.errors import InvalidArgument, ParseError
 from ortho7.field import field_for
 from ortho7.poly import (
     MAX_EXPONENT,
@@ -158,3 +158,33 @@ def test_transform_pointwise_identity_exhaustive(q):
         for x in fld.elements():
             want = fld.add(fld.mul(t.a, eval_poly(f, fld.add(fld.mul(t.b, x), t.c))), t.d)
             assert eval_poly(g, x) == want
+
+
+def test_a_blank_literal_is_refused(f13):
+    with pytest.raises(ParseError, match="^empty polynomial literal$"):
+        parse_poly(f13, "  ")
+
+
+def test_a_transform_needs_nonzero_a_and_b():
+    for args in ((0, 1, 0, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=r"^linear transform requires a != 0 and b != 0$"):
+            LinearTransform(*args)
+
+
+def test_the_zero_polynomial_formats_and_transforms(f13):
+    zero = Poly(f13, ())
+    assert format_poly(zero) == "0"
+    # a*0(bx+c)+d is the constant d, and the zero polynomial when d = 0
+    assert apply_transform(zero, LinearTransform(3, 5, 7, 9)).coeffs == (9,)
+    assert apply_transform(zero, LinearTransform(3, 5, 7, 0)).coeffs == ()
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("value", [-1, 13])
+def test_apply_transform_refuses_a_value_outside_the_field(f13, slot, value):
+    # each of a, b, c and d is checked before any arithmetic
+    args = [1, 1, 0, 0]
+    args[slot] = value
+    message = rf"^transform {'abcd'[slot]}={value} is not an element of F_13$"
+    with pytest.raises(InvalidArgument, match=message):
+        apply_transform(parse_poly(f13, "x^7+2x"), LinearTransform(*args))

@@ -100,7 +100,7 @@ MUTANTS = (
            "return field.inv_t[field.mul_t[1:, 1:]] - 1",
            "return field.mul_t[1:, 1:] - 1",
            ("verify.check_pair_fixtures",
-            "tests/test_kernels.py::test_op_pair_grid_agrees_with_scalar_check")),
+            "tests/test_kernels.py::test_pair_line_agrees_with_the_scalar_check")),
     # c3's one per-family comparison: two unlisted q = 49 families trade a
     # pair, so every published list and every total still holds
     Mutant("fixture-family-counts", "data/reference_results.json",
@@ -124,6 +124,13 @@ MUTANTS = (
            "for j in range(n - 2, max(k, lo), -1):",
            ("verify.check_audit",
             "tests/test_kernels.py::test_expand_shifts_matches_apply_transform",
+            "tests/test_kernels.py::test_normalized_rows_match_the_scalar_reduction")),
+    # the scalar reference the kernels are held to: one Horner step with its
+    # columns swapped composes f with cx + b
+    Mutant("transform-horner-swapped", "poly.py",
+           "zip(g + [0], [0] + g)",
+           "zip([0] + g, g + [0])",
+           ("tests/test_kernels.py::test_expand_shifts_matches_apply_transform",
             "tests/test_kernels.py::test_normalized_rows_match_the_scalar_reduction")),
     Mutant("code-radix", "kernels.py",
            "code = code * field.q + h[i]",
