@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--deep", action="store_true", default=None,
                     help=f"add one canonical census per order q={','.join(map(str, census))}: "
                          "its op counts, op for every f - lam*x, and the permutation count that "
-                         f"proves the {tabled} class tables complete (about 6 s on 2 workers)")
+                         f"proves the {tabled} class tables complete (about 4-5 s on 2 workers)")
     sp.add_argument("--workers", type=_integer(1),
                     help="CPUs to use, capped at the usable ones: forked "
                          "processes plus this one (default 2)")

@@ -170,7 +170,7 @@ def _image_grid(field: Field, C):
     nc = q if field.p == 7 else 1
     bs = np.repeat(np.arange(1, q, dtype=np.int64), nc)
     cs = np.tile(np.arange(nc, dtype=np.int64), q - 1)
-    rows = kernels.expand_shifts(field, np.asarray(C)[..., None, :], bs, cs)
+    rows = kernels.expand_shifts(field, np.asarray(C)[..., None, :], 1, bs, cs, 0)
     return kernels.normalized_code_batch(field, rows), bs, cs
 
 

@@ -15,11 +15,12 @@ step's candidates of a given digit layout: it evaluates low and high
 coefficient blocks once each (meet in the middle) and gathers whole rows
 of per-point (or per-pair) low-block hits.
 One synthetic division, `_taylor_shift` (f -> f(x + c) through the flat
-tables), serves `expand_shifts` (f(b*x + c): `pairs.shift_blocks` makes one
-call per batch of pairs, and `scaled_rows`, every rescaling alpha*f(beta*x)
-of the pair dedup and the published pair lists, is alpha times it at c = 0)
-and `normalized_rows`, the one degree-7 normal form (monic, no constant
-term, and for p != 7 no x^6 after the shift `x6_shift`):
+tables), serves `expand_shifts`, the one array transform a*f(b*x + c) + d
+(`poly.apply_transform` over arrays: the class images, the shift blocks of
+`pairs.shift_blocks`, and with c = d = 0 every rescaling alpha*f(beta*x) of
+the pair dedup and the published pair lists), and `normalized_rows`, the
+one degree-7 normal form (monic, no constant term, and for p != 7 no x^6
+after the shift `x6_shift`):
 `canon.canonical_rows` reads it, and `normalized_code_batch` packs it into
 codes (a code names a row up to a*f(x+c)+d) that `code_member` finds in a
 sorted code array, such as the class-image index of `families.image_codes`.
@@ -200,7 +201,7 @@ def pp_batch(field, coeff_rows):
 
 
 # ---------------------------------------------------------------------------
-# Shift expansion: the coefficient rows of f(b*x + c), for many (b, c) at once.
+# Transform: the coefficient rows of a*f(b*x + c) + d, for many (a, b, c, d) at once.
 
 
 def _taylor_shift(field, a, c, lo=0):
@@ -217,36 +218,32 @@ def _taylor_shift(field, a, c, lo=0):
             a[j] = addf[a[j] * q + (top if j == n - 2 else mulf[cq + a[j + 1]])]
 
 
-def expand_shifts(field, C, bs, cs):
-    """Ascending coefficient rows of f(b*x + c) for each row f of C.
+def expand_shifts(field, C, a, b, c, d):
+    """Ascending coefficient rows of a*f(b*x + c) + d for each row f of C,
+    as `poly.apply_transform` gives them for one polynomial.
 
     C is one coefficient row (shape (n,)) or a batch (shape (..., n)); its
-    leading axes broadcast with the arrays `bs` and `cs` like numpy
+    leading axes broadcast with the arrays a, b, c and d like numpy
     operands, and the result has shape broadcast + (n,).  f(x + c) comes
     from `_taylor_shift`, exact polynomial arithmetic in the field, so
     characteristic effects such as (x+c)^7 = x^7 + c^7 when p = 7 come out
-    right; coefficient j is then scaled by b^j.
+    right; coefficient j is then scaled by a*b^j, and d is added to x^0.
     """
     q, mulf = field.q, field.mul_t.ravel()
     C = np.asarray(C, dtype=np.int64)
-    bs, cs = np.asarray(bs, dtype=np.int64), np.asarray(cs, dtype=np.int64)
-    a = [C[..., i] for i in range(C.shape[-1])]
-    if cs.any():
-        _taylor_shift(field, a, cs)
-    shape = np.broadcast_shapes(C.shape[:-1], bs.shape, cs.shape)
+    a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
+    cols = [C[..., i] for i in range(C.shape[-1])]
+    if c.any():
+        _taylor_shift(field, cols, c)
+    shape = np.broadcast_shapes(C.shape[:-1], a.shape, b.shape, c.shape, d.shape)
     out = np.empty(shape + C.shape[-1:], dtype=np.int64)
-    bpow = np.ones_like(bs)
-    for j, aj in enumerate(a):
-        out[..., j] = mulf[aj * q + bpow]
-        bpow = mulf[bpow * q + bs]
+    scale = a  # a*b^j
+    for j, col in enumerate(cols):
+        out[..., j] = mulf[col * q + scale]
+        scale = mulf[scale * q + b]
+    if d.any():
+        out[..., 0] = field.add_t.ravel()[out[..., 0] * q + d]
     return out
-
-
-def scaled_rows(field, C, alphas, betas):
-    """Ascending coefficient rows of alpha*f(beta*x) for each row f of C;
-    C, `alphas` and `betas` broadcast as in `expand_shifts`."""
-    alphas = np.asarray(alphas, dtype=np.int64)
-    return field.mul_t[alphas[..., None], expand_shifts(field, C, betas, 0)]
 
 
 def x6_shift(field, C):

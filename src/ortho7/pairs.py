@@ -35,10 +35,11 @@ Agreement of the two routes per family is part of the acceptance suite.
 Deduplication keeps, for each distinct coefficient vector of
 alpha*f(beta*x), the lexicographically smallest (alpha, beta) by element
 index.  Both routes run it once per class over its hit cells, as one
-array of `kernels.scaled_rows`, sorted stably by `np.lexsort` over its
-integer columns (exact at every order); comparisons with published pair
-lists are by set.  One stream of shift blocks, `shift_blocks`, expands
-the pairs, and `write_vectors` writes its rows for `enumerate --emit`.
+array of `kernels.expand_shifts` rows at (alpha, beta, 0, 0), sorted stably
+by `np.lexsort` over its integer columns (exact at every order);
+comparisons with published pair lists are by set.  One stream of shift
+blocks, `shift_blocks`, expands the pairs by the same array transform,
+and `write_vectors` writes its rows for `enumerate --emit`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels
+from .errors import InvalidArgument
 from .families import (
     FamilyEntry,
     class_lookup,
@@ -102,7 +104,7 @@ def _dedup(field: Field, f, hit) -> tuple[tuple, tuple]:
     of the (q-1, q-1) hit mask, ascending, and their coefficient vectors;
     f is a coefficient row, lowest degree first."""
     a, b = np.nonzero(hit)  # C order: ascending (alpha, beta)
-    rows = kernels.scaled_rows(field, f, a + 1, b + 1)
+    rows = kernels.expand_shifts(field, f, a + 1, b + 1, 0, 0)
     order = np.lexsort(rows.T)  # stable: a run of equal rows starts at its smallest pair
     first = np.sort(order[np.diff(rows[order], axis=0, prepend=-1).any(axis=1)])
     pairs = tuple(zip((a[first] + 1).tolist(), (b[first] + 1).tolist()))
@@ -124,7 +126,7 @@ def search_pairs(field: Field, entries, method: str = "direct"
     x-coefficient of alpha*f(beta*x) - x must vanish).
     """
     if method not in ("direct", "table"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
     lines = kernels.pair_line(field, [e.coeff_row() for e in entries])  # (m, q-1, 8)
     if method == "direct":
         hit = kernels.pp_batch(field, lines)
@@ -244,7 +246,7 @@ def shift_blocks(field: Field, sigs) -> Iterator[np.ndarray]:
     call for the batch, then each block fans its q rows out over delta."""
     elems = np.arange(field.q, dtype=np.int64)
     sigs = np.asarray(sigs, dtype=np.int64).reshape(-1, 1, 8)
-    for rows in kernels.expand_shifts(field, sigs, 1, elems):
+    for rows in kernels.expand_shifts(field, sigs, 1, 1, elems, 0):
         block = np.repeat(rows, field.q, axis=0)
         block[:, 0] = field.add_t[rows[:, :1], elems].ravel()
         yield block

@@ -65,7 +65,7 @@ class LinearTransform:
 
     def __post_init__(self):
         if self.a == 0 or self.b == 0:
-            raise ValueError("linear transform requires a != 0 and b != 0")
+            raise InvalidArgument("linear transform requires a != 0 and b != 0")
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d)

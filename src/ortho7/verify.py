@@ -165,7 +165,7 @@ def _published_signature_sets(q: int):
                    defects.get(ord_str, {}).get("corrupt", [])}
         ab = np.array([[field.parse_element(lit) for lit in p] for p in pair_lits
                        if tuple(p) not in corrupt], dtype=np.int64).reshape(-1, 2)
-        rows = kernels.scaled_rows(field, row, ab[:, 0], ab[:, 1])
+        rows = kernels.expand_shifts(field, row, ab[:, 0], ab[:, 1], 0, 0)
         out[ordinal] = (set(map(tuple, rows.tolist())), defects.get(ord_str, {}))
     return out
 
@@ -379,8 +379,7 @@ def check_properties(reports: dict | None = None):
             a, b, c, d = np.array([[rng.integers(1, q), rng.integers(1, q),
                                     rng.integers(0, q), rng.integers(0, q)]
                                    for _ in range(60)]).T
-        images = field.mul_t[a[:, None], kernels.expand_shifts(field, f, b, c)]
-        images[:, 0] = field.add_t[images[:, 0], d]
+        images = kernels.expand_shifts(field, f, a, b, c, d)
         tuples, _ = canonical_rows(field, np.vstack([f, images]))
         wrong = (tuples != entry.coeffs).any(axis=1)
         if wrong[0]:

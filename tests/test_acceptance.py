@@ -17,7 +17,7 @@ Criteria and stated targets:
     f - lam*x count equals at every lam in F_q* (lam = -1 is cpp), and
     at 11-19 the mass identity pp = q(q-1)|index| (24,750 / 17,940 /
     56,848 / 38,304 permutations), which proves those class tables
-    complete (about 5-6 s on 2 workers)
+    complete (about 4 s on 2 workers)
   8 classification-vs-direct audit: 1e5 random polynomials per field plus
     the exhaustive x^7 + a3 x^3 + a1 x sweep, zero disagreements
   9 property suite: canonicalisation class constancy and orthomorphism

@@ -212,7 +212,7 @@ def test_permutation_hits_refuse_an_x0_digit_in_the_high_block(q):
 
 
 @pytest.mark.parametrize("q", [8, 11, 13, 16])
-def test_census_scan_rejects_planted_near_misses(q):
+def test_permutation_hits_reject_planted_near_misses(q):
     # x with its value at point a moved to that of point b repeats exactly
     # one value and misses a, so its mask lacks one bit.  The scan's first
     # gather reads rows that hold the hits of points 0 and 1 together (and
@@ -324,7 +324,7 @@ def test_pair_line_agrees_with_the_scalar_check(q):
 @pytest.mark.parametrize("q", sorted(EXPECTED_COUNTS))
 def test_pair_line_agrees_with_the_full_plane(q):
     # the reference is the whole (alpha, beta) plane of alpha*f(beta*x) - x,
-    # built from scaled_rows; both routes read only the q-1 line rows, of
+    # built by expand_shifts; both routes read only the q-1 line rows, of
     # every class at once
     fld = field_for(q)
     s = np.arange(1, q)
@@ -335,7 +335,7 @@ def test_pair_line_agrees_with_the_full_plane(q):
     ords = class_lookup(fld, lines)
     for k, (e, res) in enumerate(zip(entries, search_pairs(fld, entries, "table"))):
         f = e.poly(fld).coeffs
-        plane = kernels.scaled_rows(fld, f, s[:, None], s)
+        plane = kernels.expand_shifts(fld, f, s[:, None], s, 0, 0)
         plane[..., 1] = fld.sub_t[plane[..., 1], 1]
         assert np.array_equal(grids[k], kernels.pp_batch(fld, plane))
         want = class_lookup(fld, plane)
@@ -486,41 +486,37 @@ def test_expand_shifts_matches_apply_transform(q):
     rng = np.random.default_rng(q)
     C = rng.integers(0, q, size=(40, 8), dtype=np.int64)
     C[:, 7] = rng.integers(1, q, size=40)
-    bs = rng.integers(1, q, size=30)
-    cs = rng.integers(0, q, size=30)
+    As, bs = rng.integers(1, q, size=(2, 30))
+    cs, ds = rng.integers(0, q, size=(2, 30))
+    # every parameter away from the identity in one transform
+    assert ((As != 1) & (bs != 1) & (cs != 0) & (ds != 0)).any()
 
-    def ref(row, a, b, c):
+    def ref(row, a, b, c, d):
         g = apply_transform(Poly(fld, tuple(int(v) for v in row)),
-                            LinearTransform(int(a), int(b), int(c), 0))
+                            LinearTransform(int(a), int(b), int(c), int(d)))
         return list(g.coeffs) + [0] * (8 - len(g.coeffs))
 
-    # one row against arrays of (b, c)
-    single = kernels.expand_shifts(fld, C[0], bs, cs)
+    # one row against arrays of (a, b, c, d)
+    single = kernels.expand_shifts(fld, C[0], As, bs, cs, ds)
     assert single.shape == (30, 8)
     for k in range(30):
-        assert single[k].tolist() == ref(C[0], 1, bs[k], cs[k])
-    # a batch of rows, one (b, c) per row
-    batch = kernels.expand_shifts(fld, C[:30], bs, cs)
+        assert single[k].tolist() == ref(C[0], As[k], bs[k], cs[k], ds[k])
+    # a batch of rows, one (a, b, c, d) per row
+    batch = kernels.expand_shifts(fld, C[:30], As, bs, cs, ds)
     assert batch.shape == (30, 8)
     for k in range(30):
-        assert batch[k].tolist() == ref(C[k], 1, bs[k], cs[k])
-    # a batch of rows against every (b, c): broadcast to (rows, shifts, 8)
-    grid = kernels.expand_shifts(fld, C[:, None, :], bs, cs)
+        assert batch[k].tolist() == ref(C[k], As[k], bs[k], cs[k], ds[k])
+    # a batch of rows against every (a, b, c, d): broadcast to (rows, transforms, 8)
+    grid = kernels.expand_shifts(fld, C[:, None, :], As, bs, cs, ds)
     assert grid.shape == (40, 30, 8)
     for r, k in zip(rng.integers(0, 40, 25), rng.integers(0, 30, 25)):
-        assert grid[r, k].tolist() == ref(C[r], 1, bs[k], cs[k])
-    # alpha*f(beta*x): a batch of rows, one (alpha, beta) per row
-    alphas = rng.integers(1, q, size=30)
-    scaled = kernels.scaled_rows(fld, C[:30], alphas, bs)
-    assert scaled.shape == (30, 8)
-    for k in range(30):
-        assert scaled[k].tolist() == ref(C[k], alphas[k], bs[k], 0)
+        assert grid[r, k].tolist() == ref(C[r], As[k], bs[k], cs[k], ds[k])
     # the pair line: alpha*f(beta*x) - x is alpha*g(beta*x) for the line
     # row g = f - lam*x, lam = (alpha*beta)^-1, that pair_cells names
     line = kernels.pair_line(fld, C[0])
     cells = kernels.pair_cells(fld)
     assert line.shape == (q - 1, 8) and cells.shape == (q - 1, q - 1)
     for a, b in rng.integers(1, q, size=(25, 2)):
-        want = ref(C[0], a, b, 0)
+        want = ref(C[0], a, b, 0, 0)
         want[1] = fld.sub(want[1], 1)
-        assert ref(line[cells[a - 1, b - 1]], a, b, 0) == want
+        assert ref(line[cells[a - 1, b - 1]], a, b, 0, 0) == want

@@ -8,7 +8,7 @@ import pytest
 
 from ortho7 import kernels
 from ortho7.cli import main
-from ortho7.errors import UnsupportedOrder
+from ortho7.errors import InvalidArgument, UnsupportedOrder
 from ortho7.field import field_for
 from ortho7.families import field_entries, table_for
 from ortho7.pairs import (
@@ -77,7 +77,7 @@ def test_dedup_keeps_smallest_representative(f13):
     fam = _family(13, (0, 0, 0, 0, 6))
     res = search_pairs(f13, [fam])[0]
     assert (2, 9) in res.pairs and (5, 1) not in res.pairs
-    rows = kernels.scaled_rows(f13, fam.poly(f13).coeffs, [5, 2], [1, 9])
+    rows = kernels.expand_shifts(f13, fam.poly(f13).coeffs, [5, 2], [1, 9], 0, 0)
     assert rows[0].tolist() == rows[1].tolist()
     assert res.signatures[res.pairs.index((2, 9))] == tuple(rows[1].tolist())
     assert len(set(res.signatures)) == len(res.pairs)
@@ -87,7 +87,7 @@ def test_dedup_keeps_smallest_representative(f13):
 def _dedup_reference(field, f, hit):
     # the void-record sort of whole rows: the first cell of each distinct row
     a, b = np.nonzero(hit)
-    rows = kernels.scaled_rows(field, f.coeffs, a + 1, b + 1)
+    rows = kernels.expand_shifts(field, f.coeffs, a + 1, b + 1, 0, 0)
     first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
     pairs = tuple(zip((a[first] + 1).tolist(), (b[first] + 1).tolist()))
     return pairs, tuple(map(tuple, rows[first].tolist()))
@@ -155,7 +155,7 @@ def test_a_batch_files_each_class_under_that_class(q, method):
 
 
 def test_search_pairs_refuses_an_unknown_method(f13):
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(InvalidArgument, match="unknown method"):
         search_pairs(f13, table_for(13).entries, "tables")
 
 

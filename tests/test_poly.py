@@ -167,7 +167,7 @@ def test_a_blank_literal_is_refused(f13):
 
 def test_a_transform_needs_nonzero_a_and_b():
     for args in ((0, 1, 0, 0), (1, 0, 0, 0)):
-        with pytest.raises(ValueError, match=r"^linear transform requires a != 0 and b != 0$"):
+        with pytest.raises(InvalidArgument, match=r"^linear transform requires a != 0 and b != 0$"):
             LinearTransform(*args)
 
 

@@ -156,9 +156,20 @@ MUTANTS = (
            "block[:, 0] = field.add_t[rows[:, :1], elems // 2].ravel()",
            ("verify.check_distinctness",)),
     Mutant("shift-block-scaled", "pairs.py",
-           "kernels.expand_shifts(field, sigs, 1, elems)",
-           "kernels.expand_shifts(field, sigs, 2, elems)",
+           "kernels.expand_shifts(field, sigs, 1, 1, elems, 0)",
+           "kernels.expand_shifts(field, sigs, 1, 2, elems, 0)",
            ("verify.check_properties",)),
+    # the one array transform a*f(bx+c)+d: d lands on x^1, or a is dropped
+    Mutant("transform-constant-on-x1", "kernels.py",
+           "out[..., 0] = field.add_t.ravel()[out[..., 0] * q + d]",
+           "out[..., 1] = field.add_t.ravel()[out[..., 1] * q + d]",
+           ("tests/test_kernels.py::test_expand_shifts_matches_apply_transform",
+            "verify.check_properties")),
+    Mutant("transform-drops-a", "kernels.py",
+           "scale = a  # a*b^j",
+           "scale = np.ones_like(a)  # a*b^j",
+           ("tests/test_kernels.py::test_expand_shifts_matches_apply_transform",
+            "verify.check_totals")),
 )
 
 # Run in a fresh interpreter: argv[1] is the mutated src, the rest name checks.
