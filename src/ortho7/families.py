@@ -225,10 +225,12 @@ def _class_index(field: Field):
 def class_lookup(field: Field, C):
     """Look degree-7 coefficient rows (last axis of C) up in the class-image
     index of the field: per row the ordinal of its class among
-    `field_entries` (ordinals run from 1), or 0 for a row in no class."""
+    `field_entries` (ordinals run from 1), or 0 for a row in no class,
+    such as one whose x^7 coefficient is 0."""
     codes, ords = _class_index(field)
+    C = np.asarray(C, dtype=np.int64)
     hit, pos = kernels.code_member(codes, kernels.normalized_code_batch(field, C))
-    return np.where(hit, ords[pos], 0)
+    return np.where(hit & (C[..., 7] != 0), ords[pos], 0)
 
 
 def image_witness(h: Poly) -> LinearTransform:

@@ -7,9 +7,10 @@ field-agnostic.  The evaluating kernels pack each candidate's hits into
 one integer of at most 64 bits, so they require q <= 63 (every supported
 order).  Every kernel given polynomials takes them as coefficient rows
 on the last axis (ascending powers).  One evaluator, `pp_batch`, checks
-the audit rows and the line rows (`pair_line`) of the pair search: Horner
-with one gather per step from an int16 step table, and a collision sieve
-that stops evaluating a row once one of its values repeats.  The census
+the audit rows and the line rows (`pair_line`) of the pair search: one
+Horner run on the even and odd parts at x^2 per pair {x, -x}, one gather
+per step from an int16 step table, and a collision sieve that stops
+evaluating a row once one of its values repeats.  The census
 kernel yields, per scan step, a boolean mask of the permutations among the
 step's candidates of a given digit layout: it evaluates low and high
 coefficient blocks once each (meet in the middle) and gathers whole rows
@@ -162,41 +163,54 @@ def pair_cells(field):
 
 def pp_batch(field, coeff_rows):
     """Direct bijection check of each coefficient row: evaluate it at every
-    x of the field by Horner and report whether it is a permutation.
+    x of the field and report whether it is a permutation.
 
     `coeff_rows[..., i]` is the array of x^i coefficients (rows on the
-    last axis, any length).  The hits of each row are ORed into a uint64
-    mask; the result is the boolean array of full masks, of the rows'
-    leading shape.  A row whose value repeats can never fill its mask, so it is
-    sieved out: once at least half of the rows still carried have
-    collided, only the live ones are kept.  A random row lives about
-    sqrt(pi*q/2) points rather than q.  The accumulator is carried times
-    q, so each Horner step is one gather of acc*q + c from the int16 table
-    step[x, a*q + c] = (a*x + c)*q (q^2 <= 3969 fits).
+    last axis, any length), elements in [0, q): anything else is refused.
+    The result is the boolean array, of the rows' leading shape, of the
+    rows whose hits fill a mask of the narrowest unsigned word holding q
+    bits.  f(+-x) = E(x^2) +- x*O(x^2), E and O the even and odd parts of
+    f, so one Horner run at y = x^2 serves a pair {x, -x} (one point in
+    characteristic 2); f(0) is c0.  E and O share one accumulator carried
+    times q: a step a*y + c is one gather of a*q + c from the int16 table
+    step[y, a*q + c] = (a*y + c)*q (q^2 <= 3969 fits), and a point is one
+    gather of O*q + E.  A row whose value repeats can never fill its mask,
+    so it is sieved out: once at least half of the rows still carried have
+    collided, only the live ones are kept, until none is left.  A random
+    row lives about sqrt(pi*q/2) points rather than q.
     """
     q = field.q
     check_hit_mask_order(q)
     C = np.asarray(coeff_rows, dtype=np.int64)
+    if C.size and not 0 <= C.min() <= C.max() < q:
+        raise InvalidArgument(f"coefficients must lie in [0, {q}), not {C.min()}..{C.max()}")
     step = (field.add_t.astype(np.int16) * q)[field.mul_t.T].reshape(q, q * q)
-    deg = C.shape[-1] - 1
-    cols = C.reshape(-1, deg + 1).T.astype(np.int16)  # one contiguous row per power
-    cols[deg] *= q
-    pos = np.arange(cols.shape[1])
-    mask = np.zeros(pos.size, dtype=np.uint64)
+    rows = C.reshape(-1, C.shape[-1]).T  # one row per power
+    cols = np.zeros((-(-len(rows) // 2), 2, rows.shape[1]), dtype=np.int16)  # O padded with 0
+    cols.reshape(2 * len(cols), -1)[:len(rows)] = rows  # cols[k] = (c_2k, c_2k+1)
+    word = np.min_scalar_type((1 << q) - 1)  # the narrowest that holds q hits
+    bits = (1 << (np.arange(q * q) // q)).astype(word)  # [v*q] = 1 << v
+    mask = bits.take(cols[0, 0] * np.int16(q))  # f(0) = c0
+    cols[-1] *= np.int16(q)  # the leads of E and O
+    neg, sq = field.neg_t.tolist(), field.mul_t.diagonal().tolist()
+    pos = np.arange(cols.shape[2])
     clash = np.zeros(pos.size, dtype=bool)
-    bits = np.uint64(1) << (np.arange(q * q) // q).astype(np.uint64)  # [v*q] = 1 << v
-    for x in range(q):
-        sx, acc = step[x], cols[deg]
-        for i in range(deg - 1, -1, -1):
-            acc = sx.take(acc + cols[i])
-        seen = mask | bits.take(acc)
-        clash |= seen == mask
-        mask = seen
+    for x in range(1, q):
+        if neg[x] < x or not pos.size:  # {x, -x} was evaluated at -x, or no row is left
+            continue
+        sy, eo = step[sq[x]], cols[-1]
+        for k in range(len(cols) - 2, -1, -1):  # E and O side by side
+            eo = sy.take(eo + cols[k], mode="clip")
+        oe = eo[1] + eo[0] // np.int16(q)  # O*q + E: E unscaled once
+        for z in {x, neg[x]}:
+            seen = mask | bits.take(step[z].take(oe, mode="clip"), mode="clip")
+            clash |= seen == mask
+            mask = seen
         if 2 * np.count_nonzero(clash) >= max(clash.size, 1):
-            live = ~clash
-            cols, pos, mask, clash = cols[:, live], pos[live], mask[live], clash[live]
+            live = np.flatnonzero(~clash)  # gathers by index: a boolean mask is slower
+            cols, pos, mask, clash = cols.take(live, 2), pos[live], mask[live], clash[live]
     out = np.zeros(C.shape[:-1], dtype=bool)
-    out.flat[pos] = mask == np.uint64((1 << q) - 1)
+    out.flat[pos] = mask == (1 << q) - 1
     return out
 
 

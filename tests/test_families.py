@@ -289,6 +289,19 @@ def test_x7_rule_in_a_field_without_preset():
     assert ords.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("q", [11, 13, 25, 41, 49])
+def test_class_lookup_answers_0_for_a_row_without_x7(q):
+    # with x^7 coefficient 0 the monic columns come out 0, which is the
+    # code of x^7 itself: without the lead guard these rows are filed
+    # under x^7's class (a permutation at each of these orders)
+    fld = field_for(q)
+    x7 = (0,) * 7 + (1,)
+    rows = [(0, 5, 0, 0, 0, 0, 0, 0), (0,) * 8, (1, 2, 3, 0, 0, 0, 0, 0), x7]
+    ords = class_lookup(fld, rows)
+    assert ords[:3].tolist() == [0, 0, 0]
+    assert ords[3] == is_pp_by_table(parse_poly(fld, "x^7")).ordinal > 0
+
+
 def test_an_order_without_a_class_table_is_refused():
     with pytest.raises(UnsupportedOrder, match="^no class table for q=29$"):
         table_for(29)

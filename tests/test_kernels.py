@@ -348,19 +348,44 @@ def test_pair_line_agrees_with_the_full_plane(q):
 
 
 def test_pp_batch_agrees_with_scalar_check():
+    # rows of every length 1-10, so that each parity edge shows (a lone c0
+    # at length 1 and 2, the lead of E or of O at each length), and
+    # characteristic 2 at q = 8 and 16, where x = -x.  Random rows are
+    # almost never permutations; a*(bx + c)^k + d with k prime to q - 1 is
+    # one at length k + 1 and, padded with zero columns, at every greater
+    # length; so are the class entries, at length 8 and up.
     rng = np.random.default_rng(5)
-    for q in (13, 27, 49):
+    for q in (8, 11, 16, 25, 27, 49):
         fld = field_for(q)
-        C = rng.integers(0, q, size=(500, 8), dtype=np.int64)
-        C[:, 7] = rng.integers(1, q, size=500)
-        # random rows are almost never permutations; the class
-        # representatives are
-        C = np.vstack([C, [e.poly(fld).coeffs for e in table_for(q).entries]])
-        bits = kernels.pp_batch(fld, C)
-        assert bits[500:].all()
-        for row, bit in zip(C, bits):
-            want = is_permutation(Poly(fld, tuple(int(v) for v in row)))
-            assert bool(bit) == want, (q, row)
+        positives = [e.poly(fld).coeffs for e in field_entries(fld)] if q in EXPECTED_COUNTS else []
+        for k in range(1, 10):
+            if np.gcd(k, q - 1) == 1:
+                for _ in range(3):
+                    a, b = (int(v) for v in rng.integers(1, q, 2))
+                    c, d = (int(v) for v in rng.integers(0, q, 2))
+                    xk = Poly(fld, (0,) * k + (1,))
+                    positives.append(apply_transform(xk, LinearTransform(a, b, c, d)).coeffs)
+        for n in range(1, 11):
+            pos = np.array([p + (0,) * (n - len(p)) for p in positives if len(p) <= n],
+                           dtype=np.int64).reshape(-1, n)
+            near = pos.copy()
+            near[:, n // 2] = fld.add_t[near[:, n // 2], 1]  # mostly near misses
+            C = np.vstack([pos, near, rng.integers(0, q, size=(40, n))])
+            bits = kernels.pp_batch(fld, C)
+            assert bits[:len(pos)].all() and (n < 2 or len(pos)), (q, n)
+            for row, bit in zip(C, bits):
+                want = is_permutation(Poly(fld, tuple(int(v) for v in row)))
+                assert bool(bit) == want, (q, row)
+
+
+def test_pp_batch_refuses_coefficients_outside_the_field():
+    # -1 would wrap to the element 12 and 13 would index past the tables;
+    # the check runs once per call, before any gather
+    fld = field_for(13)
+    for bad in ([[0, -1]], [[0, 13]], [[0, 1], [0, 13]]):
+        with pytest.raises(InvalidArgument, match=r"\[0, 13\)"):
+            kernels.pp_batch(fld, bad)
+    assert kernels.pp_batch(fld, [[0, 12], [3, 0]]).tolist() == [True, False]
 
 
 def test_evaluators_return_the_bool_mask_of_the_rows_leading_shape():

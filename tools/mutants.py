@@ -86,15 +86,32 @@ MUTANTS = (
             "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route")),
     # a lookup answers 0 for a row in no class
     Mutant("lookup-miss-reads-a-class", "families.py",
-           "return np.where(hit, ords[pos], 0)",
+           "return np.where(hit & (C[..., 7] != 0), ords[pos], 0)",
            "return ords[pos]",
            ("verify.check_audit",
             "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route")),
+    # a row without x^7 has the monic columns, and so the code, of x^7
+    Mutant("lookup-drops-lead-guard", "families.py",
+           "hit & (C[..., 7] != 0)",
+           "hit",
+           ("tests/test_families.py::test_class_lookup_answers_0_for_a_row_without_x7",)),
     # only equal codes of two classes overlap: x^7 alone repeats q - 1 times
     Mutant("index-refuses-repeats", "families.py",
            "clash = np.flatnonzero(~first[1:] & (ords[1:] != ords[:-1]))",
            "clash = np.flatnonzero(~first[1:])",
            ("verify.check_non_redundancy",)),
+    # the one evaluator: f(-x) = E(x^2) - x*O(x^2) reads -x's row of the
+    # table, and f(0) is c0
+    Mutant("pp-minus-x-through-x", "kernels.py",
+           'bits.take(step[z].take(oe, mode="clip"), mode="clip")',
+           'bits.take(step[x].take(oe, mode="clip"), mode="clip")',
+           ("verify.check_audit",
+            "tests/test_kernels.py::test_pp_batch_agrees_with_scalar_check")),
+    Mutant("pp-seed-from-c1", "kernels.py",
+           "mask = bits.take(cols[0, 0] * np.int16(q))",
+           "mask = bits.take(cols[0, 1] * np.int16(q))",
+           ("verify.check_audit",
+            "tests/test_kernels.py::test_pp_batch_agrees_with_scalar_check")),
     # the pair grid's line index (CHANGES.md)
     Mutant("pair-cells-uninverted", "kernels.py",
            "return field.inv_t[field.mul_t[1:, 1:]] - 1",
