@@ -31,7 +31,10 @@ order, so another field of a table order is refused.  Membership in them
 has one route: a lookup of the normalised code in the class-image index
 of the caller's field (`class_lookup`, each row's class ordinal or 0),
 which answers `is_pp_by_table`, the batched audit, the classify witness
-and the table-based pair route at every order.
+and the table-based pair route at every order.  The index also keeps a
+presence table of its codes' top digits (up to three, in at most 2^16
+entries): a lookup reads each row's top digits first, answers 0 for a row
+whose prefix is absent, and codes and searches only the rest in full.
 """
 
 from __future__ import annotations
@@ -186,8 +189,9 @@ def class_images(field: Field, entries):
 
 
 def image_codes(q: int):
-    """The class-image index of one order in its preset field."""
-    return _class_index(field_for(q))
+    """The class-image index of one order in its preset field: its codes
+    and their ordinals."""
+    return _class_index(field_for(q))[:2]
 
 
 def field_entries(field: Field) -> tuple[FamilyEntry, ...]:
@@ -209,9 +213,10 @@ def field_entries(field: Field) -> tuple[FamilyEntry, ...]:
 
 @functools.cache
 def _class_index(field: Field):
-    """The distinct `class_images` codes of the field's class entries and
-    their ordinals, once per field and process.  Classes are disjoint: two
-    entries whose images share a code are refused, and the refusal is not kept."""
+    """The distinct `class_images` codes of the field's class entries, their
+    ordinals and the presence table of their prefixes (`_prefix_width` top
+    digits), once per field and process.  Classes are disjoint: two entries
+    whose images share a code are refused, and the refusal is not kept."""
     codes, ords = class_images(field, field_entries(field))
     first = np.diff(codes, prepend=-1) != 0  # the first of each run: codes >= 0
     clash = np.flatnonzero(~first[1:] & (ords[1:] != ords[:-1]))
@@ -219,18 +224,37 @@ def _class_index(field: Field):
         raise ValueError(f"q={field.q}: entries {int(ords[clash[0]])} and "
                          f"{int(ords[clash[0] + 1])} are linearly related; "
                          f"their class images overlap")
-    return codes[first], ords[first]
+    q, k = field.q, _prefix_width(field.q)
+    present = np.zeros(q ** k, dtype=bool)
+    present[codes[first] // q ** (kernels.code_width(field) - k)] = True
+    return codes[first], ords[first], present
+
+
+def _prefix_width(q: int) -> int:
+    """The top digits a lookup reads first: the most, up to 3, whose
+    presence table of q^k entries fits 2^16 (3 up to q = 40, 2 up to 256)."""
+    return next(k for k in (3, 2, 1) if k == 1 or q ** k <= 1 << 16)
 
 
 def class_lookup(field: Field, C):
     """Look degree-7 coefficient rows (last axis of C) up in the class-image
     index of the field: per row the ordinal of its class among
     `field_entries` (ordinals run from 1), or 0 for a row in no class,
-    such as one whose x^7 coefficient is 0."""
-    codes, ords = _class_index(field)
+    such as one whose x^7 coefficient is 0.  A row is read top digit first:
+    one whose prefix no class code has answers 0 from its first
+    `normal_digits`, and only the rest are coded in full and searched."""
+    codes, ords, present = _class_index(field)
     C = np.asarray(C, dtype=np.int64)
-    hit, pos = kernels.code_member(codes, kernels.normalized_code_batch(field, C))
-    return np.where(hit & (C[..., 7] != 0), ords[pos], 0)
+    rows = C.reshape(-1, C.shape[-1])
+    digits = kernels.normal_digits(field, rows)
+    prefix = next(digits)
+    for _ in range(_prefix_width(field.q) - 1):
+        prefix = prefix * field.q + next(digits)
+    live = np.flatnonzero(present[prefix] & (rows[:, 7] != 0))
+    hit, pos = kernels.code_member(codes, kernels.normalized_code_batch(field, rows[live]))
+    out = np.zeros(len(rows), dtype=ords.dtype)
+    out[live[hit]] = ords[pos[hit]]
+    return out.reshape(C.shape[:-1])
 
 
 def image_witness(h: Poly) -> LinearTransform:

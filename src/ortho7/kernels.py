@@ -19,17 +19,20 @@ One synthetic division, `_taylor_shift` (f -> f(x + c) through the flat
 tables), serves `expand_shifts`, the one array transform a*f(b*x + c) + d
 (`poly.apply_transform` over arrays: the class images, the shift blocks of
 `pairs.shift_blocks`, and with c = d = 0 every rescaling alpha*f(beta*x) of
-the pair dedup and the published pair lists), and `normalized_rows`, the
-one degree-7 normal form (monic, no constant term, and for p != 7 no x^6
-after the shift `x6_shift`):
-`canon.canonical_rows` reads it, and `normalized_code_batch` packs it into
-codes (a code names a row up to a*f(x+c)+d) that `code_member` finds in a
-sorted code array, such as the class-image index of `families.image_codes`.
+the pair dedup and the published pair lists).  One routine, `normal_digits`,
+yields the one degree-7 normal form (monic, no constant term, and for
+p != 7 no x^6 after the shift `x6_shift`) top digit first, the shift in
+closed form from per-field tables over c: `normalized_rows` lists it for
+`canon.canonical_rows`, `normalized_code_batch` packs it into codes (a code
+names a row up to a*f(x+c)+d) that `code_member` finds in a sorted code
+array, such as the class-image index of `families.image_codes`, and
+`families.class_lookup` reads its top digits alone first.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -184,6 +187,8 @@ def pp_batch(field, coeff_rows):
     C = np.asarray(coeff_rows, dtype=np.int64)
     if C.size and not 0 <= C.min() <= C.max() < q:
         raise InvalidArgument(f"coefficients must lie in [0, {q}), not {C.min()}..{C.max()}")
+    if not C.shape[-1]:  # rows of length 0: the zero polynomial permutes nothing
+        return np.zeros(C.shape[:-1], dtype=bool)
     step = (field.add_t.astype(np.int16) * q)[field.mul_t.T].reshape(q, q * q)
     rows = C.reshape(-1, C.shape[-1]).T  # one row per power
     cols = np.zeros((-(-len(rows) // 2), 2, rows.shape[1]), dtype=np.int16)  # O padded with 0
@@ -218,17 +223,16 @@ def pp_batch(field, coeff_rows):
 # Transform: the coefficient rows of a*f(b*x + c) + d, for many (a, b, c, d) at once.
 
 
-def _taylor_shift(field, a, c, lo=0):
+def _taylor_shift(field, a, c):
     """Replace the coefficient columns `a` (a list, lead last) by those of
     f(x + c): the Taylor shift, repeated synthetic division a_j += c*a_{j+1},
-    each step one gather from the flat tables.  Columns below `lo` are
-    neither read nor written (they may be None)."""
+    each step one gather from the flat tables."""
     q, n = field.q, len(a)
     mulf, addf = field.mul_t.ravel(), field.add_t.ravel()
     cq = np.asarray(c, dtype=np.int64) * q
     top = mulf[cq + a[-1]]  # c * lead, read by every step of a_{n-2}: the lead stays
     for k in range(n - 1):
-        for j in range(n - 2, max(k, lo) - 1, -1):
+        for j in range(n - 2, k - 1, -1):
             a[j] = addf[a[j] * q + (top if j == n - 2 else mulf[cq + a[j + 1]])]
 
 
@@ -260,42 +264,95 @@ def expand_shifts(field, C, a, b, c, d):
     return out
 
 
+# ---------------------------------------------------------------------------
+# The degree-7 normal form and its codes.
+
+
 def x6_shift(field, C):
     """The c = -h6/(7*h7) of degree-7 rows (last axis of C), p != 7: the
-    shift whose f(x + c) has a zero x^6 coefficient."""
-    mul = field.mul_t
+    shift whose f(x + c) has a zero x^6 coefficient (0 where h7 = 0)."""
     C = np.asarray(C, dtype=np.int64)
-    return field.neg_t[mul[C[..., 6], field.inv_t[mul[field.from_int(7), C[..., 7]]]]]
+    by = field.mul_t[field.neg_t[field.inv_t[field.from_int(7)]]]  # times -1/7
+    return by[field.mul_t.ravel()[field.inv_t[C[..., 7]] * field.q + C[..., 6]]]
+
+
+def code_width(field):
+    """The digits of a normalised code: x^5..x^1, or x^6..x^1 when p = 7."""
+    return 6 if field.p == 7 else 5
+
+
+@functools.cache
+def _shift_terms(field):
+    """The c-dependent factors of the shifted normal form (p != 7), as
+    tables over c of flat-table offsets (element times q), once per field:
+    B[j] lists binom(k, j)*c^(k-j) for k = j+1..5, and A[j] = (binom(7, j)
+    - 7*binom(6, j))*c^(7-j), the x^7 and x^6 terms of a monic h with
+    h6 = -7c."""
+    q, mul = field.q, field.mul_t
+    pw = [np.ones(q, dtype=np.int64)]  # pw[e][c] = c^e
+    for _ in range(6):
+        pw.append(mul[pw[-1], np.arange(q)])
+
+    def term(n, e):
+        return mul[field.from_int(n), pw[e]] * q
+
+    A = {j: term(math.comb(7, j) - 7 * math.comb(6, j), 7 - j) for j in range(1, 6)}
+    B = {j: [term(math.comb(k, j), k - j) for k in range(j + 1, 6)] for j in range(1, 6)}
+    return A, B
+
+
+def normal_digits(field, C):
+    """The digits of the degree-7 normal form of rows (last axis of C), top
+    first, one array each as it is asked for: x^6 down to x^1 of the monic
+    h = C/C7 when p = 7, and x^5 down to x^1 of h(x + c) when p != 7, c the
+    `x6_shift` (its x^6 is zero).  The shift is in closed form, with
+    h6 = -7c and h7 = 1:
+
+        h'_j = h_j + sum_{k=j+1..5} binom(k,j)*c^(k-j)*h_k
+                   + (binom(7,j) - 7*binom(6,j))*c^(7-j),
+
+    so digit j reads only the monic h_j..h_5 and the `_shift_terms`."""
+    q = field.q
+    C = np.asarray(C, dtype=np.int64)
+    mulf, addf = field.mul_t.ravel(), field.add_t.ravel()
+    aq = field.inv_t[C[..., 7]] * q
+    if field.p == 7:
+        for j in range(6, 0, -1):
+            yield mulf[aq + C[..., j]]
+        return
+    c, (A, B) = x6_shift(field, C), _shift_terms(field)
+    h = {}
+    for j in range(5, 0, -1):
+        h[j] = mulf[aq + C[..., j]]
+        acc = addf[A[j][c] + h[j]]
+        for k, Bk in enumerate(B[j], j + 1):
+            acc = addf[acc * q + mulf[Bk[c] + h[k]]]
+        yield acc
 
 
 def normalized_rows(field, C):
     """The degree-7 normal form of rows (last axis of C), as the list of
-    its x^1..x^6 coefficient arrays: the monic h/h7 shifted to h(x + c)/h7
-    by `_taylor_shift`, less its constant term (never computed), with c the
-    `x6_shift` of each row when p != 7 (its x^6 is then zero) and c = 0 in
-    characteristic 7, where x^6 cannot be cleared."""
-    C = np.asarray(C, dtype=np.int64)
-    mulf, aq = field.mul_t.ravel(), field.inv_t[C[..., 7]] * field.q
-    h = [None] + [mulf[aq + C[..., i]] for i in range(1, 7)] + [1]  # the lead is 1
-    if field.p != 7:
-        _taylor_shift(field, h, x6_shift(field, C), lo=1)
-    return h[1:7]
+    its x^1..x^6 coefficient arrays: the monic h/h7 shifted to h(x + c)/h7,
+    less its constant term, with c the `x6_shift` of each row when p != 7
+    (its x^6 is then zero) and c = 0 in characteristic 7, where x^6 cannot
+    be cleared.  The `normal_digits`, lowest first."""
+    h = list(normal_digits(field, C))[::-1]
+    return h + [np.zeros_like(h[0])] * (6 - len(h))
 
 
 def normalized_code_batch(field, C):
-    """The `normalized_rows` of degree-7 rows (last axis of C) packed as a
-    base-q code.  When p != 7 the x^6 digit is zero and left out, so the
-    code runs over x^5..x^1 and every f(x + c) of a row has the row's
-    code; in characteristic 7 the x^6 term stays in the code.  The digits
-    fit an int64 while q^5 < 2^63 (q <= 6208), and q^6 < 2^63 (q <= 1448)
-    when p = 7."""
-    top = 6 if field.p == 7 else 5
-    if field.q ** top >= 1 << 63:
+    """The `normal_digits` of degree-7 rows (last axis of C) packed as a
+    base-q code, top digit most significant.  When p != 7 the x^6 digit is
+    zero and left out, so the code runs over x^5..x^1 and every f(x + c) of
+    a row has the row's code; in characteristic 7 the x^6 term stays in the
+    code.  The digits fit an int64 while q^5 < 2^63 (q <= 6208), and q^6 <
+    2^63 (q <= 1448) when p = 7."""
+    if field.q ** code_width(field) >= 1 << 63:
         raise UnsupportedOrder(f"normalised codes overflow int64 at q={field.q}")
-    h = normalized_rows(field, C)
-    code = np.zeros(np.shape(h[0]), dtype=np.int64)
-    for i in range(top - 1, -1, -1):
-        code = code * field.q + h[i]
+    digits = normal_digits(field, C)
+    code = next(digits)
+    for d in digits:
+        code = code * field.q + d
     return code
 
 

@@ -7,7 +7,7 @@ across workers is safe.  The scalar `apply_transform`, Horner's rule over
 polynomials in the field's scalar arithmetic, calls no kernel: it is the
 reference the tests hold the array kernels to, and `canonicalize` checks
 its witness with it.  The degree-7 normal form itself has one home,
-`kernels.normalized_rows`.
+`kernels.normal_digits`.
 """
 
 from __future__ import annotations

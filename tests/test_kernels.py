@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ortho7 import kernels, perm
+from ortho7 import families, kernels, perm
 from ortho7.canon import canonical_rows
 from ortho7.errors import InvalidArgument, UnsupportedOrder
 from ortho7.families import (
@@ -376,6 +376,10 @@ def test_pp_batch_agrees_with_scalar_check():
             for row, bit in zip(C, bits):
                 want = is_permutation(Poly(fld, tuple(int(v) for v in row)))
                 assert bool(bit) == want, (q, row)
+        # rows of length 0, the zero polynomial, in any batch shape
+        assert not is_permutation(Poly(fld, ()))
+        assert kernels.pp_batch(fld, np.zeros((3, 0), dtype=np.int64)).tolist() == [False] * 3
+        assert kernels.pp_batch(fld, np.zeros((2, 3, 0), dtype=np.int64)).shape == (2, 3)
 
 
 def test_pp_batch_refuses_coefficients_outside_the_field():
@@ -426,11 +430,12 @@ def test_pp_batch_catches_a_repeat_at_the_last_element(q):
         assert bit == is_permutation(Poly(fld, tuple(int(v) for v in row))), (q, row)
 
 
-@pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 41])
+@pytest.mark.parametrize("q", [11, 13, 17, 19, 23, 25, 27, 31, 41, 83])
 def test_class_lookup_agrees_with_canonical_route(q):
     # the class-image lookup against the paper's canonical route (the
     # canonical tuple of each row among the class entries): the p != 7
-    # table orders, and the x^7 rule at q = 41
+    # table orders, and the x^7 rule at q = 41 (a three-digit prefix) and
+    # q = 83 (a two-digit one)
     fld = field_for(q)
     rng = np.random.default_rng(q)
     C = rng.integers(0, q, size=(300, 8), dtype=np.int64)
@@ -484,11 +489,12 @@ def test_normalized_codes_reject_orders_that_overflow():
             kernels.normalized_code_batch(SimpleNamespace(q=q, p=p), [0] * 7 + [1])
 
 
-@pytest.mark.parametrize("q", [13, 25, 49])
+@pytest.mark.parametrize("q", [8, 13, 16, 25, 27, 31, 49])
 def test_normalized_rows_match_the_scalar_reduction(q):
     # the normal form is apply_transform(h, (a, 1, c, -a*h(c))), a = h7^-1,
     # with c the x6_shift for p != 7 and c = 0 (x^6 kept) at q = 49; the
-    # class code is its x^1.. digits packed in base q
+    # class code is its x^1.. digits packed in base q.  At 8, 16 and 27 the
+    # binomials of the closed-form shift reduce mod 2 and mod 3
     fld = field_for(q)
     rng = np.random.default_rng(q)
     C = rng.integers(0, q, size=(60, 8), dtype=np.int64)
@@ -503,6 +509,37 @@ def test_normalized_rows_match_the_scalar_reduction(q):
     top = 6 if fld.p == 7 else 5
     packed = sum(rows[i] * q ** i for i in range(top))
     assert (kernels.normalized_code_batch(fld, C) == packed).all()
+
+
+@pytest.mark.parametrize("q", [49, 1483])
+def test_class_lookup_agrees_with_the_one_stage_search(q):
+    # the prefix stage drops only rows that the full code search misses:
+    # class_lookup against code_member of every row's full code with the
+    # lead guard, on planted members a*e(bx+c)+d, near misses of them in
+    # each digit, the same rows without x^7, and random rows (q = 49 has a
+    # two-digit prefix, the x^7 rule at 1483 a one-digit one)
+    fld = field_for(q)
+    rng = np.random.default_rng(q)
+    related = []
+    for e in field_entries(fld):
+        for _ in range(20):
+            a, b = (int(v) for v in rng.integers(1, q, 2))
+            c, d = (int(v) for v in rng.integers(0, q, 2))
+            related.append(apply_transform(e.poly(fld), LinearTransform(a, b, c, d)).coeffs)
+    related = np.array(related, dtype=np.int64)
+    near = np.vstack([related] * 6)
+    for i in range(1, 7):
+        block = near[(i - 1) * len(related):i * len(related)]
+        block[:, i] = fld.add_t[block[:, i], 1]
+    lead0 = np.vstack([related, near])
+    lead0[:, 7] = 0
+    C = rng.integers(0, q, size=(2000, 8), dtype=np.int64)
+    C = np.vstack([related, near, lead0, C])
+    codes, ords = families.image_codes(q)
+    hit, pos = kernels.code_member(codes, kernels.normalized_code_batch(fld, C))
+    got, n = class_lookup(fld, C), len(related)
+    assert (got == np.where(hit & (C[:, 7] != 0), ords[pos], 0)).all()
+    assert (got[:n] > 0).all() and not got[7 * n:14 * n].any()
 
 
 @pytest.mark.parametrize("q", [13, 25, 49])

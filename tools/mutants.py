@@ -75,8 +75,8 @@ MUTANTS = (
            "codes, ords = class_images(field, field_entries(field)[1:])",
            ("verify.check_audit", "verify.check_census")),
     Mutant("x6-shift-sign", "kernels.py",
-           "return field.neg_t[mul[C[..., 6], field.inv_t[mul[field.from_int(7), C[..., 7]]]]]",
-           "return mul[C[..., 6], field.inv_t[mul[field.from_int(7), C[..., 7]]]]",
+           "by = field.mul_t[field.neg_t[field.inv_t[field.from_int(7)]]]",
+           "by = field.mul_t[field.inv_t[field.from_int(7)]]",
            ("verify.check_audit",
             "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route")),
     Mutant("index-code-flipped", "families.py",
@@ -84,17 +84,25 @@ MUTANTS = (
            "return codes[first] ^ (codes[first] == codes[-1]), ords[first]",
            ("verify.check_audit",
             "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route")),
-    # a lookup answers 0 for a row in no class
+    # a lookup answers 0 for a row in no class, also one whose prefix is
+    # that of a class code
     Mutant("lookup-miss-reads-a-class", "families.py",
-           "return np.where(hit & (C[..., 7] != 0), ords[pos], 0)",
-           "return ords[pos]",
+           "out[live[hit]] = ords[pos[hit]]",
+           "out[live] = ords[pos]",
            ("verify.check_audit",
             "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route")),
     # a row without x^7 has the monic columns, and so the code, of x^7
     Mutant("lookup-drops-lead-guard", "families.py",
-           "hit & (C[..., 7] != 0)",
-           "hit",
+           "present[prefix] & (rows[:, 7] != 0)",
+           "present[prefix]",
            ("tests/test_families.py::test_class_lookup_answers_0_for_a_row_without_x7",)),
+    # the prefix stage: a presence table built one digit short drops members
+    Mutant("prefix-table-one-digit-short", "families.py",
+           "present[codes[first] // q ** (kernels.code_width(field) - k)] = True",
+           "present[codes[first] // q ** (kernels.code_width(field) - k + 1)] = True",
+           ("verify.check_audit",
+            "tests/test_kernels.py::test_class_lookup_agrees_with_canonical_route",
+            "tests/test_kernels.py::test_class_lookup_agrees_with_the_one_stage_search")),
     # only equal codes of two classes overlap: x^7 alone repeats q - 1 times
     Mutant("index-refuses-repeats", "families.py",
            "clash = np.flatnonzero(~first[1:] & (ords[1:] != ords[:-1]))",
@@ -134,14 +142,18 @@ MUTANTS = (
            "ok = (lead < ck[t]) & (gt1 < n // ck[t])",
            "ok = (lead < ck[t] - 1) & (gt1 < n // ck[t])",
            ("verify.check_family_tables",)),
-    # the one synthetic division behind the shifts and the normal form:
-    # each pass stops a step short
+    # the one synthetic division behind the shifts: each pass stops a step
+    # short
     Mutant("taylor-shift-pass-short", "kernels.py",
-           "for j in range(n - 2, max(k, lo) - 1, -1):",
-           "for j in range(n - 2, max(k, lo), -1):",
-           ("verify.check_audit",
-            "tests/test_kernels.py::test_expand_shifts_matches_apply_transform",
-            "tests/test_kernels.py::test_normalized_rows_match_the_scalar_reduction")),
+           "for j in range(n - 2, k - 1, -1):",
+           "for j in range(n - 2, k, -1):",
+           ("tests/test_kernels.py::test_expand_shifts_matches_apply_transform",)),
+    # the closed-form normal form: the x^7 and x^6 terms of the shift with
+    # their sign flipped (the same in characteristic 2)
+    Mutant("shift-c-term-sign", "kernels.py",
+           "term(math.comb(7, j) - 7 * math.comb(6, j), 7 - j)",
+           "term(7 * math.comb(6, j) - math.comb(7, j), 7 - j)",
+           ("tests/test_kernels.py::test_normalized_rows_match_the_scalar_reduction",)),
     # the scalar reference the kernels are held to: one Horner step with its
     # columns swapped composes f with cx + b
     Mutant("transform-horner-swapped", "poly.py",
@@ -150,8 +162,8 @@ MUTANTS = (
            ("tests/test_kernels.py::test_expand_shifts_matches_apply_transform",
             "tests/test_kernels.py::test_normalized_rows_match_the_scalar_reduction")),
     Mutant("code-radix", "kernels.py",
-           "code = code * field.q + h[i]",
-           "code = code * (field.q - 1) + h[i]",
+           "code = code * field.q + d",
+           "code = code * (field.q - 1) + d",
            ("verify.check_non_redundancy",)),
     Mutant("exceptional-subtotal", "pairs.py",
            "if r.family.exceptional)",
