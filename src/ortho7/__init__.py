@@ -11,13 +11,7 @@ an exhaustive census of the coefficient space.
 
 __version__ = "1.0.0"
 
-from .canon import (  # noqa: F401
-    CanonicalForm,
-    canonicalize,
-    ci_set,
-    ck_set,
-    solve_linear_relation,
-)
+from .canon import CanonicalForm, canonicalize  # noqa: F401
 from .errors import *  # noqa: F401,F403
 from .families import (  # noqa: F401
     FamilyEntry,
@@ -28,7 +22,7 @@ from .families import (  # noqa: F401
     load_family_tables,
     table_for,
 )
-from .field import Field, FieldSpec, build_field, field_for, preset_orders  # noqa: F401
+from .field import Field, FieldSpec, build_field, field_for  # noqa: F401
 from .pairs import (  # noqa: F401
     EnumerationReport,
     PairSearchResult,

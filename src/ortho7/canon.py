@@ -14,16 +14,16 @@ ci_set(m) then pins down the residual scaling freedom.  Uniqueness of the
 representative is asserted at runtime on every call rather than trusted.
 
 Since theta^i has discrete log i, membership is a threshold on the log:
-a nonzero v lies in ck_set(m) exactly when dlog(v) < gcd(m, q-1), and in
-ci_set(m) exactly when dlog(v) < (q-1)/gcd(m, q-1).  `criteria_mask`
+a nonzero v lies in ck_set(m) exactly when log_t[v] < gcd(m, q-1), and in
+ci_set(m) exactly when log_t[v] < (q-1)/gcd(m, q-1).  `criteria_mask`
 reads these comparisons in the field's log_t table, for any array of
-tuples at once; the lists themselves stay as the definitions.
+tuples at once; the lists are the tests' reference (tests/reference.py).
 
 The reduction itself is cheap: after normalisation (monic, zero constant,
 zero x^6 coefficient) the only transforms preserving that shape are
 x -> b*x rescalings, so each class has q-1 candidates.  One array kernel,
 `canonical_rows`, is the canonical-form mechanism: it reads the normal
-form `kernels.normalized_rows` of a batch of rows, builds all their
+form `kernels.normal_digits` of a batch of rows, builds all their
 rescalings as one (rows, q-1, 5) array, runs the criteria as one mask and
 re-proves uniqueness row by row.  `canonicalize` is its batch of one, plus
 the transform witness.  The tests compare it with the literal (b, c)
@@ -45,18 +45,6 @@ from .errors import (
 )
 from .field import Field
 from .poly import LinearTransform, Poly, apply_transform, eval_poly
-
-
-def ck_set(field: Field, m: int) -> list[int]:
-    """Coset representatives {theta^i : i < gcd(m, q-1)}, theta^0 first."""
-    g = gcd(m, field.q - 1)
-    return [int(field.exp_t[i]) for i in range(g)]
-
-
-def ci_set(field: Field, m: int) -> list[int]:
-    """Residual-scale pinning set {theta^j : j < (q-1)/gcd(m, q-1)}."""
-    n = (field.q - 1) // gcd(m, field.q - 1)
-    return [int(field.exp_t[j]) for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -90,7 +78,7 @@ def criteria_mask(field: Field, G) -> np.ndarray:
     the criteria (entries such as (0,0,2,0,8) carry g_{t-1} = 0).
     Membership is the log threshold of the module docstring, read in
     `field` itself; log_t[0] = -1 lies below every threshold, so a zero
-    coefficient never fails a "g != 0 and dlog(g) >= bound" clause.
+    coefficient never fails a "g != 0 and log_t[g] >= bound" clause.
     """
     G = np.asarray(G, dtype=np.int64)
     n = field.q - 1
@@ -115,7 +103,7 @@ def canonical_rows(field: Field, C) -> tuple[np.ndarray, np.ndarray]:
     """Canonical tuples (g5..g1), shape (n, 5), of the degree-7 rows C,
     shape (n, 8), and the first passing b of each row, shape (n,).
 
-    Reads the normal form `kernels.normalized_rows` of every row (monic,
+    Reads the normal form `kernels.normal_digits` of every row (monic,
     zero x^6 after the shift c = -h6/(7*h7), no constant term), then builds
     the q-1 monic-preserving rescalings b^-7 * hn(bx), that is b^(i-7) * g_i,
     in the element order b = 1..q-1.  The x^6-cancelling shift is independent
@@ -135,7 +123,7 @@ def canonical_rows(field: Field, C) -> tuple[np.ndarray, np.ndarray]:
     if not C[:, 7].all():
         raise DegreeMismatch("canonical forms need degree-7 rows")
     mul, n = field.mul_t, field.q - 1
-    H = np.stack(kernels.normalized_rows(field, C)[4::-1], axis=-1)  # g5..g1
+    H = np.stack(list(kernels.normal_digits(field, C)), axis=-1)  # g5..g1
     b = np.arange(1, field.q)
     scale = field.exp_t[field.log_t[b, None] * np.arange(-2, -7, -1) % n]
     G = mul[scale, H[:, None, :]]  # (rows, b, 5): b^(i-7) * g_i
@@ -180,27 +168,3 @@ def canonicalize(h: Poly) -> tuple[CanonicalForm, LinearTransform]:
     # re-derive the exact transform witnessing h -> poly
     assert apply_transform(h, tform).coeffs == poly.coeffs
     return CanonicalForm(poly, support_index(first)), tform
-
-
-def solve_linear_relation(h: Poly, f: Poly) -> list[LinearTransform]:
-    """All (a, b, c, d) with h = a*f(bx+c)+d.
-
-    Iterates (b, c), derives a from the leading coefficient and d from
-    the constant term, and keeps transforms under which the remaining
-    coefficients match exactly.  Nothing in the package calls it: it stays
-    exported as the brute-force relation reference of the tests.
-    """
-    if h.degree != 7 or f.degree != 7:
-        raise DegreeMismatch("linear-relation search needs two degree-7 polynomials")
-    field = h.field
-    out = []
-    h7, h0 = h.coeff(7), h.coeff(0)
-    for b in field.nonzero():
-        for c in field.elements():
-            img = apply_transform(f, LinearTransform(1, b, c, 0))
-            a = field.mul(h7, field.inv(img.coeff(7)))
-            d = field.sub(h0, field.mul(a, img.coeff(0)))
-            if all(field.mul(a, img.coeff(i)) == h.coeff(i)
-                   for i in range(1, 7)):
-                out.append(LinearTransform(a, b, c, d))
-    return out

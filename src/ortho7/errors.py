@@ -21,10 +21,6 @@ class DivisionByZero(Ortho7Error):
     """Multiplicative inverse of zero requested."""
 
 
-class DlogOfZero(Ortho7Error):
-    """Discrete logarithm of zero requested."""
-
-
 class DegreeMismatch(Ortho7Error):
     """Polynomial degree does not match the operation's requirement."""
 

@@ -57,10 +57,6 @@ EXPECTED_COUNTS = {
     25: (3, 3), 27: (1, 1), 31: (3, 3), 49: (1, 9),
 }
 
-# Entries whose stored reading is an editorial reconstruction of a
-# defective source line (validated at load time like everything else).
-RECONSTRUCTED = {(49, 10)}
-
 
 @dataclass(frozen=True)
 class FamilyEntry:
@@ -77,10 +73,6 @@ class FamilyEntry:
     def coeff_row(self) -> tuple[int, ...]:
         f5, f4, f3, f2, f1 = self.coeffs
         return (0, f1, f2, f3, f4, f5, 0, 1)
-
-    @property
-    def reconstructed(self) -> bool:
-        return (self.q, self.ordinal) in RECONSTRUCTED
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import (
     DivisionByZero,
-    DlogOfZero,
     InvalidArgument,
     NonPrimeP,
     NonPrimitiveModulus,
@@ -98,10 +97,10 @@ class Field:
     Immutable after construction; every operation is pure, so instances
     are safe to share across threads and workers without locking.
 
-    add, sub, mul and neg are the tables' bound `item`, which inv, pow and
-    dlog call too: a plain int, also for numpy integer arguments, and for
-    one argument a flat entry (add(5) is add_t.flat[5], not a TypeError).
-    inv, pow and dlog refuse an element outside [0, q): InvalidArgument.
+    add, sub, mul and neg are the tables' bound `item`, which inv and pow
+    call too: a plain int, also for numpy integer arguments, and for one
+    argument a flat entry (add(5) is add_t.flat[5], not a TypeError).
+    inv and pow refuse an element outside [0, q): InvalidArgument.
     """
 
     def __init__(self, spec: FieldSpec, theta: int, exp_table: np.ndarray):
@@ -161,16 +160,8 @@ class Field:
             return 0
         return self.exp_t.item((self.log_t.item(a) * n) % (self.q - 1))
 
-    def dlog(self, x: int) -> int:
-        if self._element(x) == 0:
-            raise DlogOfZero(f"dlog(0) in F_{self.q}")
-        return self.log_t.item(x)
-
     def elements(self) -> range:
         return range(self.q)
-
-    def nonzero(self) -> range:
-        return range(1, self.q)
 
     def from_int(self, k: int) -> int:
         """Embed an integer via the prime subfield (k mod p)."""
@@ -342,12 +333,6 @@ def build_field(spec: FieldSpec) -> Field:
 def _load_presets() -> dict[int, dict]:
     raw = resources.files("ortho7").joinpath("data", "field_presets.json").read_text()
     return {entry["q"]: entry for entry in json.loads(raw)["presets"]}
-
-
-def preset_orders() -> list[int]:
-    """The orders of the shipped preset fields: public, as the tests and
-    library users enumerate the fields `field_for` builds."""
-    return sorted(_load_presets())
 
 
 @functools.cache

@@ -22,11 +22,11 @@ tables), serves `expand_shifts`, the one array transform a*f(b*x + c) + d
 the pair dedup and the published pair lists).  One routine, `normal_digits`,
 yields the one degree-7 normal form (monic, no constant term, and for
 p != 7 no x^6 after the shift `x6_shift`) top digit first, the shift in
-closed form from per-field tables over c: `normalized_rows` lists it for
-`canon.canonical_rows`, `normalized_code_batch` packs it into codes (a code
-names a row up to a*f(x+c)+d) that `code_member` finds in a sorted code
-array, such as the class-image index of `families.image_codes`, and
-`families.class_lookup` reads its top digits alone first.
+closed form from per-field tables over c: `canon.canonical_rows` stacks
+it, `normalized_code_batch` packs it into codes (a code names a row up to
+a*f(x+c)+d) that `code_member` finds in a sorted code array, such as the
+class-image index of `families.image_codes`, and `families.class_lookup`
+reads its top digits alone first.
 """
 
 from __future__ import annotations
@@ -328,16 +328,6 @@ def normal_digits(field, C):
         for k, Bk in enumerate(B[j], j + 1):
             acc = addf[acc * q + mulf[Bk[c] + h[k]]]
         yield acc
-
-
-def normalized_rows(field, C):
-    """The degree-7 normal form of rows (last axis of C), as the list of
-    its x^1..x^6 coefficient arrays: the monic h/h7 shifted to h(x + c)/h7,
-    less its constant term, with c the `x6_shift` of each row when p != 7
-    (its x^6 is then zero) and c = 0 in characteristic 7, where x^6 cannot
-    be cleared.  The `normal_digits`, lowest first."""
-    h = list(normal_digits(field, C))[::-1]
-    return h + [np.zeros_like(h[0])] * (6 - len(h))
 
 
 def normalized_code_batch(field, C):

@@ -10,7 +10,8 @@ change compilation rather than bind a name, so both are exempt.  A private
 helper is a module-level function or class, or a method, whose name has
 one leading underscore; a module constant is a module-level assignment to
 such a name or to an ALL_CAPS one.  Either is used when some module of the
-package reads it, as a plain name or as an attribute.
+package reads it, as a plain name or as an attribute.  Every public function,
+class and method is read by the package too, apart from a short allowlist.
 """
 
 import ast
@@ -58,13 +59,17 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _defs(tree: ast.Module) -> list[ast.AST]:
+    """The module-level functions and classes of a module, then their methods."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nodes = [n for n in tree.body if isinstance(n, kinds)]
+    return nodes + [m for n in nodes if isinstance(n, ast.ClassDef)
+                    for m in n.body if isinstance(m, kinds)]
+
+
 def _private_helpers(tree: ast.Module) -> dict[str, int]:
     """The private helpers and module constants of a module, with their lines."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    nodes = [n for n in tree.body if isinstance(n, defs)]
-    nodes += [m for n in nodes if isinstance(n, ast.ClassDef)
-              for m in n.body if isinstance(m, defs)]
-    found = {n.name: n.lineno for n in nodes if _private(n.name)}
+    found = {n.name: n.lineno for n in _defs(tree) if _private(n.name)}
     for n in tree.body:
         targets = n.targets if isinstance(n, ast.Assign) else [getattr(n, "target", None)]
         found.update((t.id, n.lineno) for t in targets if isinstance(t, ast.Name)
@@ -108,6 +113,62 @@ def test_the_check_sees_a_dead_helper():
                                       "a.py: _open (line 10)",
                                       "a.py: LIMIT (line 17)",
                                       "a.py: _HEADER (line 18)"]
+
+
+# perfbench/ is the benchmark's own code and is edited only with the benchmark
+BENCHMARK_HELD = {
+    "table_codes": "perfbench/workloads.py calls it (ROADMAP item 7)",
+    "enumerate_ops": "perfbench/workloads.py calls it (ROADMAP item 7)",
+    "check_audit": "perfbench/workloads.py calls it (ROADMAP item 7)",
+}
+
+
+def _unread_public(sources: dict[str, str]) -> list[str]:
+    """The public module-level functions and classes and the public methods
+    of `sources` that no module but `__init__.py` reads: as a plain name, as
+    an attribute, or as a string that is an identifier (a getattr name).
+
+    Names are matched without their owner, so a reading of a same-named
+    attribute elsewhere hides a definition: `np.nonzero` hid a dead
+    `Field.nonzero` from this check."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            used |= _used_names(tree) | {
+                n.value for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and n.value.isidentifier()}
+    return [f"{name}: {n.name} (line {n.lineno})" for name, tree in trees.items()
+            for n in _defs(tree) if not n.name.startswith("_") and n.name not in used]
+
+
+def test_every_public_function_is_read_by_the_package():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    unread = _unread_public(sources)
+    assert [line for line in unread
+            if line.split()[1] not in BENCHMARK_HELD] == [], unread
+    # each allowlisted name is still defined and still unread
+    assert sorted(line.split()[1] for line in unread) == sorted(BENCHMARK_HELD)
+
+
+def test_the_check_sees_an_unread_public_function():
+    sources = {
+        "__init__.py": "from .a import dead, Box\n",
+        "a.py": ("def kept():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
+                 "def named():\n    pass\n\n\n"
+                 "class Box:\n    def open(self):\n        pass\n\n"
+                 "    def shut(self):\n        pass\n\n"
+                 "    def __len__(self):\n        return 0\n\n\n"
+                 "class Unused:\n    pass\n"),
+        "b.py": ("import a\na.kept()\nbox = a.Box()\nbox.open()\n"
+                 "print(getattr(a, 'named'), 'not an identifier: shut()')\n"),
+    }
+    # __init__.py re-exports without reading; a string reads only as a whole
+    # identifier
+    assert _unread_public(sources) == ["a.py: dead (line 5)", "a.py: Unused (line 24)",
+                                       "a.py: shut (line 17)"]
 
 
 _EMPTY = {ast.dump(ast.parse(text, mode="eval").body) for text in ("{}", "set()", "None")}

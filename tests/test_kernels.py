@@ -499,15 +499,15 @@ def test_normalized_rows_match_the_scalar_reduction(q):
     rng = np.random.default_rng(q)
     C = rng.integers(0, q, size=(60, 8), dtype=np.int64)
     C[:, 7] = rng.integers(1, q, size=60)
-    rows = kernels.normalized_rows(fld, C)
+    digits = list(kernels.normal_digits(fld, C))  # top first, from x^5 or x^6
     cs = kernels.x6_shift(fld, C) if fld.p != 7 else np.zeros(60, dtype=np.int64)
     for k, row in enumerate(C.tolist()):
         h, a, c = Poly(fld, row), fld.inv(row[7]), int(cs[k])
         g = apply_transform(h, LinearTransform(a, 1, c, fld.neg(fld.mul(a, eval_poly(h, c)))))
         assert g.coeff(7) == 1 and g.coeff(0) == 0
-        assert [int(r[k]) for r in rows] == [g.coeff(i) for i in range(1, 7)], (q, row)
-    top = 6 if fld.p == 7 else 5
-    packed = sum(rows[i] * q ** i for i in range(top))
+        got = [0] * (6 - len(digits)) + [int(d[k]) for d in digits]
+        assert got == [g.coeff(i) for i in range(6, 0, -1)], (q, row)
+    packed = sum(d * q ** i for i, d in enumerate(reversed(digits)))
     assert (kernels.normalized_code_batch(fld, C) == packed).all()
 
 

@@ -154,6 +154,12 @@ MUTANTS = (
            "term(math.comb(7, j) - 7 * math.comb(6, j), 7 - j)",
            "term(7 * math.comb(6, j) - math.comb(7, j), 7 - j)",
            ("tests/test_kernels.py::test_normalized_rows_match_the_scalar_reduction",)),
+    # the canonical forms read the normal form top digit first, g5..g1
+    Mutant("canonical-digits-reversed", "canon.py",
+           "H = np.stack(list(kernels.normal_digits(field, C)), axis=-1)",
+           "H = np.stack(list(kernels.normal_digits(field, C))[::-1], axis=-1)",
+           ("tests/test_canon.py::test_canonical_rows_match_exhaustive_enumeration",
+            "verify.check_properties")),
     # the scalar reference the kernels are held to: one Horner step with its
     # columns swapped composes f with cx + b
     Mutant("transform-horner-swapped", "poly.py",
