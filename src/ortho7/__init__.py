@@ -16,8 +16,6 @@ from .errors import *  # noqa: F401,F403
 from .families import (  # noqa: F401
     FamilyEntry,
     FamilyTable,
-    audit_random,
-    audit_support,
     is_pp_by_table,
     load_family_tables,
     table_for,

@@ -30,17 +30,18 @@ them for a field; table entries are encoded in the preset field of their
 order, so another field of a table order is refused.  Membership in them
 has one route: a lookup of the normalised code in the class-image index
 of the caller's field (`class_lookup`, each row's class ordinal or 0),
-which answers `is_pp_by_table`, the batched audit, the classify witness
-and the table-based pair route at every order.  The index also keeps a
-presence table of its codes' top digits (up to three, in at most 2^16
-entries): a lookup reads each row's top digits first, answers 0 for a row
-whose prefix is absent, and codes and searches only the rest in full.
+which answers `is_pp_by_table`, the classify witness, the table-based
+pair route and `verify`'s classification audit at every order.  The
+index also keeps a presence table of its codes' top digits (up to three,
+in at most 2^16 entries): a lookup reads each row's top digits first,
+answers 0 for a row whose prefix is absent, and codes and searches only
+the rest in full.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -278,59 +279,3 @@ def is_pp_by_table(h: Poly) -> FamilyEntry | None:
     ordv = int(class_lookup(h.field, h.coeffs))
     return field_entries(h.field)[ordv - 1] if ordv else None
 
-
-@dataclass
-class AuditReport:
-    total: int = 0
-    pp_count: int = 0
-    disagreements: list = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-
-def audit_rows(field: Field, rows,
-               report: AuditReport | None = None) -> AuditReport:
-    """Assert that class membership by the class-image index agrees with
-    the direct permutation check on each degree-7 coefficient row;
-    disagreements are collected, not raised."""
-    if report is None:
-        report = AuditReport()
-    C = np.asarray(rows, dtype=np.int64)
-    direct = kernels.pp_batch(field, C)
-    member = class_lookup(field, C) > 0
-    report.total += len(C)
-    report.pp_count += int(direct.sum())
-    for i in np.nonzero(direct != member)[0]:
-        report.disagreements.append(
-            (tuple(int(v) for v in C[i]), bool(direct[i]), bool(member[i])))
-    return report
-
-
-def audit_random(field: Field, n: int, seed: int = 0) -> AuditReport:
-    """n uniform random degree-7 polynomials (leading coefficient uniform
-    over F_q*, the rest over F_q), drawn and audited 2^14 at a time."""
-    rng = np.random.default_rng(seed)
-    report = AuditReport()
-    left = n
-    while left > 0:
-        b = min(1 << 14, left)
-        C = rng.integers(0, field.q, size=(b, 8), dtype=np.int64)
-        C[:, 7] = rng.integers(1, field.q, size=b, dtype=np.int64)
-        audit_rows(field, C, report)
-        left -= b
-    return report
-
-
-def audit_support(field: Field, positions: tuple[int, ...]) -> AuditReport:
-    """Exhaustive audit over monic x^7 + sum a_i x^i with the given
-    support positions ranging over the whole field (zeros included)."""
-    q = field.q
-    grids = np.meshgrid(*[np.arange(q)] * len(positions), indexing="ij")
-    flat = [g.ravel() for g in grids]
-    C = np.zeros((flat[0].size, 8), dtype=np.int64)
-    C[:, 7] = 1
-    for pos, vals in zip(positions, flat):
-        C[:, pos] = vals
-    return audit_rows(field, C)

@@ -387,10 +387,11 @@ def test_suite_pool_is_capped_at_the_cpus(monkeypatch, fork_log, no_child_left):
 
 
 def _plant_disagreements(monkeypatch, orders):
-    """The class index misreads the first row of every batch at `orders`,
-    a class for a miss and a miss for a class; forked workers inherit the
-    patch."""
-    lookup = families.class_lookup
+    """The audit's class lookup misreads the first row of every call at
+    `orders`, a class for a miss and a miss for a class: one call for the
+    x^7 + a3 x^3 + a1 x sweep and one per 2^14 random rows.  Forked workers
+    inherit the patch."""
+    lookup = verify.class_lookup
 
     def planted(field, C):
         ords = lookup(field, C)
@@ -399,7 +400,7 @@ def _plant_disagreements(monkeypatch, orders):
             ords[0] = 0 if ords[0] else 1
         return ords
 
-    monkeypatch.setattr(families, "class_lookup", planted)
+    monkeypatch.setattr(verify, "class_lookup", planted)
 
 
 def test_audit_disagreement_fails_alike_on_one_and_two_workers(monkeypatch, capsys,
@@ -414,13 +415,15 @@ def test_audit_disagreement_fails_alike_on_one_and_two_workers(monkeypatch, caps
     details = [[(r["name"], r["ok"], r["detail"]) for r in p] for p in payloads]
     assert details[0] == details[1]
     failed = [(name, detail) for name, ok, detail in details[0] if not ok]
-    assert failed == [("classification-audit", "q=49: 7 disagreements")]
+    # the sweep and seven random batches (6 * 2^14 + 1,696 rows)
+    assert failed == [("classification-audit", "q=49: 8 disagreements")]
 
 
 def test_audit_reports_the_first_failing_order(monkeypatch):
     _plant_disagreements(monkeypatch, {13, 49})
     result = verify.check_audit(n_random=1_000)
-    assert (result.ok, result.detail) == (False, "q=13: 1 disagreements")
+    # the sweep and one random batch
+    assert (result.ok, result.detail) == (False, "q=13: 2 disagreements")
 
 
 class _Planted(Exception):
@@ -429,14 +432,14 @@ class _Planted(Exception):
 
 def test_an_error_in_a_forked_audit_item_propagates(monkeypatch, no_child_left):
     parent = os.getpid()
-    audit_random = verify.audit_random
+    lookup = verify.class_lookup
 
-    def raising(field, n, seed=0):
+    def raising(field, C):
         if os.getpid() != parent:
             raise _Planted(f"q={field.q}")
-        return audit_random(field, n, seed=seed)
+        return lookup(field, C)
 
-    monkeypatch.setattr(verify, "audit_random", raising)
+    monkeypatch.setattr(verify, "class_lookup", raising)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(_Planted):
         verify.run_suite(workers=2)

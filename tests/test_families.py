@@ -17,8 +17,6 @@ from ortho7.families import (
     EXPECTED_COUNTS,
     FamilyEntry,
     FamilyTable,
-    audit_random,
-    audit_support,
     class_images,
     class_lookup,
     image_codes,
@@ -96,7 +94,7 @@ def test_serialisation_roundtrip_is_bit_exact():
     assert serialize_family_tables(load_family_tables()) == text
 
 
-def test_reconstructed_entry_flag(f49):
+def test_entry_10_at_49_is_the_reconstructed_line(f49):
     # entry 10 at q = 49 reconstructs a garbled source line: the stored
     # reading x^7 + t x^5 + 5t^2 x^3 + 6t^3 x
     entry = table_for(49).entries[9]
@@ -320,17 +318,35 @@ def test_table_orders_need_the_preset_field():
         class_lookup(fld, h.coeffs)
 
 
+def _disagreements(fld, C):
+    """The rows of C where the direct check `pp_batch` and class membership
+    by the class-image index disagree, as verify's audit compares them."""
+    return C[pp_batch(fld, C) != (class_lookup(fld, C) > 0)].tolist()
+
+
+def _support_rows(q, positions):
+    """Every monic x^7 + sum a_i x^i with the given support positions, the
+    a_i ranging over the whole field (zeros included)."""
+    C = np.zeros((q ** len(positions), 8), dtype=np.int64)
+    C[:, 7] = 1
+    C[:, list(positions)] = np.indices((q,) * len(positions)).reshape(len(positions), -1).T
+    return C
+
+
 @pytest.mark.parametrize("q", [11, 13, 23, 25, 27, 41, 49])
 def test_audit_random_small(q):
-    rep = audit_random(field_for(q), 4000, seed=q)
-    assert rep.ok, rep.disagreements[:3]
-    assert rep.total == 4000
+    # leads uniform over F_q*, the rest over F_q, in verify's draw order
+    rng = np.random.default_rng(q)
+    C = rng.integers(0, q, size=(4000, 8), dtype=np.int64)
+    C[:, 7] = rng.integers(1, q, size=4000, dtype=np.int64)
+    assert _disagreements(field_for(q), C) == []
+    assert len(C) == 4000
 
 
 @pytest.mark.parametrize("q", [13, 19, 31])
 def test_audit_support_shapes(q):
-    rep = audit_support(field_for(q), (3, 1))
-    assert rep.ok and rep.total == q * q
+    C = _support_rows(q, (3, 1))
+    assert _disagreements(field_for(q), C) == [] and len(C) == q * q
 
 
 def test_audit_all_low_support_shapes_q13(f13):
@@ -339,13 +355,13 @@ def test_audit_all_low_support_shapes_q13(f13):
     from itertools import combinations
 
     for positions in combinations((1, 2, 3, 4, 5), 2):
-        rep = audit_support(f13, positions)
-        assert rep.ok, (positions, rep.disagreements[:2])
+        C = _support_rows(13, positions)
+        assert _disagreements(f13, C) == [] and len(C) == 169, positions
 
 
 def test_audit_linear_tail_q23():
-    rep = audit_support(field_for(23), (1,))
-    assert rep.ok and rep.total == 23
+    C = _support_rows(23, (1,))
+    assert _disagreements(field_for(23), C) == [] and len(C) == 23
 
 
 def _regenerate_table(q):

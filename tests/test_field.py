@@ -45,7 +45,7 @@ def test_prime_field_generators_are_least_primitive_roots():
         assert field_for(q).theta == g
 
 
-def test_f13_dlog_fixtures(f13):
+def test_f13_log_fixtures(f13):
     assert f13.theta == 2
     assert f13.log_t[1] == 0
     assert f13.log_t[2] == 1
@@ -156,7 +156,7 @@ def test_inv_zero_raises(f13):
         f13.pow(0, -1)
 
 
-def test_inv_pow_dlog_refuse_integers_outside_the_field(f49):
+def test_inv_pow_refuse_integers_outside_the_field(f49):
     # a negative element would read the tables from their end
     # (inv(-1) was the inverse of 48), and q itself ran past them
     for a in (-1, 49):

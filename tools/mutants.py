@@ -120,6 +120,18 @@ MUTANTS = (
            "mask = bits.take(cols[0, 1] * np.int16(q))",
            ("verify.check_audit",
             "tests/test_kernels.py::test_pp_batch_agrees_with_scalar_check")),
+    # the audit is one function: its sweep rows count, and a disagreement
+    # counts either way
+    Mutant("audit-drops-the-sweep", "verify.py",
+           "    C = np.zeros((q * q, 8), dtype=np.int64)\n    C[:, 7] = 1\n"
+           "    C[:, 3], C[:, 1] = np.divmod(np.arange(q * q), q)\n",
+           "    C = np.zeros((0, 8), dtype=np.int64)\n",
+           ("tests/test_acceptance.py::test_c8_classification_audit",)),
+    Mutant("audit-counts-one-way", "verify.py",
+           "direct != (class_lookup(field, C) > 0)",
+           "direct > (class_lookup(field, C) > 0)",
+           ("tests/test_acceptance.py::test_audit_reports_the_first_failing_order",
+            "tests/test_acceptance.py::test_audit_disagreement_fails_alike_on_one_and_two_workers")),
     # the pair grid's line index (CHANGES.md)
     Mutant("pair-cells-uninverted", "kernels.py",
            "return field.inv_t[field.mul_t[1:, 1:]] - 1",
